@@ -31,7 +31,7 @@ from .errors import (
     NoMatch,
     OracleTimeout,
 )
-from .gateway import ChatTurn, render_prompt
+from .gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, render_prompt
 from .localizer import (
     CrashReport,
     LocalizationObject,
@@ -112,7 +112,7 @@ class RepairTask:
 class EngineLimits:
     attempt_cap: int = DEFAULT_ATTEMPT_CAP
     max_turns: int = 30
-    prompt_budget: int = 24_000
+    prompt_budget: int = DEFAULT_PROMPT_BUDGET
     log_budget: int = 4_000
     k_min: int = retrieval.DEFAULT_K_MIN
     top_n: int = retrieval.DEFAULT_TOP_N
@@ -319,19 +319,14 @@ class SessionRunner:
             f"# Accepted patch\n{session.final_patch}\n"
             f"# Verification log\n{session.attempts[-1].verdict.logs[-2000:]}"
         )
-        fallback = f"verified fix: {diffutil.hunk_summary(session.final_patch)}"
-        return self._ask_verifier(question, fallback)
+        return self._ask_verifier(question, memory.default_rationale(session))
 
     def _live_insight(self, fail_patch: str, accepted: str) -> str:
         question = (
             f"# Rejected candidate\n{fail_patch}\n# Accepted patch\n{accepted}\n"
             "State the rule that turned the rejected candidate into the accepted one."
         )
-        fallback = (
-            f"replaced {diffutil.hunk_summary(fail_patch)} "
-            f"with {diffutil.hunk_summary(accepted)}"
-        )
-        return self._ask_verifier(question, fallback)
+        return self._ask_verifier(question, memory.default_insight(fail_patch, accepted))
 
     # -- phases ---------------------------------------------------------------
 
@@ -357,9 +352,12 @@ class SessionRunner:
         self._visited.append((loc.file, loc.line_range))
         return loc
 
-    def patch(self, loc: LocalizationObject) -> str:
+    def patch(self, loc: LocalizationObject) -> tuple[str, str]:
+        """Drive the patcher; returns the candidate's tree id and its diff
+        against the pristine snapshot."""
         attempt = self.session.failed_attempts + 1
-        failed_patch = self.session.last_failed_patch if self.session.failed_attempts else None
+        failed = self.session.last_failed
+        failed_patch = failed.patch if failed else None
         memories = self._retrieve("L1") + self._retrieve("L2")
         if failed_patch:
             memories += self._retrieve("L3", override=failed_patch)
@@ -409,15 +407,14 @@ class SessionRunner:
                     session.current_loc = self.locate()
                     session.phase = Phase.PATCH
 
-                candidate = self.patch(session.current_loc)
+                tree, candidate = self.patch(session.current_loc)
                 session.current_patch = candidate
-                self._capture_pristine(candidate)
 
                 session.phase = Phase.VERIFY
                 verdict, transition = self.verify(candidate)
-                session.attempts.append(
-                    Attempt(patch=candidate, verdict=verdict, localization=session.current_loc)
-                )
+                session.attempts.append(Attempt(
+                    patch=candidate, verdict=verdict, tree=tree, localization=session.current_loc
+                ))
                 logger.info(
                     "attempt %d verdict mitigated=%s preserved=%s -> %s",
                     len(session.attempts), verdict.vuln_mitigated,
@@ -427,7 +424,7 @@ class SessionRunner:
                     session.outcome = Outcome.SUCCESS
                     session.phase = Phase.DONE
                     memory.consolidate_success(
-                        self.store, session, self.rationale_fn, self.insight_fn
+                        self.store, session, ws.diff, self.rationale_fn, self.insight_fn
                     )
                     break
 
@@ -459,12 +456,6 @@ class SessionRunner:
             self.store.complete_task()
 
         return self._report(reason)
-
-    def _capture_pristine(self, candidate: str) -> None:
-        for path in diffutil.changed_files(candidate):
-            if path not in self.session.pristine_files:
-                content = self.task.workspace.file_at_snapshot(self.pristine_id, path)
-                self.session.pristine_files[path] = content if content is not None else ""
 
     def _localization_correct(self) -> bool | str:
         truth = self.task.ground_truth_files

@@ -25,7 +25,6 @@ from .errors import (
     CorruptMemoryFile,
     InvariantViolation,
     NoMatch,
-    PatchloopError,
     PristineCheckFailed,
     UnreadableCorpus,
     WorkspaceError,
@@ -140,11 +139,6 @@ def repair_one(
     multi-task runner so one shared store serializes all writes).
     """
     task_data = _load_task(task_file)
-    workspace = Workspace(
-        Path(task_data["repo"]),
-        bash_timeout=cfg.bash_timeout,
-        output_cap=cfg.tool_output_cap,
-    )
     spec = OracleSpec(
         poc_command=task_data["poc_command"],
         regression_command=task_data["regression_command"],
@@ -152,23 +146,12 @@ def repair_one(
         pass_predicates=task_data.get("pass_predicates", {}),
     )
     spec.validate()
-    oracle = OracleRunner(
-        workspace.root, spec,
-        command_timeout=cfg.oracle.command_timeout,
-        total_budget=cfg.oracle.total_budget,
-    )
     keys = RetrievalKeys(
         project=task_data.get("project", ""),
         cwe=task_data.get("cwe", CWE_UNKNOWN),
         language=task_data.get("language", ""),
         instance_id=task_data["instance_id"],
         description=task_data.get("description", ""),
-    )
-    task = RepairTask(
-        workspace=workspace,
-        oracle=oracle,
-        keys=keys,
-        ground_truth_files=task_data.get("ground_truth_files"),
     )
     owns_store = store is None
     if owns_store:
@@ -178,8 +161,25 @@ def repair_one(
         gateway_cfg = replace(gateway_cfg, transcript=str(task_data["transcript"]))
     gateway = build_gateway(gateway_cfg)
 
-    runner = SessionRunner(task, store, gateway, cfg.limits)
+    # Opened last: everything above can fail without a shell to clean up.
+    workspace = Workspace(
+        Path(task_data["repo"]),
+        bash_timeout=cfg.bash_timeout,
+        output_cap=cfg.tool_output_cap,
+    )
     try:
+        oracle = OracleRunner(
+            workspace.root, spec,
+            command_timeout=cfg.oracle.command_timeout,
+            total_budget=cfg.oracle.total_budget,
+        )
+        task = RepairTask(
+            workspace=workspace,
+            oracle=oracle,
+            keys=keys,
+            ground_truth_files=task_data.get("ground_truth_files"),
+        )
+        runner = SessionRunner(task, store, gateway, cfg.limits)
         report = runner.run()
     finally:
         workspace.close()
@@ -217,22 +217,24 @@ def _cmd_repair(args, cfg: EngineConfig) -> int:
         # One shared store: session writes are serialized by its writer lock.
         store = load_store(Path(args.memory), embedder=build_embedder(cfg.retrieval))
         results: dict[str, int] = {}
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            futures = {
-                pool.submit(repair_one, tf, Path(args.memory), cfg, out_dir, store): tf
-                for tf in task_files
-            }
-            for future, tf in futures.items():
-                try:
-                    code, report_path = future.result()
-                except PatchloopError as exc:
-                    print(f"{tf}: {exc}", file=sys.stderr)
-                    results[tf.name] = 2
-                    continue
-                results[tf.name] = code
-                if not args.json:
-                    print(f"{tf.name}: exit {code} ({report_path})")
-        save_store(store, Path(args.memory))
+        try:
+            with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+                futures = {
+                    pool.submit(repair_one, tf, Path(args.memory), cfg, out_dir, store): tf
+                    for tf in task_files
+                }
+                for future, tf in futures.items():
+                    try:
+                        code, report_path = future.result()
+                    except Exception as exc:  # one bad task must not take its siblings down
+                        print(f"{tf}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                        results[tf.name] = 2
+                        continue
+                    results[tf.name] = code
+                    if not args.json:
+                        print(f"{tf.name}: exit {code} ({report_path})")
+        finally:
+            save_store(store, Path(args.memory))
         if args.json:
             print(json.dumps({"results": results}))
         return max(results.values())

@@ -22,8 +22,6 @@ class RetrievalConfig:
     model_name: str = ""
     api_key_env: str = ""
     timeout: float = 30.0
-    k_min: int = 2
-    top_n: int = 4
 
 
 @dataclass
@@ -73,18 +71,22 @@ def load_config(path: Path | None) -> EngineConfig:
     with Path(path).open("r", encoding="utf-8") as fh:
         parser.read_file(fh)
 
+    # Some [gateway] and [retrieval] keys are engine limits: they load into cfg.limits.
     if parser.has_section("gateway"):
         _apply(cfg.gateway, parser["gateway"], {
             "endpoint": str, "model_name": str, "temperature": float,
-            "max_turns": int, "api_key_env": str, "prompt_budget": int,
-            "backend": str, "transcript": str, "timeout": float,
+            "api_key_env": str, "backend": str, "transcript": str, "timeout": float,
+        })
+        _apply(cfg.limits, parser["gateway"], {
+            "max_turns": int, "prompt_budget": int,
             "prompt_price_per_1k": float, "completion_price_per_1k": float,
         })
     if parser.has_section("retrieval"):
         _apply(cfg.retrieval, parser["retrieval"], {
             "embedder": str, "endpoint": str, "model_name": str,
-            "api_key_env": str, "timeout": float, "k_min": int, "top_n": int,
+            "api_key_env": str, "timeout": float,
         })
+        _apply(cfg.limits, parser["retrieval"], {"k_min": int, "top_n": int})
     if parser.has_section("oracle"):
         _apply(cfg.oracle, parser["oracle"], {
             "command_timeout": float, "total_budget": float,
@@ -100,14 +102,6 @@ def load_config(path: Path | None) -> EngineConfig:
         cfg.ingest_column_map = {
             key: _unquote(value) for key, value in parser["ingest"].items()
         }
-
-    # knobs that live in one section but are consumed in another
-    cfg.limits.k_min = cfg.retrieval.k_min
-    cfg.limits.top_n = cfg.retrieval.top_n
-    cfg.limits.max_turns = cfg.gateway.max_turns
-    cfg.limits.prompt_budget = cfg.gateway.prompt_budget
-    cfg.limits.prompt_price_per_1k = cfg.gateway.prompt_price_per_1k
-    cfg.limits.completion_price_per_1k = cfg.gateway.completion_price_per_1k
     return cfg
 
 

@@ -1,4 +1,4 @@
-"""Unified-diff helpers: validate, parse, apply, generate, and summarize.
+"""Unified-diff helpers: validate, parse, and summarize.
 
 All patches produced by the engine come from ``git diff`` and therefore
 carry ``a/``/``b/`` path prefixes; the helpers here tolerate both prefixed
@@ -7,11 +7,8 @@ and bare paths so hand-written fixtures also work.
 
 from __future__ import annotations
 
-import difflib
 import re
 from dataclasses import dataclass, field
-
-from .errors import PatchApplyError
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _FILE_OLD_RE = re.compile(r"^--- (?:a/)?(.+?)\s*$")
@@ -38,14 +35,6 @@ class FilePatch:
     @property
     def path(self) -> str:
         return self.new_path if self.new_path != DEV_NULL else self.old_path
-
-    @property
-    def is_new_file(self) -> bool:
-        return self.old_path == DEV_NULL
-
-    @property
-    def is_deleted_file(self) -> bool:
-        return self.new_path == DEV_NULL
 
 
 def looks_like_unified_diff(text: str) -> bool:
@@ -109,105 +98,6 @@ def changed_files(text: str) -> list[str]:
         if fp.path not in seen:
             seen.append(fp.path)
     return seen
-
-
-def _apply_hunks(lines: list[str], hunks: list[Hunk]) -> list[str]:
-    out: list[str] = []
-    cursor = 0  # index into `lines`
-    offset = 0
-    for hunk in hunks:
-        old_block = [l[1:] for l in hunk.lines if l[:1] in (" ", "-")]
-        new_block = [l[1:] for l in hunk.lines if l[:1] in (" ", "+")]
-        target = hunk.old_start - 1 + offset
-        pos = _locate(lines, old_block, target)
-        if pos is None or pos < cursor:
-            raise PatchApplyError(
-                f"hunk @@ -{hunk.old_start} @@ does not match the file contents"
-            )
-        out.extend(lines[cursor:pos])
-        out.extend(new_block)
-        cursor = pos + len(old_block)
-        offset = pos - (hunk.old_start - 1)
-    out.extend(lines[cursor:])
-    return out
-
-
-def _locate(lines: list[str], block: list[str], around: int, radius: int = 200) -> int | None:
-    if not block:
-        return max(0, min(around, len(lines)))
-    for delta in range(radius + 1):
-        for pos in (around + delta, around - delta):
-            if 0 <= pos <= len(lines) - len(block) and lines[pos : pos + len(block)] == block:
-                return pos
-    return None
-
-
-def apply_patch(text: str, files: dict[str, str]) -> dict[str, str]:
-    """Apply a unified diff to in-memory file contents.
-
-    `files` maps repo-relative paths to text; the returned mapping reflects
-    the post-patch state (new files added, deleted files removed). Raises
-    PatchApplyError when a hunk cannot be located.
-    """
-    result = dict(files)
-    for fp in parse_patch(text):
-        if fp.is_new_file:
-            new_lines = [l[1:] for h in fp.hunks for l in h.lines if l[:1] == "+"]
-            result[fp.new_path] = "".join(l + "\n" for l in new_lines)
-            continue
-        if fp.old_path not in result:
-            raise PatchApplyError(f"patch refers to unknown file {fp.old_path!r}")
-        if fp.is_deleted_file:
-            del result[fp.old_path]
-            continue
-        original = result[fp.old_path]
-        lines = original.split("\n")
-        trailing_newline = original.endswith("\n")
-        if trailing_newline:
-            lines = lines[:-1]
-        patched = _apply_hunks(lines, fp.hunks)
-        no_newline = any(l.startswith("\\ No newline") for h in fp.hunks for l in h.lines[-1:])
-        body = "\n".join(patched)
-        if patched and (trailing_newline or not no_newline):
-            body += "\n"
-        if fp.old_path != fp.new_path:
-            del result[fp.old_path]
-        result[fp.path] = body
-    return result
-
-
-def diff_texts(a: str, b: str, a_label: str, b_label: str) -> str:
-    """Unified diff of two text blobs with a/ b/ prefixed labels."""
-    out = difflib.unified_diff(
-        a.splitlines(keepends=True),
-        b.splitlines(keepends=True),
-        fromfile=f"a/{a_label}",
-        tofile=f"b/{b_label}",
-    )
-    return "".join(out)
-
-
-def diff_file_states(before: dict[str, str], after: dict[str, str]) -> str:
-    """Unified diff between two file-content mappings, path-sorted."""
-    chunks: list[str] = []
-    for path in sorted(set(before) | set(after)):
-        a = before.get(path, "")
-        b = after.get(path, "")
-        if a == b:
-            continue
-        a_label = f"a/{path}" if path in before else DEV_NULL
-        b_label = f"b/{path}" if path in after else DEV_NULL
-        chunks.append(
-            "".join(
-                difflib.unified_diff(
-                    a.splitlines(keepends=True),
-                    b.splitlines(keepends=True),
-                    fromfile=a_label,
-                    tofile=b_label,
-                )
-            )
-        )
-    return "".join(chunks)
 
 
 def hunk_summary(text: str) -> str:

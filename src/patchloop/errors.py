@@ -37,10 +37,6 @@ class WorkspaceError(PatchloopError):
     """The workspace is not usable (missing root, not version-controlled)."""
 
 
-class PatchApplyError(PatchloopError):
-    """A unified diff could not be applied to the given file contents."""
-
-
 class OracleTimeout(PatchloopError):
     """A verification command exceeded its time budget."""
 

@@ -20,7 +20,6 @@ from .errors import GatewayExhausted, MalformedToolCall
 from .workspace import CompressedContext, ToolCall
 
 DEFAULT_PROMPT_BUDGET = 24_000
-DEFAULT_MAX_TURNS = 30
 
 PHASES = ("locator", "patcher", "verifier")
 
@@ -46,14 +45,10 @@ class GatewayConfig:
     endpoint: str = ""
     model_name: str = ""
     temperature: float = 0.0
-    max_turns: int = DEFAULT_MAX_TURNS
     api_key_env: str = ""
-    prompt_budget: int = DEFAULT_PROMPT_BUDGET
     backend: str = "scripted"
     transcript: str = ""
     timeout: float = 60.0
-    prompt_price_per_1k: float = 0.0
-    completion_price_per_1k: float = 0.0
 
 
 def _decode_tool_calls(raw) -> list[ToolCall]:

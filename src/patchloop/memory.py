@@ -20,7 +20,7 @@ import json
 import math
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Union
@@ -262,7 +262,7 @@ def prune(store: MemoryStore, window: float) -> int:
     return removed
 
 
-def _default_rationale(session) -> str:
+def default_rationale(session) -> str:
     summary = diffutil.hunk_summary(session.final_patch)
     return (
         f"patch {summary} removed the reproduction failure while keeping "
@@ -270,7 +270,7 @@ def _default_rationale(session) -> str:
     )
 
 
-def _default_insight(fail_patch: str, accepted_patch: str) -> str:
+def default_insight(fail_patch: str, accepted_patch: str) -> str:
     return (
         f"replaced {diffutil.hunk_summary(fail_patch)} "
         f"with {diffutil.hunk_summary(accepted_patch)}"
@@ -280,6 +280,7 @@ def _default_insight(fail_patch: str, accepted_patch: str) -> str:
 def consolidate_success(
     store: MemoryStore,
     session,
+    diff_trees: Callable[[str, str], str],
     rationale_fn: Callable[..., str] | None = None,
     insight_fn: Callable[..., str] | None = None,
 ) -> tuple[L2Entry, L3Entry | None]:
@@ -287,50 +288,33 @@ def consolidate_success(
 
     The L2 entry records the accepted patch with a rationale. When at least
     one verification failed before success, an L3 entry additionally records
-    the last failed candidate, the delta that corrected it (diff of the two
-    candidates' post-application file states over the pristine snapshot),
-    and a transition insight. Both entries go through :func:`insert`.
+    the last failed candidate, the delta that corrected it
+    (``diff_trees(failed_tree, accepted_tree)``, a diff between the two
+    candidates' git trees), and a transition insight. A failed candidate
+    whose tree equals the accepted one (a flaky oracle) corrected nothing, so
+    only L2 is written. Both entries go through :func:`insert`.
     """
     from .session import Outcome  # local import: session depends on memory types
 
     if session.outcome != Outcome.SUCCESS:
         raise InvalidSession("consolidation requires a successful session")
-    accepted = session.final_patch
-    rationale = (rationale_fn or _default_rationale)(session)
-    l2 = L2Entry(keys=session.keys, fix_patch=accepted, rationale=rationale)
+    accepted = session.attempts[-1]
+    rationale = (rationale_fn or default_rationale)(session)
+    l2 = L2Entry(keys=session.keys, fix_patch=accepted.patch, rationale=rationale)
     insert(store, l2)
 
-    fail_patch = session.last_failed_patch
-    if session.failed_attempts < 1 or not fail_patch:
+    failed = session.last_failed
+    if session.failed_attempts < 1 or failed is None or failed.tree == accepted.tree:
         return l2, None
-    delta = _correction_delta(session.pristine_files, fail_patch, accepted)
-    insight = (
-        insight_fn(fail_patch, accepted)
-        if insight_fn
-        else _default_insight(fail_patch, accepted)
-    )
+    insight = (insight_fn or default_insight)(failed.patch, accepted.patch)
     l3 = L3Entry(
         keys=session.keys,
-        fail_patch=fail_patch,
-        correction_delta=delta,
+        fail_patch=failed.patch,
+        correction_delta=diff_trees(failed.tree, accepted.tree),
         transition_insight=insight,
     )
     insert(store, l3)
     return l2, l3
-
-
-def _correction_delta(pristine_files: dict[str, str], fail_patch: str, accepted: str) -> str:
-    """Diff from the failed candidate's file state to the accepted one."""
-    try:
-        failed_state = diffutil.apply_patch(fail_patch, pristine_files)
-        accepted_state = diffutil.apply_patch(accepted, pristine_files)
-        delta = diffutil.diff_file_states(failed_state, accepted_state)
-        if delta:
-            return delta
-    except Exception:
-        pass
-    # Last resort: diff the patch texts themselves so the record is never lost.
-    return diffutil.diff_texts(fail_patch, accepted, "failed.patch", "accepted.patch")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +415,3 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise CorruptMemoryFile(f"{state}: bad state file ({exc})") from exc
     return store
-
-
-def clone_entry(entry: MemoryEntry) -> MemoryEntry:
-    return replace(entry)

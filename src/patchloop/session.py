@@ -27,6 +27,7 @@ class Outcome(str, Enum):
 class Attempt:
     patch: str
     verdict: VerificationVerdict
+    tree: str  # git tree id of the candidate's working tree
     localization: LocalizationObject | None = None
 
 
@@ -42,9 +43,6 @@ class RepairSession:
     compressed: CompressedContext | None = None
     attempts: list[Attempt] = field(default_factory=list)
     outcome: Outcome | None = None
-    # Pristine text of every file touched by any candidate; lets memory
-    # consolidation rebuild per-candidate file states without the workspace.
-    pristine_files: dict[str, str] = field(default_factory=dict)
 
     @property
     def final_patch(self) -> str:
@@ -53,11 +51,11 @@ class RepairSession:
         return self.attempts[-1].patch
 
     @property
-    def last_failed_patch(self) -> str | None:
+    def last_failed(self) -> Attempt | None:
         """Most recent failed candidate with a non-empty diff, if any."""
         for attempt in reversed(self.attempts):
             verdict = attempt.verdict
             failed = not (verdict.vuln_mitigated and verdict.functionality_preserved)
             if failed and attempt.patch.strip():
-                return attempt.patch
+                return attempt
         return None

@@ -6,17 +6,19 @@ tools are confined to the workspace root; ``bash`` is the documented
 exception and relies on the host container for confinement, with only a
 timeout and an output cap enforced here.
 
-Snapshots are git tree objects built through a throwaway index, plus manual
-deletion of files created after the snapshot, so rollback restores the
-working tree byte-identically including removals.
+Snapshots are git tree objects written through a private index that each
+workspace owns; the checkout's own index is never touched. Rollback is a
+``read-tree --reset -u`` plus ``clean`` on that index, so git restores the
+working tree byte-identically, removals included, and never touches ignored
+files.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import select
+import shutil
 import subprocess
 import tempfile
 import time
@@ -32,10 +34,7 @@ DEFAULT_LOG_BUDGET = 4_000
 DEFAULT_SEARCH_LIMIT = 5
 DEFAULT_SEARCH_CONTEXT = 2
 
-TOOL_NAMES = frozenset(
-    {"view", "search", "create", "str_replace", "bash", "check_vul",
-     "log_compress", "iter_grep", "submit"}
-)
+_GIT = shutil.which("git") or "git"
 
 # ToolResult.error_kind values
 NOT_FOUND = "NotFound"
@@ -252,13 +251,14 @@ class Workspace:
             raise WorkspaceError(f"workspace root is not a git checkout: {self.root}")
         self.output_cap = output_cap
         self.snapshot_id: str | None = None
-        self._snapshot_trees: dict[str, list[str]] = {}
-        self._snapshot_stats: dict[str, dict[str, tuple[int, int]]] = {}
+        self._index_dir = tempfile.mkdtemp(prefix="pl-index-")
+        self._git_env = {**os.environ, "GIT_INDEX_FILE": os.path.join(self._index_dir, "index")}
         self._shell = PersistentShell(self.root, timeout=bash_timeout)
         self._shell._spawn()
 
     def close(self) -> None:
         self._shell.close()
+        shutil.rmtree(self._index_dir, ignore_errors=True)
 
     # -- path confinement ---------------------------------------------------
 
@@ -270,84 +270,54 @@ class Workspace:
 
     # -- git plumbing ---------------------------------------------------------
 
-    def _git(self, *args: str, env: dict | None = None, check: bool = True) -> str:
-        full_env = dict(os.environ)
-        if env:
-            full_env.update(env)
+    def _git(self, *args: str) -> str:
+        """Run git on the workspace's private index."""
         proc = subprocess.run(
-            ["git", *args],
-            cwd=self.root,
-            env=full_env,
+            [_GIT, "-C", str(self.root), *args],
+            env=self._git_env,
             capture_output=True,
             text=True,
+            close_fds=False,  # with no cwd either, subprocess can use posix_spawn
         )
-        if check and proc.returncode != 0:
+        if proc.returncode != 0:
             raise WorkspaceError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
         return proc.stdout
 
     def snapshot(self) -> str:
-        """Capture the full working tree (tracked and untracked) as a git tree."""
-        with tempfile.TemporaryDirectory(prefix="pl-git-") as td:
-            env = {"GIT_INDEX_FILE": str(Path(td) / "index")}
-            self._git("add", "-A", env=env)
-            tree = self._git("write-tree", env=env).strip()
+        """Capture the working tree (tracked and untracked, not ignored) as a git tree."""
+        self._git("add", "-A")
+        tree = self._git("write-tree").strip()
         self.snapshot_id = tree
-        files = self._git("ls-tree", "-r", "--name-only", tree).splitlines()
-        self._snapshot_trees[tree] = files
-        self._snapshot_stats[tree] = {p: self._stat(p) for p in files}
         return tree
 
-    def _stat(self, rel: str) -> tuple[int, int]:
-        try:
-            st = (self.root / rel).stat()
-            return (st.st_size, st.st_mtime_ns)
-        except OSError:
-            return (-1, -1)
-
     def rollback(self, snapshot_id: str) -> ToolResult:
-        """Restore the working tree byte-identically to a prior snapshot."""
-        if snapshot_id not in self._snapshot_trees:
-            probe = subprocess.run(
-                ["git", "cat-file", "-t", snapshot_id],
-                cwd=self.root, capture_output=True, text=True,
-            )
-            if probe.returncode != 0 or probe.stdout.strip() != "tree":
-                return ToolResult(False, f"unknown snapshot {snapshot_id}", SNAPSHOT_MISSING)
-            self._snapshot_trees[snapshot_id] = self._git(
-                "ls-tree", "-r", "--name-only", snapshot_id
-            ).splitlines()
-        snap_files = set(self._snapshot_trees[snapshot_id])
-        for path in self._walk_files():
-            if path not in snap_files:
-                (self.root / path).unlink()
-        self._prune_empty_dirs()
-        # Restore only files whose size or mtime drifted since the snapshot
-        # (git's own racy-clean heuristic); unknown stats force a full restore.
-        stats = self._snapshot_stats.get(snapshot_id)
-        if stats is None:
-            changed = sorted(snap_files)
-        else:
-            changed = sorted(p for p in snap_files if self._stat(p) != stats[p])
-        if changed:
-            self._git("checkout", snapshot_id, "--", *changed)
-            if stats is not None:
-                for path in changed:
-                    stats[path] = self._stat(path)
+        """Restore the working tree byte-identically to a prior snapshot.
+
+        ``read-tree`` rewrites changed and deleted files, removes the files
+        the index gained since, and restores ``.gitignore`` before ``clean``
+        removes the files the index never saw; ignored files stay.
+        """
+        try:
+            self._git("read-tree", "--reset", "-u", snapshot_id)
+        except WorkspaceError:
+            return ToolResult(False, f"unknown snapshot {snapshot_id}", SNAPSHOT_MISSING)
+        self._git("clean", "-fdq")
         self.snapshot_id = snapshot_id
         return ToolResult(True, f"restored snapshot {snapshot_id[:12]}")
 
-    def submit(self, base_snapshot: str | None = None) -> str:
-        """Unified diff of the current tree against a snapshot (default: last)."""
+    def submit(self, base_snapshot: str | None = None) -> tuple[str, str]:
+        """Tree id of the current working tree and its unified diff against a
+        snapshot (default: last)."""
         base = base_snapshot or self.snapshot_id
         if base is None:
             raise WorkspaceError("no snapshot to diff against")
         current = self.snapshot()
-        if current == base:
-            self.snapshot_id = base
-            return ""
-        diff = self._git("diff", base, current)
         self.snapshot_id = base
-        return diff
+        return current, self.diff(base, current)
+
+    def diff(self, old_tree: str, new_tree: str) -> str:
+        """Unified diff between two trees, as ``git diff`` prints it."""
+        return "" if old_tree == new_tree else self._git("diff", old_tree, new_tree)
 
     def file_at_snapshot(self, snapshot_id: str, path: str) -> str | None:
         proc = subprocess.run(
@@ -355,24 +325,6 @@ class Workspace:
             cwd=self.root, capture_output=True, text=True,
         )
         return proc.stdout if proc.returncode == 0 else None
-
-    def _walk_files(self) -> list[str]:
-        out = []
-        for path in self.root.rglob("*"):
-            if path.is_file() and ".git" not in path.parts:
-                out.append(path.relative_to(self.root).as_posix())
-        return out
-
-    def _prune_empty_dirs(self) -> None:
-        for path in sorted(
-            (p for p in self.root.rglob("*") if p.is_dir() and ".git" not in p.parts),
-            key=lambda p: len(p.parts),
-            reverse=True,
-        ):
-            try:
-                path.rmdir()
-            except OSError:
-                pass
 
     # -- tools ----------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
 import conftest as fx
-from patchloop import diffutil
 from patchloop.agent import (
     EngineLimits,
     RepairTask,
@@ -212,11 +212,15 @@ def test_compressed_context_feeds_next_attempt(demo_repo, tmp_path):
 
 
 def test_attempt_diffs_are_against_pristine(demo_repo, tmp_path):
-    pristine = (demo_repo / "app" / "buffer.py").read_text()
     report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    pristine = fx.init_repo(tmp_path / "pristine", dict(fx.DEMO_FILES))
+    assert len(report.attempts) == 2
     for attempt in report.attempts:
-        applied = diffutil.apply_patch(attempt["patch"], {"app/buffer.py": pristine})
-        assert "def safe_copy" in applied["app/buffer.py"]
+        proc = subprocess.run(
+            ["git", "apply", "--check", "-"],
+            cwd=pristine, input=attempt["patch"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_empty_patch_counts_as_failure_with_regenerate(demo_repo, tmp_path):

@@ -4,9 +4,12 @@ import json
 from pathlib import Path
 
 import conftest as fx
+import pytest
+
 from patchloop import cli
 from patchloop.config import load_config
 from patchloop.memory import load_store
+from patchloop.workspace import Workspace
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -23,8 +26,8 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg.gateway.temperature == 0.0
-    assert cfg.retrieval.k_min == 2
-    assert cfg.retrieval.top_n == 4
+    assert cfg.limits.k_min == 2
+    assert cfg.limits.top_n == 4
     assert cfg.limits.attempt_cap == 3
     assert cfg.oracle.command_timeout == 600.0
 
@@ -39,6 +42,8 @@ transcript = '/tmp/t.jsonl'
 model_name = test-model
 temperature = 0.0
 max_turns = 12
+prompt_budget = 9000
+prompt_price_per_1k = 0.5
 
 [retrieval]
 embedder = deterministic
@@ -61,6 +66,8 @@ cwe = cwe_id
     assert cfg.gateway.transcript == "/tmp/t.jsonl"
     assert cfg.gateway.model_name == "test-model"
     assert cfg.limits.max_turns == 12
+    assert cfg.limits.prompt_budget == 9000
+    assert cfg.limits.prompt_price_per_1k == 0.5
     assert cfg.limits.k_min == 3 and cfg.limits.top_n == 6
     assert cfg.oracle.command_timeout == 45.0
     assert cfg.limits.attempt_cap == 2
@@ -371,6 +378,49 @@ def test_repair_tasks_directory_fans_out(tmp_path, capsys):
     store = load_store(mem)
     assert len(store.l2) == 1
     assert store.completed_tasks == 2
+
+
+def test_repair_tasks_malformed_task_spares_its_sibling(tmp_path, capsys):
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    repo = fx.init_repo(tmp_path / "repo_good", dict(fx.DEMO_FILES))
+    transcript = fx.transcript_success(tmp_path / "good.jsonl")
+    good = fx.demo_task_json(repo, {"transcript": str(transcript)})
+    (tasks_dir / "good.json").write_text(json.dumps(good))
+    broken = fx.demo_task_json(repo)
+    del broken["poc_command"]
+    (tasks_dir / "broken.json").write_text(json.dumps(broken))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[gateway]\nbackend = scripted\ntranscript = unused-default\n")
+    mem = tmp_path / "m.jsonl"
+    out_dir = tmp_path / "out"
+
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", "--tasks", str(tasks_dir), "--memory", str(mem), "--out", str(out_dir),
+    )
+    assert code == 2
+    assert json.loads(out)["results"] == {"broken.json": 2, "good.json": 0}
+    assert "poc_command" in err
+    assert json.loads((out_dir / "good.report.json").read_text())["outcome"] == "success"
+    assert len(load_store(mem).l2) == 1
+
+
+def test_repair_one_closes_workspace_when_task_is_invalid(demo_repo, tmp_path, monkeypatch):
+    opened: list[Workspace] = []
+
+    class RecordingWorkspace(Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(cli, "Workspace", RecordingWorkspace)
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(fx.demo_task_json(demo_repo, {"poc_command": " "})))
+    with pytest.raises(ValueError, match="poc_command"):
+        cli.repair_one(task, tmp_path / "m.jsonl", load_config(None), tmp_path / "out")
+    assert not any(ws._shell.alive or Path(ws._index_dir).exists() for ws in opened)
 
 
 def test_memory_inspect_table_output(tmp_path, capsys):

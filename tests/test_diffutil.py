@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
 from patchloop import diffutil
-from patchloop.errors import PatchApplyError
 
 SIMPLE = """--- a/app/buffer.py
 +++ b/app/buffer.py
@@ -41,53 +38,6 @@ def test_changed_files_git_style():
         "diff --git a/y.c b/y.c\n--- a/y.c\n+++ b/y.c\n@@ -1 +1 @@\n-a\n+b\n"
     )
     assert diffutil.changed_files(text) == ["x.c", "y.c"]
-
-
-def test_apply_patch_round_trip():
-    before = "def safe_copy(buf, src, length):\n    i = 0\n    while i < length:\n        buf.data[i] = src[i]\n"
-    after = (
-        "def safe_copy(buf, src, length):\n    if length > buf.capacity:\n"
-        '        raise ValueError("too big")\n'
-        "    i = 0\n    while i < length:\n        buf.data[i] = src[i]\n"
-    )
-    patch = diffutil.diff_texts(before, after, "app/buffer.py", "app/buffer.py")
-    applied = diffutil.apply_patch(patch, {"app/buffer.py": before})
-    assert applied["app/buffer.py"] == after
-
-
-def test_apply_patch_new_and_deleted_files():
-    add = "--- /dev/null\n+++ b/new.txt\n@@ -0,0 +1,2 @@\n+hello\n+world\n"
-    state = diffutil.apply_patch(add, {})
-    assert state["new.txt"] == "hello\nworld\n"
-
-    remove = "--- a/new.txt\n+++ /dev/null\n@@ -1,2 +0,0 @@\n-hello\n-world\n"
-    state = diffutil.apply_patch(remove, state)
-    assert "new.txt" not in state
-
-
-def test_apply_patch_mismatch_raises():
-    with pytest.raises(PatchApplyError):
-        diffutil.apply_patch(SIMPLE, {"app/buffer.py": "completely different\ncontent\n"})
-
-
-def test_apply_patch_tolerates_offset():
-    base = "\n".join(f"line {i}" for i in range(1, 21)) + "\n"
-    shifted = "preamble\n" + base
-    patch = diffutil.diff_texts(
-        base, base.replace("line 10", "line ten"), "f.txt", "f.txt"
-    )
-    applied = diffutil.apply_patch(patch, {"f.txt": shifted})
-    assert "line ten" in applied["f.txt"]
-    assert applied["f.txt"].startswith("preamble\n")
-
-
-def test_diff_file_states_multi_file():
-    before = {"a.txt": "one\n", "b.txt": "two\n"}
-    after = {"a.txt": "one!\n", "c.txt": "three\n"}
-    delta = diffutil.diff_file_states(before, after)
-    assert "a/a.txt" in delta and "b/a.txt" in delta
-    assert "/dev/null" in delta  # b.txt removed, c.txt added
-    assert diffutil.diff_file_states(before, before) == ""
 
 
 def test_hunk_summary_and_texts():

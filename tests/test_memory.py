@@ -435,11 +435,17 @@ def test_round_trip_property(tmp_path_factory, rows):
 # consolidate_success
 # ---------------------------------------------------------------------------
 
+import difflib  # noqa: E402
+import subprocess  # noqa: E402
+
+from conftest import init_repo  # noqa: E402
 from patchloop.memory import consolidate_success  # noqa: E402
 from patchloop.oracle import VerificationVerdict  # noqa: E402
 from patchloop.session import Attempt, Outcome, RepairSession  # noqa: E402
+from patchloop.workspace import Workspace  # noqa: E402
 
-PRISTINE = {"app/buffer.py": "def safe_copy(buf, src, length):\n    i = 0\n    return buf\n"}
+PATH = "app/buffer.py"
+PRISTINE = "def safe_copy(buf, src, length):\n    i = 0\n    return buf\n"
 GOOD = (
     "def safe_copy(buf, src, length):\n    if length > buf.capacity:\n"
     "        raise ValueError('too big')\n    i = 0\n    return buf\n"
@@ -448,14 +454,33 @@ BAD = (
     "def safe_copy(buf, src, length):\n    if length > buf.capacity * 8:\n"
     "        raise ValueError('too big')\n    i = 0\n    return buf\n"
 )
+OTHER_BAD = PRISTINE.replace("i = 0", "i = 1")
+# Stand-in for git trees: a tree name maps to the content of PATH.
+TREES = {"pristine": PRISTINE, "good": GOOD, "bad": BAD, "other_bad": OTHER_BAD}
 
-import patchloop.diffutil as _d  # noqa: E402
 
-GOOD_PATCH = _d.diff_texts(PRISTINE["app/buffer.py"], GOOD, "app/buffer.py", "app/buffer.py")
-BAD_PATCH = _d.diff_texts(PRISTINE["app/buffer.py"], BAD, "app/buffer.py", "app/buffer.py")
+def diff_trees(old_tree: str, new_tree: str) -> str:
+    return "".join(difflib.unified_diff(
+        TREES[old_tree].splitlines(keepends=True),
+        TREES[new_tree].splitlines(keepends=True),
+        fromfile=f"a/{PATH}",
+        tofile=f"b/{PATH}",
+    ))
+
+
+GOOD_PATCH = diff_trees("pristine", "good")
+BAD_PATCH = diff_trees("pristine", "bad")
 
 OK = VerificationVerdict(True, True, True, "clean")
 NOT_FIXED = VerificationVerdict(False, True, True, "still crashes")
+
+
+def good() -> Attempt:
+    return Attempt(GOOD_PATCH, OK, "good")
+
+
+def bad(verdict: VerificationVerdict = NOT_FIXED) -> Attempt:
+    return Attempt(BAD_PATCH, verdict, "bad")
 
 
 def session_with(attempts: list[Attempt], outcome=Outcome.SUCCESS) -> RepairSession:
@@ -467,14 +492,13 @@ def session_with(attempts: list[Attempt], outcome=Outcome.SUCCESS) -> RepairSess
         failed_attempts=failed,
         attempts=attempts,
         outcome=outcome,
-        pristine_files=dict(PRISTINE),
     )
 
 
 def test_consolidate_first_try_success_writes_l2_only():
     store = MemoryStore()
-    session = session_with([Attempt(GOOD_PATCH, OK)])
-    l2_entry, l3_entry = consolidate_success(store, session)
+    session = session_with([good()])
+    l2_entry, l3_entry = consolidate_success(store, session, diff_trees)
     assert l3_entry is None
     assert store.l2 == [l2_entry]
     assert store.l3 == []
@@ -484,49 +508,66 @@ def test_consolidate_first_try_success_writes_l2_only():
 
 def test_consolidate_fail_then_success_writes_l2_and_l3():
     store = MemoryStore()
-    session = session_with([Attempt(BAD_PATCH, NOT_FIXED), Attempt(GOOD_PATCH, OK)])
-    l2_entry, l3_entry = consolidate_success(store, session)
+    session = session_with([bad(), good()])
+    l2_entry, l3_entry = consolidate_success(store, session, diff_trees)
     assert l3_entry is not None
     assert l3_entry.fail_patch == BAD_PATCH
-    assert l3_entry.correction_delta.strip()
+    assert l3_entry.correction_delta == diff_trees("bad", "good")
     assert l3_entry.correction_delta != l3_entry.fail_patch
     assert "replaced" in l3_entry.transition_insight
     assert store.l3 == [l3_entry]
-    # the delta transforms the failed state into the accepted one
-    failed_state = _d.apply_patch(BAD_PATCH, PRISTINE)
-    corrected = _d.apply_patch(l3_entry.correction_delta, failed_state)
-    assert corrected == _d.apply_patch(GOOD_PATCH, PRISTINE)
+
+
+def test_consolidated_delta_turns_failed_checkout_into_accepted(tmp_path):
+    repo = init_repo(tmp_path / "repo", {PATH: PRISTINE})
+    target = repo / PATH
+    ws = Workspace(repo)
+    try:
+        pristine = ws.snapshot()
+        attempts = []
+        for text, verdict in ((BAD, NOT_FIXED), (GOOD, OK)):
+            target.write_text(text)
+            tree, patch = ws.submit(pristine)
+            attempts.append(Attempt(patch, verdict, tree))
+            ws.rollback(pristine)
+        _, l3_entry = consolidate_success(MemoryStore(), session_with(attempts), ws.diff)
+    finally:
+        ws.close()
+    assert l3_entry.fail_patch == attempts[0].patch
+    # reference: git itself applies the delta to the failed candidate's checkout
+    target.write_text(BAD)
+    proc = subprocess.run(
+        ["git", "apply", "-"], cwd=repo, input=l3_entry.correction_delta,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert target.read_text() == GOOD
 
 
 def test_consolidate_two_failures_records_last_failed_candidate():
     store = MemoryStore()
-    other_bad = _d.diff_texts(
-        PRISTINE["app/buffer.py"],
-        PRISTINE["app/buffer.py"].replace("i = 0", "i = 1"),
-        "app/buffer.py",
-        "app/buffer.py",
-    )
-    session = session_with(
-        [Attempt(other_bad, NOT_FIXED), Attempt(BAD_PATCH, NOT_FIXED), Attempt(GOOD_PATCH, OK)]
-    )
-    _, l3_entry = consolidate_success(store, session)
+    other_bad = Attempt(diff_trees("pristine", "other_bad"), NOT_FIXED, "other_bad")
+    session = session_with([other_bad, bad(), good()])
+    _, l3_entry = consolidate_success(store, session, diff_trees)
     assert l3_entry.fail_patch == BAD_PATCH
 
 
 def test_consolidate_requires_success():
     store = MemoryStore()
-    session = session_with([Attempt(BAD_PATCH, NOT_FIXED)], outcome=Outcome.EXHAUSTED)
+    session = session_with([bad()], outcome=Outcome.EXHAUSTED)
     with pytest.raises(memory.InvalidSession):
-        consolidate_success(store, session)
+        consolidate_success(store, session, diff_trees)
 
 
 def test_consolidate_emits_l3_exactly_when_failures_precede_success():
-    for n_failures in range(0, 3):
+    cases = [([bad()] * n + [good()], n >= 1) for n in range(0, 3)]
+    # a flaky oracle: the same tree fails, then passes; nothing was corrected
+    cases.append(([bad(), bad(OK)], False))
+    for attempts, want_l3 in cases:
         store = MemoryStore()
-        attempts = [Attempt(BAD_PATCH, NOT_FIXED) for _ in range(n_failures)]
-        attempts.append(Attempt(GOOD_PATCH, OK))
-        _, l3_entry = consolidate_success(store, session_with(attempts))
-        assert (l3_entry is not None) == (n_failures >= 1)
+        _, l3_entry = consolidate_success(store, session_with(attempts), diff_trees)
+        assert (l3_entry is not None) == want_l3
+        assert len(store.l2) == 1 and len(store.l3) == int(want_l3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -238,9 +238,62 @@ def test_rollback_unknown_snapshot(ws):
     assert result.error_kind == "SnapshotMissing"
 
 
+def test_rollback_keeps_ignored_files_and_user_index(tmp_path):
+    repo = init_repo(
+        tmp_path / "ign",
+        {".gitignore": "build/\n*.o\n", "src/a.c": "int a;\n", "top.txt": "top\n"},
+    )
+    ignored = {"build/tool": b"\x7fELF\x00tool", "x.o": b"\x00obj\x01"}
+    for rel, data in ignored.items():
+        (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+        (repo / rel).write_bytes(data)
+    status = git(repo, "status", "--porcelain", "--ignored")
+    user_index = (repo / ".git" / "index").read_bytes()
+    workspace = Workspace(repo)
+    try:
+        snap = workspace.snapshot()
+        workspace.str_replace("src/a.c", "int a;", "int b;")
+        workspace.create("made/new.c", "int c;\n")
+        workspace.submit(snap)
+        (repo / ".gitignore").write_text("")  # rollback restores it before cleaning
+        assert workspace.rollback(snap).ok
+    finally:
+        workspace.close()
+    for rel, data in ignored.items():
+        assert (repo / rel).read_bytes() == data
+    assert not (repo / "made").exists()
+    assert (repo / "src/a.c").read_text() == "int a;\n"
+    assert git(repo, "status", "--porcelain", "--ignored") == status
+    assert (repo / ".git" / "index").read_bytes() == user_index
+
+
+def test_rollback_to_snapshot_of_another_workspace(ws):
+    snap = ws.snapshot()
+    ws.str_replace("top.txt", "alpha", "ALPHA")
+    ws.create("fresh.txt", "new\n")
+    other = Workspace(ws.root)  # no private index yet
+    try:
+        assert other.rollback(snap).ok
+    finally:
+        other.close()
+    assert (ws.root / "top.txt").read_text() == "alpha\nbeta\ngamma\n"
+    assert not (ws.root / "fresh.txt").exists()
+    assert git(ws.root, "status", "--porcelain") == ""
+
+
+def test_close_removes_private_index(tmp_path):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n"})
+    workspace = Workspace(repo)
+    workspace.snapshot()
+    index_dir = Path(workspace._index_dir)
+    assert index_dir.is_dir()
+    workspace.close()
+    assert not index_dir.exists()
+
+
 def test_submit_empty_diff_on_untouched_workspace(ws):
-    ws.snapshot()
-    assert ws.submit() == ""
+    base = ws.snapshot()
+    assert ws.submit() == (base, "")
 
 
 def test_submit_single_edit_has_one_hunk(ws):
@@ -248,7 +301,7 @@ def test_submit_single_edit_has_one_hunk(ws):
 
     base = ws.snapshot()
     ws.str_replace("top.txt", "beta", "BETA")
-    diff = ws.submit(base)
+    _, diff = ws.submit(base)
     assert "top.txt" in diff
     assert len(re.findall(r"^@@ ", diff, re.MULTILINE)) == 1
     assert "+BETA" in diff and "-beta" in diff
@@ -258,9 +311,10 @@ def test_submit_matches_external_git_diff(ws):
     base = ws.snapshot()
     ws.str_replace("src/a.c", "return 0;", "return 2;")
     ws.create("src/new.c", "int added(void);\n")
-    diff = ws.submit(base)
+    tree, diff = ws.submit(base)
     # oracle: ask git itself to diff the two trees
     current = ws.snapshot()
+    assert tree == current
     expected = subprocess.run(
         ["git", "diff", base, current],
         cwd=ws.root,
@@ -274,7 +328,7 @@ def test_submit_matches_external_git_diff(ws):
 def test_submit_diff_applies_cleanly_after_rollback(ws):
     base = ws.snapshot()
     ws.str_replace("top.txt", "gamma", "GAMMA")
-    diff = ws.submit(base)
+    _, diff = ws.submit(base)
     ws.rollback(base)
     proc = subprocess.run(
         ["git", "apply", "--check", "-"], cwd=ws.root, input=diff, capture_output=True, text=True
