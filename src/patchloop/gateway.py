@@ -114,6 +114,7 @@ class HttpGateway:
 
     deterministic = False
     RETRIES = 3
+    RETRYABLE_4XX = frozenset({408, 429})  # timeout, rate limit; other 4xx fail at once
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
@@ -165,9 +166,15 @@ class HttpGateway:
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
                     reply = json.loads(resp.read().decode("utf-8"))
                 break
+            except urllib.error.HTTPError as exc:
+                if 400 <= exc.code < 500 and exc.code not in self.RETRYABLE_4XX:
+                    raise GatewayExhausted(
+                        f"gateway refused the request: HTTP {exc.code} {exc.reason}"
+                    ) from exc
+                last_error = exc
             except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
                 last_error = exc
-                time.sleep(2**attempt)
+            time.sleep(2**attempt)
         else:
             raise GatewayExhausted(f"gateway unreachable after {self.RETRIES} attempts: {last_error}")
 

@@ -6,6 +6,10 @@ queried symbol by proximity to the crash: sites inside crash-stack files
 come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
+Each file is parsed once per process per content: the sites of a file are
+cached under its path and git blob id, and an unchanged file costs a read
+and a hash when the next session indexes the same checkout.
+
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
 lexical matching (all sites flagged as uses).
@@ -14,10 +18,15 @@ lexical matching (all sites flagged as uses).
 from __future__ import annotations
 
 import ast
+import hashlib
 import logging
+import os
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import IndexFailure, NoMatch
 
@@ -43,7 +52,7 @@ _C_KEYWORDS = frozenset(
 _C_EXTENSIONS = {".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh", ".hxx"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolSite:
     file: str
     line: int
@@ -266,8 +275,10 @@ def _extract_lexical_sites(text: str, path: str) -> list[SymbolSite]:
     return sites
 
 
-def _grammar_for(path: Path):
-    suffix = path.suffix.lower()
+def _grammar_for(rel: str):
+    name = rel.rpartition("/")[2]
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if 0 < dot < len(name) - 1 else ""  # as Path.suffix
     if suffix in _C_EXTENSIONS:
         return _extract_c_sites
     if suffix == ".py":
@@ -276,64 +287,120 @@ def _grammar_for(path: Path):
 
 
 # ---------------------------------------------------------------------------
+# Repository walk
+# ---------------------------------------------------------------------------
+
+
+def walk_files(root: str, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """Yield ``(path, prefix + relative path)`` for every file under `root`.
+
+    The order, and the files, are those of ``sorted(Path(root).rglob("*"))``
+    filtered by ``is_file()``: siblings sorted by name, a directory's files
+    right after its name, so ``a/x.c`` precedes ``a-b/x.c``. Symlinked files
+    are included, symlinked directories are not descended, and unreadable
+    directories are skipped. Every entry named ``.git`` is pruned.
+    """
+    try:
+        with os.scandir(root) as it:
+            entries = sorted(it, key=attrgetter("name"))
+    except OSError:
+        return
+    for entry in entries:
+        if entry.name == ".git":
+            continue
+        try:
+            if entry.is_dir(follow_symlinks=False):
+                yield from walk_files(entry.path, prefix + entry.name + "/")
+            elif entry.is_file():
+                yield entry.path, prefix + entry.name
+        except OSError:  # e.g. a symlink loop: rglob's is_file() says False
+            continue
+
+
+# ---------------------------------------------------------------------------
 # Repository index
 # ---------------------------------------------------------------------------
 
 
 class SymbolIndex:
+    """Symbol sites held as groups, one per file when built by
+    :func:`index_repository`; ``sites(symbol)`` gathers them on demand."""
+
     def __init__(
         self,
         files: dict[str, int] | None = None,
-        sites: dict[str, list[SymbolSite]] | None = None,
+        sites: Mapping[str, list[SymbolSite]] | None = None,
+        groups: list[Mapping[str, tuple[SymbolSite, ...]]] | None = None,
     ) -> None:
         self.files = files or {}  # rel path -> line count
-        self._sites = sites or {}  # symbol -> sorted sites
+        self._groups = groups if groups is not None else [sites or {}]
 
     def sites(self, symbol: str) -> list[SymbolSite]:
-        return list(self._sites.get(symbol, ()))
+        found = [site for group in self._groups for site in group.get(symbol, ())]
+        found.sort(key=attrgetter("file", "line", "kind"))
+        return found
 
     def line_count(self, file: str) -> int:
         return self.files.get(file, 0)
 
-    def add(self, site: SymbolSite) -> None:
-        self._sites.setdefault(site.symbol, []).append(site)
 
-    def finalize(self) -> None:
-        for sites in self._sites.values():
-            sites.sort(key=lambda s: (s.file, s.line, s.kind))
+# (rel path, git blob id) -> (line count, symbol -> sites) of every file the
+# last index_repository call indexed. Each call rebinds it to the entries it
+# used, so it never outgrows one repository; concurrent calls on different
+# repositories can only evict each other's entries.
+_PARSED: dict[tuple[str, str], tuple[int, Mapping[str, tuple[SymbolSite, ...]]]] = {}
+
+
+def _blob_id(data: bytes) -> str:
+    """The id git gives `data` as a blob (``git hash-object``)."""
+    digest = hashlib.sha1(b"blob %d\0" % len(data))
+    digest.update(data)
+    return digest.hexdigest()
+
+
+def _parse(data: bytes, rel: str) -> tuple[int, Mapping[str, tuple[SymbolSite, ...]]]:
+    text = data.decode("utf-8", errors="replace")
+    grammar = _grammar_for(rel)
+    try:
+        sites = grammar(text, rel) if grammar else _extract_lexical_sites(text, rel)
+    except (SyntaxError, ValueError) as exc:
+        logger.warning("parse failure in %s, falling back to lexical: %s", rel, exc)
+        sites = _extract_lexical_sites(text, rel)
+    by_symbol: dict[str, list[SymbolSite]] = {}
+    for site in sites:
+        by_symbol.setdefault(site.symbol, []).append(site)
+    return len(text.splitlines()), MappingProxyType(
+        {symbol: tuple(group) for symbol, group in by_symbol.items()}
+    )
 
 
 def index_repository(root: Path, max_bytes: int = MAX_INDEXED_BYTES) -> SymbolIndex:
-    """Index every readable source file under `root` (skips .git and binaries)."""
-    root = Path(root)
-    if not root.is_dir():
+    """Index every readable text file under `root` (skips .git and binaries),
+    parsing only the files whose content this process has not indexed yet."""
+    global _PARSED
+    if not Path(root).is_dir():
         raise IndexFailure(f"not a readable directory: {root}")
-    index = SymbolIndex()
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or ".git" in path.parts:
-            continue
+    previous, used = _PARSED, {}
+    files: dict[str, int] = {}
+    groups = []
+    for path, rel in walk_files(os.fspath(root)):
         try:
-            if path.stat().st_size > max_bytes:
-                continue
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_size > max_bytes:
+                    continue
+                data = fh.read()
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
         if b"\x00" in data:
             continue
-        text = data.decode("utf-8", errors="replace")
-        rel = path.relative_to(root).as_posix()
-        index.files[rel] = len(text.splitlines())
-        grammar = _grammar_for(path)
-        try:
-            sites = grammar(text, rel) if grammar else _extract_lexical_sites(text, rel)
-        except (SyntaxError, ValueError) as exc:
-            logger.warning("parse failure in %s, falling back to lexical: %s", rel, exc)
-            sites = _extract_lexical_sites(text, rel)
-        for site in sites:
-            index.add(site)
-    index.finalize()
-    return index
+        key = (rel, _blob_id(data))
+        parsed = previous.get(key) or _parse(data, rel)
+        used[key] = parsed
+        files[rel] = parsed[0]
+        groups.append(parsed[1])
+    _PARSED = used
+    return SymbolIndex(files, groups=groups)
 
 
 # ---------------------------------------------------------------------------

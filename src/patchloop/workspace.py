@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import WorkspaceError
+from .localizer import walk_files
 
 DEFAULT_OUTPUT_CAP = 20_000
 DEFAULT_BASH_TIMEOUT = 300.0
@@ -380,16 +381,21 @@ class Workspace:
         if not target.exists():
             return ToolResult(False, f"no such path: {search_path}", NOT_FOUND)
 
-        files = [target] if target.is_file() else [
-            p for p in sorted(target.rglob("*")) if p.is_file() and ".git" not in p.parts
-        ]
+        rel_target = target.relative_to(self.root)
+        if target.is_file():
+            files = [(str(target), rel_target.as_posix())]
+        elif ".git" in rel_target.parts:
+            files = []
+        else:
+            prefix = "" if target == self.root else rel_target.as_posix() + "/"
+            files = walk_files(str(target), prefix)
         blocks: list[str] = []
         total = 0
         truncated = False
-        for path in files:
-            rel = path.relative_to(self.root).as_posix()
+        for path, rel in files:
             try:
-                data = path.read_bytes()
+                with open(path, "rb") as fh:
+                    data = fh.read()
             except OSError:
                 continue
             if b"\x00" in data:

@@ -232,3 +232,25 @@ def test_http_gateway_retries_then_exhausts(monkeypatch):
     with pytest.raises(GatewayExhausted):
         gw.complete([ChatTurn("system", "s")], [])
     assert sleeps == [1, 2, 4]  # exponential backoff between the 3 attempts
+
+
+@pytest.mark.parametrize(
+    "status, calls, sleeps",
+    [(401, 1, []), (404, 1, []), (408, 3, [1, 2, 4]), (429, 3, [1, 2, 4]), (503, 3, [1, 2, 4])],
+)
+def test_http_gateway_fails_fast_only_on_non_retryable_4xx(monkeypatch, status, calls, sleeps):
+    import urllib.error
+
+    seen_sleeps, seen_urls = [], []
+
+    def refuse(req, timeout=None):
+        seen_urls.append(req.full_url)
+        raise urllib.error.HTTPError(req.full_url, status, "refused", {}, None)
+
+    monkeypatch.setattr("patchloop.gateway.time.sleep", seen_sleeps.append)
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9", timeout=0.2))
+    with pytest.raises(GatewayExhausted, match=str(status)):
+        gw.complete([ChatTurn("system", "s")], [])
+    assert len(seen_urls) == calls
+    assert seen_sleeps == sleeps

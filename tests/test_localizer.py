@@ -1,8 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import tempfile
+from pathlib import Path
 
-from conftest import CRASH_REPORT
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CRASH_REPORT, git, init_repo
+from patchloop import localizer
 from patchloop.errors import IndexFailure, NoMatch
 from patchloop.localizer import (
     DEFINITION,
@@ -293,3 +300,130 @@ def test_absolute_frame_paths_match_relative_sites():
     report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv", "")
     result = iter_grep(index, "sym", report)
     assert "crash frame #0" in result[0].reason
+
+
+# ---------------------------------------------------------------------------
+# per-process parse cache
+# ---------------------------------------------------------------------------
+
+
+def _blob_id(data: bytes) -> str:
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
+    root = init_repo(
+        tmp_path / "repo",
+        {
+            "src/a.c": "int alpha(int n) {\n    return n;\n}\n",
+            "src/b.c": "int beta;\n",
+            "tool.py": "def gamma(x):\n    return x\n",
+            "README": "alpha beta gamma\n",
+        },
+    )
+    parsed = []
+
+    def counting(real):
+        def extract(text, path):
+            parsed.append(path)
+            return real(text, path)
+
+        return extract
+
+    for name in ("_extract_c_sites", "_extract_python_sites"):
+        monkeypatch.setattr(localizer, name, counting(getattr(localizer, name)))
+    monkeypatch.setattr(localizer, "_PARSED", {})
+
+    first = index_repository(root)
+    assert sorted(parsed) == ["src/a.c", "src/b.c", "tool.py"]
+    # the cache key is git's own blob id, as `git ls-files -s` lists it
+    staged = {
+        (line.split("\t")[1], line.split()[1])
+        for line in git(root, "ls-files", "-s").splitlines()
+    }
+    assert set(localizer._PARSED) == staged
+
+    parsed.clear()
+    second = index_repository(root)
+    assert parsed == []
+    assert second.files == first.files
+    assert second.sites("alpha") == first.sites("alpha")
+
+    (root / "src" / "b.c").write_text("int delta;\n")
+    third = index_repository(root)
+    assert parsed == ["src/b.c"]
+    assert [s.file for s in third.sites("beta")] == ["README"]  # no stale src/b.c site
+    assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("src/b.c", 1, DEFINITION)]
+
+
+_TREE_NAMES = ("a.c", "b.h", "m.py", "notes.txt", "d/a.c", "d/e/m.py", "d-x/t.txt")
+_TREE_LINES = (
+    "int foo = 1;", "foo(bar);", "static char *bar;", "/* foo */ baz();",
+    "def foo(bar):", "    return bar", "baz = foo", "class Baz:", "def (",
+    "foo bar baz", "",
+)
+_TREE_SYMBOLS = ("foo", "bar", "baz", "Baz", "int", "char", "return", "def", "class")
+
+_contents = st.lists(st.sampled_from(_TREE_LINES), max_size=6).map(lambda ls: "\n".join(ls) + "\n")
+_trees = st.dictionaries(st.sampled_from(_TREE_NAMES), _contents, min_size=1)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("edit", "rename", "delete")),
+        st.sampled_from(_TREE_NAMES),
+        st.sampled_from(_TREE_NAMES),
+        _contents,
+    ),
+    max_size=5,
+)
+
+
+def _write_tree(root: Path, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+
+
+def _snapshot(index) -> tuple:
+    return index.files, {symbol: index.sites(symbol) for symbol in _TREE_SYMBOLS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=_trees, steps=_steps, other=_trees)
+def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
+    saved = localizer._PARSED
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            root, second = Path(tmp, "one"), Path(tmp, "two")
+            _write_tree(root, tree)
+            index_repository(root)
+            files = dict(tree)
+            for op, name, target, text in steps:
+                if name not in files:
+                    continue
+                if op == "edit":
+                    files[name] = text
+                    (root / name).write_text(text)
+                elif op == "rename" and target not in files:
+                    (root / target).parent.mkdir(parents=True, exist_ok=True)
+                    (root / name).rename(root / target)
+                    files[target] = files.pop(name)
+                elif op == "delete":
+                    (root / name).unlink()
+                    del files[name]
+            warm = _snapshot(index_repository(root))
+            localizer._PARSED = {}
+            cold = _snapshot(index_repository(root))
+            assert warm == cold
+            # every site points at a file that holds the symbol on that line now
+            for symbol, sites in warm[1].items():
+                for site in sites:
+                    line = files[site.file].splitlines()[site.line - 1]
+                    assert symbol in line
+
+            _write_tree(second, other)
+            index_repository(second)
+            assert set(localizer._PARSED) == {
+                (rel, _blob_id(text.encode())) for rel, text in other.items()
+            }
+    finally:
+        localizer._PARSED = saved

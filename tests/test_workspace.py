@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import subprocess
 from pathlib import Path
 
@@ -121,6 +122,92 @@ def test_search_per_file_limit_flag(ws):
     result = ws.search("needle", limit=3, per_file_limit=True)
     assert result.output.count("== m1.txt:") == 3
     assert result.output.count("== m2.txt:") == 3
+
+
+def _reference_search(
+    root: Path, pattern: str, limit: int, per_file_limit: bool, target: str = "."
+) -> str:
+    """Search as a plain `sorted(rglob)` walk does it (context 2, no cap)."""
+    compiled = re.compile(pattern)
+    blocks, total, truncated = [], 0, False
+    for path in sorted((root / target).rglob("*")):
+        rel = path.relative_to(root)
+        if not path.is_file() or ".git" in rel.parts:
+            continue
+        data = path.read_bytes()
+        if b"\x00" in data:
+            continue
+        lines = data.decode("utf-8", errors="replace").splitlines()
+        shown = 0
+        for lineno, line in enumerate(lines, 1):
+            if not compiled.search(line):
+                continue
+            total += 1
+            if (shown >= limit) if per_file_limit else (len(blocks) >= limit):
+                truncated = True
+                continue
+            shown += 1
+            lo, hi = max(1, lineno - 2), min(len(lines), lineno + 2)
+            body = "\n".join(
+                f"{'>' if i == lineno else ' '}{i:5}: {lines[i - 1]}" for i in range(lo, hi + 1)
+            )
+            blocks.append(f"== {rel.as_posix()}:{lineno} ==\n{body}")
+    out = "\n".join(blocks) if blocks else "(no matches)"
+    if truncated:
+        out += f"\n({total - len(blocks)} more matches not shown)"
+    return out
+
+
+def test_search_and_index_walk_matches_sorted_rglob(tmp_path):
+    from patchloop.localizer import index_repository
+
+    repo = init_repo(
+        tmp_path / "repo",
+        {
+            "a/x.c": "int needle_a;\nneedle();\n",
+            "a-b/x.c": "int needle_ab;\n",
+            "a.b/x.c": "needle\nneedle\nneedle\n",
+            "a.c": "needle = 1;\n",
+            "B.txt": "upper needle\n",
+            "sub/.git": "gitdir: ../.git/modules/sub needle\n",
+            "sub/y.py": "needle = 2\n",
+            ".gitignore": "build/\n",
+        },
+    )
+    vendored = repo / "vendor" / "lib" / ".git"
+    vendored.mkdir(parents=True)
+    (vendored / "HEAD").write_text("needle in a nested git dir\n")
+    (repo / "vendor" / "lib" / "z.c").write_text("int needle_vendor;\n")
+    (repo / "build").mkdir()
+    (repo / "build" / "out.txt").write_text("ignored needle\n")
+    (repo / "build" / "tool").write_bytes(b"\x7fELF\x00needle")
+    (repo / "link.c").symlink_to("a/x.c")
+    (repo / "linkdir").symlink_to("a", target_is_directory=True)
+    (repo / "dangling.c").symlink_to("missing.c")
+
+    ws = Workspace(repo, bash_timeout=10)
+    try:
+        for limit, per_file in ((4, False), (100, False), (2, True)):
+            got = ws.search("needle", limit=limit, per_file_limit=per_file)
+            assert got.ok
+            assert got.output == _reference_search(repo, "needle", limit, per_file), (limit, per_file)
+        assert "more matches not shown" in ws.search("needle", limit=4).output
+        for target in ("a", "vendor", "vendor/lib/.git"):
+            got = ws.search("needle", target, limit=100).output
+            assert got == _reference_search(repo, "needle", 100, False, target), target
+        assert ws.search("needle", "a", limit=100).output.splitlines()[0] == "== a/x.c:1 =="
+    finally:
+        ws.close()
+
+    want = {}
+    for path in sorted(repo.rglob("*")):
+        rel = path.relative_to(repo)
+        if path.is_file() and ".git" not in rel.parts and b"\x00" not in path.read_bytes():
+            want[rel.as_posix()] = len(path.read_text().splitlines())
+    files = index_repository(repo).files
+    assert list(files.items()) == list(want.items())
+    assert [f for f in files if f.endswith("x.c")] == ["a/x.c", "a-b/x.c", "a.b/x.c"]
+    assert "build/out.txt" in files and "link.c" in files
 
 
 # ---------------------------------------------------------------------------
