@@ -1,10 +1,11 @@
-"""Text embedding backends with a content-hash cache.
+"""Text embedding backends, a bounded content-hash cache, and row-wise cosine.
 
 Two backends share one interface: a deterministic local embedder used for
 tests and offline runs (signed feature hashing over word tokens), and a
 remote embedder speaking the common ``/embeddings`` JSON protocol. Both are
-normally wrapped in :class:`CachingEmbedder` because deduplication and
-retrieval repeatedly embed identical descriptions.
+normally wrapped in :class:`CachingEmbedder`. Stored entries keep their
+vectors in the memory store's tier indexes (:class:`VectorRows`), so the
+cache only has to serve texts a session repeats, such as its queries.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import re
 import threading
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 
 import numpy as np
 
 from .errors import EmbeddingUnavailable
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# Texts a CachingEmbedder keeps, least recently used evicted first.
+CACHE_SIZE = 256
 
 
 def tokenize(text: str) -> list[str]:
@@ -35,6 +40,65 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def cosine_rows(rows: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``cosine(vec, row)`` for every row, given each row's ``np.linalg.norm``.
+
+    The float operations are those of :func:`cosine`: ``dot / (|vec| * |row|)``,
+    clipped, and 0.0 where either norm is zero. Rows are not normalised in
+    advance, because ``(a/|a|)·(b/|b|)`` can differ from that in the last bit.
+    For integer-valued vectors (the deterministic embedder's) every dot
+    product is exact, so the result equals :func:`cosine` bit for bit; for
+    real-valued vectors (a remote embedder's) the mat-vec may sum in another
+    order than ``np.dot`` and differ from it in the last bit.
+    """
+    out = np.zeros(len(norms))
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        return out
+    np.divide(rows @ vec, norm * norms, out=out, where=norms != 0.0)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+class VectorRows:
+    """Raw vectors in append order with each one's norm.
+
+    Capacity doubles when full and only the filled rows are copied. The
+    arrays are replaced, never shrunk or rewritten, so a reader that took
+    rows ``< n`` keeps reading the same values while rows are appended.
+    """
+
+    __slots__ = ("vectors", "norms", "n")
+
+    def __init__(self, vectors: np.ndarray | None = None, norms: np.ndarray | None = None) -> None:
+        self.vectors = vectors
+        self.norms = np.empty(0) if norms is None else norms
+        self.n = len(self.norms)
+
+    def append(self, vec: np.ndarray) -> None:
+        if self.n == len(self.norms):
+            vectors = np.empty((max(8, 2 * self.n), len(vec)))
+            norms = np.empty(len(vectors))
+            if self.n:
+                vectors[: self.n] = self.vectors[: self.n]
+                norms[: self.n] = self.norms[: self.n]
+            self.vectors, self.norms = vectors, norms
+        self.vectors[self.n] = vec
+        self.norms[self.n] = np.linalg.norm(vec)
+        self.n += 1
+
+    def take(self, rows: list[int]) -> VectorRows:
+        """A copy holding the given rows, in the given order."""
+        return VectorRows(self.vectors[rows], self.norms[rows])
+
+    def cosine(self, vec: np.ndarray, rows: list[int] | slice | None = None) -> np.ndarray:
+        """:func:`cosine_rows` of `vec` against `rows` (default: every filled row)."""
+        if rows is None:
+            rows = slice(0, self.n)
+        if self.vectors is None:
+            return np.zeros(0)
+        return cosine_rows(self.vectors[rows], self.norms[rows], vec)
 
 
 def jaccard_similarity(a: str, b: str) -> float:
@@ -102,23 +166,30 @@ class RemoteEmbedder:
 
 
 class CachingEmbedder:
-    """Wraps any embedder with a thread-safe cache keyed by content hash."""
+    """Wraps any embedder with a thread-safe cache keyed by content hash.
+
+    The cache holds the :data:`CACHE_SIZE` most recently used texts.
+    """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.dim = inner.dim
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
             hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+            if hit is not None:
+                self._cache.move_to_end(key)
+                return hit
         vec = self.inner.embed(text)
         with self._lock:
             self._cache[key] = vec
+            self._cache.move_to_end(key)
+            while len(self._cache) > CACHE_SIZE:
+                self._cache.popitem(last=False)
         return vec
 
     def __len__(self) -> int:

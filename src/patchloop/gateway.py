@@ -174,7 +174,8 @@ class HttpGateway:
                 last_error = exc
             except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
                 last_error = exc
-            time.sleep(2**attempt)
+            if attempt + 1 < self.RETRIES:
+                time.sleep(2**attempt)
         else:
             raise GatewayExhausted(f"gateway unreachable after {self.RETRIES} attempts: {last_error}")
 

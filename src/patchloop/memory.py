@@ -9,8 +9,13 @@ All tiers share the same retrieval keys (project, CWE, language, instance
 id, description). Entries are persisted as line-delimited JSON, one entry
 per line with a ``tier`` tag. L2/L3 grow at runtime and are therefore
 subject to recency pruning; L1 is treated as a curated corpus and never
-pruned. Writes are serialized through a single writer lock; reads are
-lock-free.
+pruned. Writes are serialized through a single writer lock.
+
+Each tier has a :class:`TierIndex` that follows its entry list: rows by
+(CWE, language) and one embedding matrix per text field, so dedup and
+retrieval each score a whole tier or bucket with one mat-vec. Every index
+update, catching up with the list included, happens under the writer lock;
+retrieval takes it only for that and scores outside it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Union
 
+import numpy as np
+
 from . import diffutil
-from .embedding import CachingEmbedder, cosine, default_embedder
+from .embedding import (
+    CachingEmbedder,
+    VectorRows,
+    cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
+    default_embedder,
+)
 from .errors import CorruptMemoryFile, InvalidSession, InvariantViolation
 
 DEDUP_THRESHOLD = 0.95
@@ -137,6 +149,72 @@ MemoryEntry = Union[L1Entry, L2Entry, L3Entry]
 TIERS = ("L1", "L2", "L3")
 
 
+def field_text(field: str, entry: MemoryEntry) -> str:
+    """The text an index field embeds: ``"patch"`` (dedup), ``"fail_patch"``
+    (refinement retrieval: an L3 entry's failed patch, any other entry's
+    description) or ``"description"`` (dedup and retrieval)."""
+    if field == "patch":
+        return entry.patch_text
+    if field == "fail_patch" and isinstance(entry, L3Entry):
+        return entry.fail_patch
+    return entry.keys.description
+
+
+class TierIndex:
+    """One tier's entries in store order, their rows by ``(cwe, language)``,
+    and the raw embedding rows of each text field.
+
+    Row ``i`` of every field belongs to ``entries[i]``. A field is embedded
+    the first time it is asked for and holds a prefix of the rows; the rest
+    are embedded on the next :meth:`rows` call, so an embedding outage
+    part-way leaves a shorter, still consistent prefix.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[MemoryEntry] = []
+        self.buckets: dict[tuple[str, str], list[int]] = {}
+        self.fields: dict[str, VectorRows] = {}
+
+    def add(self, entry: MemoryEntry) -> None:
+        row = len(self.entries)
+        self.entries.append(entry)
+        self.buckets.setdefault((entry.keys.cwe, entry.keys.language), []).append(row)
+
+    def rows(self, field: str, embed: Callable) -> VectorRows:
+        """The field's rows, embedding whatever entries it does not cover yet."""
+        rows = self.fields.setdefault(field, VectorRows())
+        while rows.n < len(self.entries):
+            rows.append(embed(field_text(field, self.entries[rows.n])))
+        return rows
+
+    def caught_up(self, live: list[MemoryEntry]) -> TierIndex:
+        """This index extended by the entries appended to `live` since, or a
+        rebuilt one if `live` changed otherwise."""
+        head = live[: len(self.entries)]
+        if head != self.entries:
+            return self._rebuilt(live)
+        # Equal entries embed alike; keep the list's own objects all the same.
+        self.entries = head
+        for entry in live[len(head):]:
+            self.add(entry)
+        return self
+
+    def _rebuilt(self, live: list[MemoryEntry]) -> TierIndex:
+        """A new index of `live` that reuses the rows of entries it already
+        held (by identity), as far as they form a prefix of every field."""
+        new = TierIndex()
+        old_row = {id(entry): row for row, entry in enumerate(self.entries)}
+        rows = [old_row.get(id(entry), -1) for entry in live]
+        for entry in live:
+            new.add(entry)
+        for field, vectors in self.fields.items():
+            keep = 0
+            while keep < len(rows) and 0 <= rows[keep] < vectors.n:
+                keep += 1
+            new.fields[field] = vectors.take(rows[:keep]) if keep else VectorRows()
+        return new
+
+
 def entry_key(entry: MemoryEntry) -> str:
     """Stable identifier used by the retrieval log, survives persistence."""
     payload = f"{entry.keys.description}\x1f{entry.patch_text}".encode("utf-8")
@@ -175,8 +253,14 @@ class MemoryStore:
     """Holds the three tiers plus retrieval recency bookkeeping.
 
     Single-writer, multi-reader: mutating operations take the writer lock;
-    retrieval only reads. ``retrieval_log`` maps :func:`entry_key` to the
-    completed-task counter at the entry's last retrieval (or insertion).
+    retrieval takes it only to catch a tier index up. ``retrieval_log`` maps
+    :func:`entry_key` to the completed-task counter at the entry's last
+    retrieval (or insertion).
+
+    The tier lists are the truth and may be appended to directly; each
+    :class:`TierIndex` catches up with its list when next used, and is
+    rebuilt when the list changed in any other way. Entries are not to be
+    edited in place once stored.
     """
 
     def __init__(self, embedder: CachingEmbedder | None = None) -> None:
@@ -185,9 +269,10 @@ class MemoryStore:
         self.l3: list[L3Entry] = []
         self.retrieval_log: dict[str, int] = {}
         self.completed_tasks: int = 0
-        self.embedder = embedder or default_embedder()
+        self.embedder = default_embedder() if embedder is None else embedder
         self._write_lock = threading.Lock()
         self._ingest_seq = 0
+        self._indexes = {tier: TierIndex() for tier in TIERS}
 
     def tier_entries(self, tier: str) -> list[MemoryEntry]:
         return {"L1": self.l1, "L2": self.l2, "L3": self.l3}[tier]
@@ -210,29 +295,56 @@ class MemoryStore:
         self._ingest_seq += 1
         return seq
 
+    def _index(self, tier: str) -> TierIndex:
+        """The tier's index, caught up with its list; needs the writer lock."""
+        index = self._indexes[tier] = self._indexes[tier].caught_up(self.tier_entries(tier))
+        return index
+
+    def bucket(
+        self, tier: str, cwe: str, language: str
+    ) -> tuple[TierIndex, list[MemoryEntry], list[int]]:
+        """The tier's caught-up index, its entries, and its rows for
+        ``(cwe, language)`` in store order. These rows never change: later
+        writes append after them or go to a rebuilt index."""
+        with self._write_lock:
+            index = self._index(tier)
+            return index, index.entries, list(index.buckets.get((cwe, language), ()))
+
+    def field_rows(self, index: TierIndex, field: str) -> VectorRows:
+        """`index`'s rows of `field`, embedded with the store's embedder."""
+        with self._write_lock:
+            return index.rows(field, self.embedder.embed)
+
 
 def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     """Insert with near-duplicate merging.
 
     An existing same-tier entry absorbs the new one when BOTH the
     description and the patch text have cosine similarity strictly above
-    ``DEDUP_THRESHOLD``. The older entry is kept (stable identity) and its
-    recency is refreshed.
+    ``DEDUP_THRESHOLD``; of several, the first in store order does. The
+    older entry is kept (stable identity) and its recency is refreshed.
+    Both similarities come from one mat-vec each over the tier index.
     """
     entry.validate()
     embed = store.embedder.embed
     desc_vec = embed(entry.keys.description)
     patch_vec = embed(entry.patch_text)
     with store._write_lock:
-        for existing in store.tier_entries(entry.tier):
-            desc_sim = cosine(desc_vec, embed(existing.keys.description))
-            patch_sim = cosine(patch_vec, embed(existing.patch_text))
-            if desc_sim > DEDUP_THRESHOLD and patch_sim > DEDUP_THRESHOLD:
-                store.retrieval_log[entry_key(existing)] = store.completed_tasks
-                return InsertOutcome.MERGED
+        index = store._index(entry.tier)
+        descs, patches = index.rows("description", embed), index.rows("patch", embed)
+        hits = np.flatnonzero(
+            (descs.cosine(desc_vec) > DEDUP_THRESHOLD) & (patches.cosine(patch_vec) > DEDUP_THRESHOLD)
+        )
+        if hits.size:
+            existing = index.entries[hits[0]]
+            store.retrieval_log[entry_key(existing)] = store.completed_tasks
+            return InsertOutcome.MERGED
         if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
             entry.fallback_seq = store.next_fallback_seq()
         store.tier_entries(entry.tier).append(entry)
+        index.add(entry)
+        descs.append(desc_vec)
+        patches.append(patch_vec)
         store.retrieval_log[entry_key(entry)] = store.completed_tasks
     return InsertOutcome.INSERTED
 

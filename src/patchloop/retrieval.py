@@ -4,7 +4,9 @@ Candidate pools are built in two priority tiers: P1 draws from the same
 project (same CWE and language, and strictly older than the query), and P2
 widens to other projects (same CWE and language) only when P1 is sparse.
 Candidates are scored by embedding cosine similarity on descriptions, with
-a lexical token-overlap fallback when the embedding backend is down.
+a lexical token-overlap fallback when the embedding backend is down. Only
+the query's ``(cwe, language)`` bucket of the tier index is filtered, and
+each pool is scored with one mat-vec.
 """
 
 from __future__ import annotations
@@ -12,14 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .embedding import CachingEmbedder, cosine, jaccard_similarity
+from .embedding import (
+    CachingEmbedder,
+    VectorRows,
+    cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
+    jaccard_similarity,
+)
 from .errors import EmbeddingUnavailable, InvariantViolation
 from .memory import (
-    L3Entry,
     MemoryEntry,
     MemoryStore,
     RetrievalKeys,
+    TierIndex,
     entry_timestamp,
+    field_text,
     query_timestamp,
 )
 
@@ -52,12 +60,6 @@ class RankedEntry:
     priority_tier: Priority
 
 
-def _candidate_text(entry: MemoryEntry, use_fail_patch: bool) -> str:
-    if use_fail_patch and isinstance(entry, L3Entry):
-        return entry.fail_patch
-    return entry.keys.description
-
-
 def retrieve(
     store: MemoryStore,
     tier: str,
@@ -79,44 +81,42 @@ def retrieve(
     patches instead of their descriptions.
     """
     query.validate()
-    embedder = embedder or store.embedder
     q = query.keys
     q_ts = query_timestamp(q)
 
-    p1: list[MemoryEntry] = []
-    p2: list[MemoryEntry] = []
-    for entry in store.tier_entries(tier):
+    index, entries, bucket = store.bucket(tier, q.cwe, q.language)
+    p1: list[int] = []
+    p2: list[int] = []
+    for row in bucket:
+        entry = entries[row]
         keys = entry.keys
         if keys.instance_id == q.instance_id:
             continue
-        if keys.cwe != q.cwe or keys.language != q.language:
-            continue
         if keys.project == q.project:
             if entry_timestamp(entry) < q_ts:
-                p1.append(entry)
+                p1.append(row)
         else:
-            p2.append(entry)
+            p2.append(row)
 
     pools = [(Priority.P1, p1)]
     if len(p1) < query.k_min:
         pools.append((Priority.P2, p2))
 
     query_text = query_text_override if query_text_override is not None else q.description
-    use_fail_patch = query_text_override is not None
-
-    scored: list[RankedEntry] = []
+    field = "description" if query_text_override is None else "fail_patch"
     try:
-        q_vec = embedder.embed(query_text)
-        for priority, pool in pools:
-            for entry in pool:
-                sim = cosine(q_vec, embedder.embed(_candidate_text(entry, use_fail_patch)))
-                scored.append(RankedEntry(entry, sim, priority))
+        sims = _similarities(store, index, entries, field, query_text,
+                             [rows for _, rows in pools], embedder)
     except EmbeddingUnavailable:
-        scored = [
-            RankedEntry(entry, jaccard_similarity(query_text, _candidate_text(entry, use_fail_patch)), priority)
-            for priority, pool in pools
-            for entry in pool
+        sims = [
+            [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
+            for _, rows in pools
         ]
+    scored = [
+        RankedEntry(entries[row], sim, priority)
+        for (priority, rows), pool_sims in zip(pools, sims)
+        for row, sim in zip(rows, pool_sims)
+    ]
 
     def sort_key(r: RankedEntry):
         kind, major, minor = entry_timestamp(r.entry)
@@ -131,3 +131,35 @@ def retrieve(
 
     scored.sort(key=sort_key)
     return scored[: query.top_n]
+
+
+def _similarities(
+    store: MemoryStore,
+    index: TierIndex,
+    entries: list[MemoryEntry],
+    field: str,
+    query_text: str,
+    pools: list[list[int]],
+    embedder: CachingEmbedder | None,
+) -> list[list[float]]:
+    """Cosine of the query against each pool's rows of `field`.
+
+    With the store's embedder the rows come from the tier index; any other
+    embedder embeds the pools on the spot. Either way each pool is one
+    :meth:`VectorRows.cosine` call.
+    """
+    if not any(pools):
+        return [[] for _ in pools]
+    if embedder is None or embedder is store.embedder:
+        q_vec = store.embedder.embed(query_text)
+        vectors = store.field_rows(index, field)
+        return [vectors.cosine(q_vec, rows).tolist() for rows in pools]
+    q_vec = embedder.embed(query_text)
+    vectors = VectorRows()
+    spans = []
+    for rows in pools:
+        start = vectors.n
+        for row in rows:
+            vectors.append(embedder.embed(field_text(field, entries[row])))
+        spans.append(slice(start, vectors.n))
+    return [vectors.cosine(q_vec, span).tolist() for span in spans]
