@@ -5,7 +5,7 @@ tests and offline runs (signed feature hashing over word tokens), and a
 remote embedder speaking the common ``/embeddings`` JSON protocol. Both are
 normally wrapped in :class:`CachingEmbedder`. Stored entries keep their
 vectors in the memory store's tier indexes (:class:`VectorRows`), so the
-cache only has to serve texts a session repeats, such as its queries.
+cache mostly serves texts a session repeats, such as its queries.
 """
 
 from __future__ import annotations
@@ -62,40 +62,48 @@ def cosine_rows(rows: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndar
 
 
 class VectorRows:
-    """Raw vectors in append order with each one's norm.
+    """Raw vectors stored by row number, with each one's norm.
 
-    Capacity doubles when full and only the filled rows are copied. The
-    arrays are replaced, never shrunk or rewritten, so a reader that took
-    rows ``< n`` keeps reading the same values while rows are appended.
+    Rows are stored in any order, each once, and ``stored`` marks which
+    hold a vector. Capacity doubles when a row lies beyond it, and only the
+    old rows are copied.
     """
 
-    __slots__ = ("vectors", "norms", "n")
+    __slots__ = ("vectors", "norms", "stored")
 
-    def __init__(self, vectors: np.ndarray | None = None, norms: np.ndarray | None = None) -> None:
-        self.vectors = vectors
-        self.norms = np.empty(0) if norms is None else norms
-        self.n = len(self.norms)
+    def __init__(self) -> None:
+        self.vectors: np.ndarray | None = None
+        self.norms = np.empty(0)
+        self.stored = np.zeros(0, dtype=bool)
 
-    def append(self, vec: np.ndarray) -> None:
-        if self.n == len(self.norms):
-            vectors = np.empty((max(8, 2 * self.n), len(vec)))
-            norms = np.empty(len(vectors))
-            if self.n:
-                vectors[: self.n] = self.vectors[: self.n]
-                norms[: self.n] = self.norms[: self.n]
-            self.vectors, self.norms = vectors, norms
-        self.vectors[self.n] = vec
-        self.norms[self.n] = np.linalg.norm(vec)
-        self.n += 1
+    def missing(self, rows) -> list[int]:
+        """The given rows that hold no vector yet, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        held = rows < len(self.stored)
+        held[held] = self.stored[rows[held]]
+        return rows[~held].tolist()
 
-    def take(self, rows: list[int]) -> VectorRows:
-        """A copy holding the given rows, in the given order."""
-        return VectorRows(self.vectors[rows], self.norms[rows])
+    def put(self, rows, vecs: list[np.ndarray]) -> None:
+        """Store each vector at its row; a row already stored keeps its own."""
+        for row, vec in zip(rows, vecs):
+            if row >= len(self.stored):
+                self._grow(row + 1, len(vec))
+            if not self.stored[row]:
+                self.vectors[row] = vec
+                self.norms[row] = np.linalg.norm(vec)
+                self.stored[row] = True
 
-    def cosine(self, vec: np.ndarray, rows: list[int] | slice | None = None) -> np.ndarray:
-        """:func:`cosine_rows` of `vec` against `rows` (default: every filled row)."""
-        if rows is None:
-            rows = slice(0, self.n)
+    def _grow(self, size: int, dim: int) -> None:
+        old = len(self.stored)
+        capacity = max(8, 2 * old, size)
+        vectors, norms = np.empty((capacity, dim)), np.empty(capacity)
+        stored = np.zeros(capacity, dtype=bool)
+        if old:
+            vectors[:old], norms[:old], stored[:old] = self.vectors, self.norms, self.stored
+        self.vectors, self.norms, self.stored = vectors, norms, stored
+
+    def cosine(self, vec: np.ndarray, rows) -> np.ndarray:
+        """:func:`cosine_rows` of `vec` against `rows`, which must all be stored."""
         if self.vectors is None:
             return np.zeros(0)
         return cosine_rows(self.vectors[rows], self.norms[rows], vec)

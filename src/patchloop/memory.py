@@ -13,9 +13,9 @@ pruned. Writes are serialized through a single writer lock.
 
 Each tier has a :class:`TierIndex` that follows its entry list: rows by
 (CWE, language) and one embedding matrix per text field, so dedup and
-retrieval each score a whole tier or bucket with one mat-vec. Every index
+retrieval each score a whole tier or a pool with one mat-vec. Every index
 update, catching up with the list included, happens under the writer lock;
-retrieval takes it only for that and scores outside it.
+the embedder never runs under it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -164,55 +164,38 @@ class TierIndex:
     """One tier's entries in store order, their rows by ``(cwe, language)``,
     and the raw embedding rows of each text field.
 
-    Row ``i`` of every field belongs to ``entries[i]``. A field is embedded
-    the first time it is asked for and holds a prefix of the rows; the rest
-    are embedded on the next :meth:`rows` call, so an embedding outage
-    part-way leaves a shorter, still consistent prefix.
+    Row ``i`` of every field belongs to ``entries[i]``. A field's rows are
+    embedded when first needed, each on its own: a read embeds only the
+    rows it scores, and an embedding outage part-way leaves the rows
+    stored so far.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entries: Iterable[MemoryEntry] = ()) -> None:
         self.entries: list[MemoryEntry] = []
         self.buckets: dict[tuple[str, str], list[int]] = {}
         self.fields: dict[str, VectorRows] = {}
+        for entry in entries:
+            self.add(entry)
 
     def add(self, entry: MemoryEntry) -> None:
         row = len(self.entries)
         self.entries.append(entry)
         self.buckets.setdefault((entry.keys.cwe, entry.keys.language), []).append(row)
 
-    def rows(self, field: str, embed: Callable) -> VectorRows:
-        """The field's rows, embedding whatever entries it does not cover yet."""
-        rows = self.fields.setdefault(field, VectorRows())
-        while rows.n < len(self.entries):
-            rows.append(embed(field_text(field, self.entries[rows.n])))
-        return rows
+    def field(self, name: str) -> VectorRows:
+        return self.fields.setdefault(name, VectorRows())
 
     def caught_up(self, live: list[MemoryEntry]) -> TierIndex:
         """This index extended by the entries appended to `live` since, or a
-        rebuilt one if `live` changed otherwise."""
+        new index of `live` if it changed otherwise."""
         head = live[: len(self.entries)]
         if head != self.entries:
-            return self._rebuilt(live)
+            return TierIndex(live)
         # Equal entries embed alike; keep the list's own objects all the same.
         self.entries = head
         for entry in live[len(head):]:
             self.add(entry)
         return self
-
-    def _rebuilt(self, live: list[MemoryEntry]) -> TierIndex:
-        """A new index of `live` that reuses the rows of entries it already
-        held (by identity), as far as they form a prefix of every field."""
-        new = TierIndex()
-        old_row = {id(entry): row for row, entry in enumerate(self.entries)}
-        rows = [old_row.get(id(entry), -1) for entry in live]
-        for entry in live:
-            new.add(entry)
-        for field, vectors in self.fields.items():
-            keep = 0
-            while keep < len(rows) and 0 <= rows[keep] < vectors.n:
-                keep += 1
-            new.fields[field] = vectors.take(rows[:keep]) if keep else VectorRows()
-        return new
 
 
 def entry_key(entry: MemoryEntry) -> str:
@@ -253,13 +236,15 @@ class MemoryStore:
     """Holds the three tiers plus retrieval recency bookkeeping.
 
     Single-writer, multi-reader: mutating operations take the writer lock;
-    retrieval takes it only to catch a tier index up. ``retrieval_log`` maps
+    retrieval takes it only to catch a tier index up, to store the vectors
+    it embedded and to score. ``retrieval_log`` maps
     :func:`entry_key` to the completed-task counter at the entry's last
     retrieval (or insertion).
 
     The tier lists are the truth and may be appended to directly; each
     :class:`TierIndex` catches up with its list when next used, and is
-    rebuilt when the list changed in any other way. Entries are not to be
+    built anew, its vectors embedded again when needed, when the list
+    changed in any other way. Entries are not to be
     edited in place once stored.
     """
 
@@ -305,15 +290,40 @@ class MemoryStore:
     ) -> tuple[TierIndex, list[MemoryEntry], list[int]]:
         """The tier's caught-up index, its entries, and its rows for
         ``(cwe, language)`` in store order. These rows never change: later
-        writes append after them or go to a rebuilt index."""
+        writes append after them or go to a new index."""
         with self._write_lock:
             index = self._index(tier)
             return index, index.entries, list(index.buckets.get((cwe, language), ()))
 
-    def field_rows(self, index: TierIndex, field: str) -> VectorRows:
-        """`index`'s rows of `field`, embedded with the store's embedder."""
+    def embed_rows(self, index: TierIndex, field: str, rows) -> None:
+        """Store in `index` the vectors of `field` its `rows` lack.
+
+        The embedder runs outside the writer lock, so a slow backend holds
+        up no other reader or writer; the vectors are stored under it, those
+        embedded before an outage included.
+        """
         with self._write_lock:
-            return index.rows(field, self.embedder.embed)
+            todo = index.field(field).missing(rows)
+            texts = [field_text(field, index.entries[row]) for row in todo]
+        vecs: list[np.ndarray] = []
+        try:
+            for text in texts:
+                vecs.append(self.embedder.embed(text))
+        finally:
+            with self._write_lock:
+                index.field(field).put(todo, vecs)
+
+    def cosines(
+        self, index: TierIndex, field: str, vec: np.ndarray, pools: list[list[int]]
+    ) -> list[list[float]]:
+        """Cosine of `vec` against each pool's rows of `field` in `index`."""
+        rows = [row for pool in pools for row in pool]
+        while True:
+            with self._write_lock:
+                vectors = index.field(field)
+                if not vectors.missing(rows):
+                    return [vectors.cosine(vec, pool).tolist() for pool in pools]
+            self.embed_rows(index, field, rows)
 
 
 def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
@@ -326,26 +336,43 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     Both similarities come from one mat-vec each over the tier index.
     """
     entry.validate()
-    embed = store.embedder.embed
-    desc_vec = embed(entry.keys.description)
-    patch_vec = embed(entry.patch_text)
-    with store._write_lock:
-        index = store._index(entry.tier)
-        descs, patches = index.rows("description", embed), index.rows("patch", embed)
-        hits = np.flatnonzero(
-            (descs.cosine(desc_vec) > DEDUP_THRESHOLD) & (patches.cosine(patch_vec) > DEDUP_THRESHOLD)
-        )
-        if hits.size:
-            existing = index.entries[hits[0]]
-            store.retrieval_log[entry_key(existing)] = store.completed_tasks
-            return InsertOutcome.MERGED
-        if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
-            entry.fallback_seq = store.next_fallback_seq()
-        store.tier_entries(entry.tier).append(entry)
-        index.add(entry)
-        descs.append(desc_vec)
-        patches.append(patch_vec)
-        store.retrieval_log[entry_key(entry)] = store.completed_tasks
+    desc_vec = store.embedder.embed(entry.keys.description)
+    patch_vec = store.embedder.embed(entry.patch_text)
+    while True:
+        with store._write_lock:
+            index = store._index(entry.tier)
+            rows = np.arange(len(index.entries))
+            if not (index.field("description").missing(rows) or index.field("patch").missing(rows)):
+                return _merge_or_append(store, index, entry, desc_vec, patch_vec)
+        # Embed what the tier lacks outside the lock, then look again: other
+        # writers may have appended meanwhile.
+        store.embed_rows(index, "description", rows)
+        store.embed_rows(index, "patch", rows)
+
+
+def _merge_or_append(
+    store: MemoryStore, index: TierIndex, entry: MemoryEntry, desc_vec: np.ndarray, patch_vec: np.ndarray
+) -> InsertOutcome:
+    """The dedup decision of :func:`insert`, on a caught-up index whose rows
+    are all embedded; needs the writer lock."""
+    every = slice(0, len(index.entries))
+    descs, patches = index.fields["description"], index.fields["patch"]
+    hits = np.flatnonzero(
+        (descs.cosine(desc_vec, every) > DEDUP_THRESHOLD)
+        & (patches.cosine(patch_vec, every) > DEDUP_THRESHOLD)
+    )
+    if hits.size:
+        existing = index.entries[hits[0]]
+        store.retrieval_log[entry_key(existing)] = store.completed_tasks
+        return InsertOutcome.MERGED
+    if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
+        entry.fallback_seq = store.next_fallback_seq()
+    row = len(index.entries)
+    store.tier_entries(entry.tier).append(entry)
+    index.add(entry)
+    descs.put([row], [desc_vec])
+    patches.put([row], [patch_vec])
+    store.retrieval_log[entry_key(entry)] = store.completed_tasks
     return InsertOutcome.INSERTED
 
 

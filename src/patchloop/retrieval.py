@@ -6,7 +6,7 @@ widens to other projects (same CWE and language) only when P1 is sparse.
 Candidates are scored by embedding cosine similarity on descriptions, with
 a lexical token-overlap fallback when the embedding backend is down. Only
 the query's ``(cwe, language)`` bucket of the tier index is filtered, and
-each pool is scored with one mat-vec.
+each pool is scored with one mat-vec; only the pools' rows are embedded.
 """
 
 from __future__ import annotations
@@ -144,22 +144,16 @@ def _similarities(
 ) -> list[list[float]]:
     """Cosine of the query against each pool's rows of `field`.
 
-    With the store's embedder the rows come from the tier index; any other
-    embedder embeds the pools on the spot. Either way each pool is one
-    :meth:`VectorRows.cosine` call.
+    With the store's embedder the rows come from the tier index, which
+    embeds those it lacks; any other embedder embeds the pools on the spot.
+    Either way each pool is one :meth:`VectorRows.cosine` call.
     """
     if not any(pools):
         return [[] for _ in pools]
     if embedder is None or embedder is store.embedder:
-        q_vec = store.embedder.embed(query_text)
-        vectors = store.field_rows(index, field)
-        return [vectors.cosine(q_vec, rows).tolist() for rows in pools]
+        return store.cosines(index, field, store.embedder.embed(query_text), pools)
     q_vec = embedder.embed(query_text)
+    rows = [row for pool in pools for row in pool]
     vectors = VectorRows()
-    spans = []
-    for rows in pools:
-        start = vectors.n
-        for row in rows:
-            vectors.append(embedder.embed(field_text(field, entries[row])))
-        spans.append(slice(start, vectors.n))
-    return [vectors.cosine(q_vec, span).tolist() for span in spans]
+    vectors.put(rows, [embedder.embed(field_text(field, entries[row])) for row in rows])
+    return [vectors.cosine(q_vec, pool).tolist() for pool in pools]

@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from patchloop.memory import (
     TierIndex,
     entry_key,
     entry_timestamp,
+    field_text,
     insert,
     load_store,
     parse_timestamp,
@@ -262,9 +264,25 @@ QUERY = Query(RetrievalKeys("p", "CWE-787", "c", "p.cve-2030-1", "heap overflow 
               k_min=1, top_n=10)
 
 
-def test_appends_extend_the_index_and_prune_reuses_surviving_rows():
-    counting = CountingEmbedder()
-    store = MemoryStore(embedder=CachingEmbedder(counting))
+def stored_column(index: TierIndex, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors and norms of a field whose every row is embedded."""
+    rows, n = index.fields[field], len(index.entries)
+    assert rows.missing(range(n)) == []
+    return rows.vectors[:n], rows.norms[:n]
+
+
+def fresh_column(entries, field: str) -> tuple[np.ndarray, np.ndarray]:
+    emb = DeterministicEmbedder()
+    vecs = [emb.embed(field_text(field, entry)) for entry in entries]
+    return np.array(vecs).reshape(len(vecs), emb.dim), np.array([np.linalg.norm(v) for v in vecs])
+
+
+def assert_same_column(got, want) -> None:
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_appends_extend_the_index_and_other_changes_rebuild_it():
+    store = MemoryStore()
     words = "heap overflow parser frame length copy tag size".split()
     for i in range(12):
         store.l2.append(l2(f"p.cve-2020-{i}", " ".join(words[i % 8:] + words[: i % 8])))
@@ -273,15 +291,14 @@ def test_appends_extend_the_index_and_prune_reuses_surviving_rows():
     assert "patch" not in index.fields  # only descriptions were needed
     store.l2.append(l2("p.cve-2021-1", "overflow in the frame parser"))
     retrieve(store, "L2", QUERY)
-    assert store._indexes["L2"] is index and index.fields["description"].n == 13
+    assert store._indexes["L2"] is index
+    assert_same_column(stored_column(index, "description"), fresh_column(store.l2, "description"))
 
     store.completed_tasks = 5
     for entry in store.l2[::2]:
         store.retrieval_log[entry_key(entry)] = 5
-    counting.texts.clear()
     assert prune(store, 1) == 6
     ranked = retrieve(store, "L2", QUERY)
-    assert counting.texts == []  # the survivors' rows were reused, not embedded again
     assert all(r.entry in store.l2 for r in ranked)
     rebuilt = store._indexes["L2"]
     assert rebuilt is not index and rebuilt.entries == store.l2
@@ -291,10 +308,97 @@ def test_appends_extend_the_index_and_prune_reuses_surviving_rows():
     assert sims[id(store.l2[0])] == cosine(emb.embed(QUERY.keys.description),
                                            emb.embed("unrelated words only"))
     rebuilt = store._indexes["L2"]
-    fresh = TierIndex().caught_up(store.l2).rows("description", DeterministicEmbedder().embed)
-    got = rebuilt.fields["description"]
-    assert np.array_equal(got.vectors[: got.n], fresh.vectors[: fresh.n])
-    assert np.array_equal(got.norms[: got.n], fresh.norms[: fresh.n])
+    assert_same_column(stored_column(rebuilt, "description"), fresh_column(store.l2, "description"))
+
+
+def test_reads_embed_only_the_rows_they_score():
+    counting = CountingEmbedder()
+    store = MemoryStore(embedder=CachingEmbedder(counting))
+    mine = [l2(f"p.cve-2020-{i}", f"heap overflow number {i}") for i in range(3)]
+    theirs = [l2(f"q.cve-2020-{i}", f"use after free {i}", "q") for i in range(3)]
+    other_cwe = [
+        L2Entry(keys=RetrievalKeys("p", "CWE-416", "c", f"p.cve-2019-{i}", f"dangling {i}"),
+                fix_patch=diff(f"x{i}"), rationale="r")
+        for i in range(3)
+    ]
+    store.l2 += mine + theirs + other_cwe
+    retrieve(store, "L2", Query(QUERY.keys, k_min=1, top_n=10))
+    assert counting.texts == [QUERY.keys.description] + [e.keys.description for e in mine]
+    counting.texts.clear()
+    retrieve(store, "L2", Query(QUERY.keys, k_min=5, top_n=10))  # P1 is sparse: P2 joins
+    assert counting.texts == [e.keys.description for e in theirs]
+
+    # Dedup scores the whole tier: every description and patch, each once.
+    counting.texts.clear()
+    new = l2("p.cve-2020-9", "heap overflow number 9")
+    assert insert(store, new) == InsertOutcome.INSERTED
+    assert counting.texts == (
+        [new.keys.description, new.fix_patch]
+        + [e.keys.description for e in other_cwe]
+        + [e.fix_patch for e in mine + theirs + other_cwe]
+    )
+
+
+class LockWatchingEmbedder:
+    """Fails the test when it is called while its store's writer lock is held."""
+
+    dim = 64
+
+    def __init__(self) -> None:
+        self.inner = DeterministicEmbedder()
+        self.store: MemoryStore | None = None
+        self.calls = 0
+
+    def embed(self, text: str) -> np.ndarray:
+        assert not self.store._write_lock.locked()
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+def test_the_embedder_never_runs_under_the_writer_lock():
+    watching = LockWatchingEmbedder()
+    store = MemoryStore(embedder=CachingEmbedder(watching))
+    watching.store = store
+    for i in range(8):
+        store.l2.append(l2(f"p.cve-2020-{i}", " ".join(random.Random(i).choices(WORDS, k=4))))
+    retrieve(store, "L2", QUERY)
+    insert(store, l2("p.cve-2020-50", "guard the frame copy"))
+    store.l3.append(L3Entry(keys=QUERY.keys, fail_patch=diff("frame"), correction_delta=diff("copy"),
+                            transition_insight="t"))
+    retrieve(store, "L3", Query(replace(QUERY.keys, instance_id="p.cve-2031-1"), k_min=1), diff("frame"))
+    insert(store, L3Entry(keys=QUERY.keys, fail_patch=diff("tag"), correction_delta=diff("size"),
+                          transition_insight="t"))
+    assert watching.calls > 0
+
+
+class AppendingEmbedder:
+    """Appends `late` to its store's L2 list when first asked for `trigger`,
+    like another writer while an insert embeds outside the lock."""
+
+    dim = 64
+
+    def __init__(self, store_l2: list, trigger: str, late: L2Entry) -> None:
+        self.inner = DeterministicEmbedder()
+        self.store_l2, self.trigger, self.late = store_l2, trigger, late
+
+    def embed(self, text: str) -> np.ndarray:
+        if text == self.trigger and self.late not in self.store_l2:
+            self.store_l2.append(self.late)
+        return self.inner.embed(text)
+
+
+def test_insert_dedups_against_entries_appended_while_it_embeds():
+    store = MemoryStore()
+    first = l2("p.cve-2020-1", "heap overflow in parser")
+    late = l2("p.cve-2020-2", "guard the frame copy")
+    store.l2.append(first)
+    store.embedder = CachingEmbedder(AppendingEmbedder(store.l2, first.keys.description, late))
+    assert insert(store, l2("p.cve-2020-3", "guard the frame copy")) == InsertOutcome.MERGED
+    assert store.l2 == [first, late]
+    with store._write_lock:
+        index = store._index("L2")
+    assert index.entries == [first, late]
+    assert_same_column(stored_column(index, "patch"), fresh_column(store.l2, "patch"))
 
 
 def test_store_keeps_the_embedder_it_is_given(tmp_path):
@@ -351,16 +455,11 @@ def test_concurrent_writers_and_readers_end_like_a_serial_rebuild():
         assert serial.tier_entries(tier) == store.tier_entries(tier)
         with store._write_lock:
             index = store._index(tier)
-        rebuilt = TierIndex().caught_up(store.tier_entries(tier))
         assert index is store._indexes[tier]
         assert all(a is b for a, b in zip(index.entries, store.tier_entries(tier), strict=True))
-        assert index.buckets == rebuilt.buckets
+        assert index.buckets == TierIndex(store.tier_entries(tier)).buckets
         for field in ("description", "patch"):
-            got = index.fields[field]
-            want = rebuilt.rows(field, DeterministicEmbedder().embed)
-            assert got.n == want.n == len(index.entries)
-            assert np.array_equal(got.vectors[: got.n], want.vectors[: want.n])
-            assert np.array_equal(got.norms[: got.n], want.norms[: want.n])
+            assert_same_column(stored_column(index, field), fresh_column(index.entries, field))
 
 
 class FlakyEmbedder:
@@ -395,7 +494,7 @@ def test_outage_part_way_through_a_column_leaves_the_index_consistent():
     )
     assert [(r.similarity, int(r.entry.keys.instance_id.rsplit("-", 1)[1])) for r in ranked] == want
     column = store._indexes["L2"].fields["description"]
-    assert column.n == 3
+    assert column.missing(range(10)) == list(range(3, 10))
     for row in range(3):
         assert np.array_equal(column.vectors[row], flaky.inner.embed(descs[row]))
 
@@ -406,7 +505,7 @@ def test_outage_part_way_through_a_column_leaves_the_index_consistent():
         pass
     else:
         raise AssertionError("insert should propagate the outage")
-    assert len(store.l2) == 10 and column.n == 5
+    assert len(store.l2) == 10 and column.missing(range(10)) == list(range(5, 10))
     assert store.retrieval_log == {}
     for row in range(5):
         assert np.array_equal(column.vectors[row], flaky.inner.embed(descs[row]))
@@ -417,7 +516,7 @@ def test_outage_part_way_through_a_column_leaves_the_index_consistent():
     q_vec = emb.embed(QUERY.keys.description)
     sims = sorted((cosine(q_vec, emb.embed(d)) for d in descs), reverse=True)
     assert [r.similarity for r in ranked] == sims
-    assert column.n == 10
+    assert column.missing(range(10)) == []
 
 
 def test_caching_embedder_is_bounded_and_evicts_least_recent_first():
