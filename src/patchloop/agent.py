@@ -1,6 +1,6 @@
 """Session orchestration: locate, patch, verify, refine.
 
-One session runs a closed loop over three phases. The locator refreshes
+One session runs a closed loop over three phases. The locator reads the
 runtime crash evidence and names a target location; the patcher edits the
 workspace and yields a candidate diff against the pristine snapshot; the
 verifier runs the oracle and routes the result:
@@ -11,8 +11,11 @@ verifier runs the oracle and routes the result:
 
 Every failed attempt is compressed into a three-field summary that feeds
 the next iteration's prompts, and the workspace is rolled back to pristine
-so each candidate diff stands alone. The loop stops after a fixed number
-of failed attempts.
+so each candidate diff stands alone. Because every locate therefore sees
+the pristine tree, its crash evidence is the PoC run the oracle made while
+validating the pristine checkout, parsed once per session; no locate runs
+an oracle command. The loop stops after a fixed number of failed attempts.
+Whatever ends a session, the checkout is left as the session found it.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ class SessionRunner:
         self.pristine_id: str | None = None
         self._index: SymbolIndex | None = None
         self._crash: CrashReport | None = None
+        self._evidence: str | None = None
         self._visited: list[tuple[str, tuple[int, int]]] = []
 
     # -- plumbing -----------------------------------------------------------
@@ -330,13 +334,22 @@ class SessionRunner:
 
     # -- phases ---------------------------------------------------------------
 
+    def _runtime_evidence(self) -> str:
+        """The pristine PoC run, rendered once per session. Every locate runs
+        on the pristine tree, so the run ``validate_pristine`` kept stands for
+        all of them; a runner without one runs the PoC here, once."""
+        if self._evidence is None:
+            oracle = self.task.oracle
+            _, poc_output = oracle.pristine_poc or oracle.run_poc()
+            self._crash = parse_crash_report(poc_output)
+            self._evidence = "# Runtime evidence\n" + (
+                self._crash.raw if self._crash else poc_output[-2000:] or "(no output)"
+            )
+        return self._evidence
+
     def locate(self) -> LocalizationObject:
         attempt = self.session.failed_attempts + 1
-        _, poc_output = self.task.oracle.run_poc()
-        self._crash = parse_crash_report(poc_output)
-        evidence = "# Runtime evidence\n" + (
-            self._crash.raw if self._crash else poc_output[-2000:] or "(no output)"
-        )
+        evidence = self._runtime_evidence()
         memories = self._retrieve("L1") + self._retrieve("L2")
         system, user = render_prompt(
             "locator",
@@ -394,12 +407,28 @@ class SessionRunner:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SessionReport:
-        session = self.session
         ws = self.task.workspace
         self.pristine_id = ws.snapshot()
-        if self.task.oracle.baseline_passing is None:
-            self.task.oracle.validate_pristine()
+        try:
+            if self.task.oracle.baseline_passing is None:
+                self.task.oracle.validate_pristine()
+            reason = self._loop()
+        except BaseException:
+            # Leave the checkout as found, then let the caller see the
+            # original error: a failing rollback is logged, never raised.
+            try:
+                ws.rollback(self.pristine_id)
+            except Exception:
+                logger.exception("could not restore snapshot %s", self.pristine_id)
+            raise
+        return self._report(reason)
 
+    def _loop(self) -> str:
+        """Run attempts until Success or Exhausted; returns the stop reason.
+        The expected ways a session ends roll back here; anything else
+        propagates to ``run``."""
+        session = self.session
+        ws = self.task.workspace
         reason = ""
         try:
             while True:
@@ -454,8 +483,7 @@ class SessionRunner:
             ws.rollback(self.pristine_id)
         finally:
             self.store.complete_task()
-
-        return self._report(reason)
+        return reason
 
     def _localization_correct(self) -> bool | str:
         truth = self.task.ground_truth_files

@@ -10,7 +10,9 @@ failing there are out of scope and never surface in verdicts.
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -90,6 +92,37 @@ class VerificationVerdict:
         }
 
 
+def _run_group(command: str, cwd: Path, timeout: float) -> tuple[int, str]:
+    """Run a shell command in a process group of its own; returns its exit
+    code and stdout followed by stderr, decoded as UTF-8 with undecodable
+    bytes replaced.
+
+    On a timeout (``subprocess.TimeoutExpired``) or any other exception while
+    waiting, ``KeyboardInterrupt`` included, the whole group is killed and
+    reaped before the exception propagates, so no grandchild can write to
+    the checkout after the call returns.
+    """
+    with subprocess.Popen(
+        command,
+        shell=True,
+        cwd=cwd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        encoding="utf-8",
+        errors="replace",
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except BaseException:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise  # Popen.__exit__ closes the pipes and reaps the shell
+    return proc.returncode, stdout + stderr
+
+
 class OracleRunner:
     """Runs the oracle for one task; caches the pristine baseline."""
 
@@ -108,31 +141,32 @@ class OracleRunner:
         self.check_vul_calls = 0
         self.baseline_passing: set[str] | None = None
         self.baseline_predicate_ok: bool | None = None
+        # (exit code, output) of the PoC on the pristine tree, kept by
+        # validate_pristine so the locator never has to run it again.
+        self.pristine_poc: tuple[int, str] | None = None
 
     def _run(self, command: str) -> tuple[int, str]:
         if self.elapsed >= self.total_budget:
             raise OracleTimeout(f"oracle budget of {self.total_budget:.0f}s exhausted")
         started = time.monotonic()
         try:
-            proc = subprocess.run(
-                command,
-                shell=True,
-                cwd=self.root,
-                capture_output=True,
-                text=True,
-                timeout=min(self.command_timeout, self.total_budget - self.elapsed),
+            code, output = _run_group(
+                command, self.root, min(self.command_timeout, self.total_budget - self.elapsed)
             )
         except subprocess.TimeoutExpired as exc:
-            self.elapsed += time.monotonic() - started
             raise OracleTimeout(f"command exceeded {self.command_timeout:.0f}s: {command}") from exc
-        self.elapsed += time.monotonic() - started
-        output = (proc.stdout or "") + (proc.stderr or "")
-        if proc.returncode == 127:
+        finally:
+            self.elapsed += time.monotonic() - started
+        if code == 127:
             raise BuildToolMissing(f"command not found: {command}")
-        return proc.returncode, output
+        return code, output
 
     def run_poc(self) -> tuple[int, str]:
-        """Run the reproduction command alone (used to refresh crash evidence)."""
+        """Run the reproduction command alone on the current tree.
+
+        Sessions take their crash evidence from ``pristine_poc`` instead, the
+        run ``validate_pristine`` already made; this is the fallback for a
+        runner whose baseline was set without one."""
         return self._run(self.spec.poc_command)
 
     def validate_pristine(self) -> None:
@@ -142,7 +176,7 @@ class OracleRunner:
             code, out = self._run(self.spec.build_command)
             if not predicate_passes(self.spec.predicate("build_command"), code, out):
                 raise PristineCheckFailed(f"build fails on pristine repo:\n{cap_output(out, 2000)}")
-        code, out = self._run(self.spec.poc_command)
+        code, out = self.pristine_poc = self._run(self.spec.poc_command)
         if predicate_passes(self.spec.predicate("poc_command"), code, out):
             raise PristineCheckFailed(
                 "reproduction command passes on the pristine repo; nothing to fix"

@@ -277,7 +277,8 @@ class Workspace:
             [_GIT, "-C", str(self.root), *args],
             env=self._git_env,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
+            errors="replace",  # a diff of non-UTF-8 file content must not raise
             close_fds=False,  # with no cwd either, subprocess can use posix_spawn
         )
         if proc.returncode != 0:

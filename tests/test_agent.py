@@ -14,6 +14,7 @@ from patchloop.agent import (
     decide_transition,
     extract_localization,
 )
+from patchloop.errors import BuildToolMissing, WorkspaceError
 from patchloop.gateway import ChatTurn, ScriptedGateway
 from patchloop.memory import (
     L3Entry,
@@ -26,15 +27,17 @@ from patchloop.session import Outcome
 from patchloop.workspace import Workspace
 
 
-def make_task(repo) -> RepairTask:
-    spec = OracleSpec(
-        poc_command="python3 poc.py",
-        regression_command="python3 tests.py",
-        pass_predicates={
-            "poc_command": "sanitizer_clean",
-            "regression_command": "exit_zero",
-        },
-    )
+DEMO_SPEC = OracleSpec(
+    poc_command="python3 poc.py",
+    regression_command="python3 tests.py",
+    pass_predicates={
+        "poc_command": "sanitizer_clean",
+        "regression_command": "exit_zero",
+    },
+)
+
+
+def make_task(repo, spec: OracleSpec = DEMO_SPEC) -> RepairTask:
     workspace = Workspace(repo, bash_timeout=30)
     oracle = OracleRunner(repo, spec, command_timeout=60, total_budget=600)
     return RepairTask(
@@ -45,9 +48,9 @@ def make_task(repo) -> RepairTask:
     )
 
 
-def run_scripted(demo_repo, tmp_path, transcript_builder, store=None):
+def run_scripted(demo_repo, tmp_path, transcript_builder, store=None, task=None):
     transcript = transcript_builder(tmp_path / "transcript.jsonl")
-    task = make_task(demo_repo)
+    task = task or make_task(demo_repo)
     store = store if store is not None else MemoryStore()
     runner = SessionRunner(task, store, ScriptedGateway.from_file(transcript))
     try:
@@ -209,6 +212,103 @@ def test_compressed_context_feeds_next_attempt(demo_repo, tmp_path):
     assert any("Runtime evidence" in t for t in second_attempt_turns)
     assert any("Target location" in t for t in second_attempt_turns)
     assert all("[verification failure log]" in t for t in second_attempt_turns)
+
+
+def locator_evidence(runner) -> list[str]:
+    """The "# Runtime evidence" section of each locator prompt, in order."""
+    marker = "# Runtime evidence\n"
+    return [
+        t["content"].split(marker, 1)[1].split("\n\n# ", 1)[0]
+        for t in runner.trajectory
+        if t["type"] == "turn" and t["role"] == "user" and marker in t["content"]
+    ]
+
+
+def test_relocate_runs_the_poc_only_to_validate_and_verify(demo_repo, tmp_path, monkeypatch):
+    commands = []
+    run = OracleRunner._run
+
+    def recording(self, command):
+        commands.append(command)
+        return run(self, command)
+
+    monkeypatch.setattr(OracleRunner, "_run", recording)
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    assert report.outcome == "success"
+    # once in validate_pristine and once in each check_vul; locate runs none
+    assert commands.count("python3 poc.py") == 3
+
+
+def test_runner_without_pristine_run_runs_poc_once(demo_repo, tmp_path, monkeypatch):
+    task = make_task(demo_repo)
+    task.oracle.baseline_passing = {"copies_payload", "tracks_length", "zero_length_copy"}
+    runs = []
+    run_poc = OracleRunner.run_poc
+    monkeypatch.setattr(OracleRunner, "run_poc", lambda self: runs.append(1) or run_poc(self))
+    report, runner, _ = run_scripted(
+        demo_repo, tmp_path, fx.transcript_relocate_then_success, task=task
+    )
+    assert report.outcome == "success"
+    assert len(runs) == 1
+    assert "heap-buffer-overflow" in locator_evidence(runner)[1]
+
+
+def test_every_locator_prompt_carries_the_pristine_poc_output(demo_repo, tmp_path):
+    _, runner, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    code, output = runner.task.oracle.pristine_poc
+    assert code != 0 and "heap-buffer-overflow" in output
+    assert locator_evidence(runner) == [output, output]
+
+
+def test_relocate_evidence_comes_from_the_pristine_build(demo_repo, tmp_path):
+    # The build copies the source into build/, which is ignored and so
+    # survives rollback, and the PoC prints the built copy: a PoC rerun
+    # after the failed candidate would show that candidate's build.
+    (demo_repo / ".gitignore").write_text("__pycache__/\n*.pyc\nbuild/\n")
+    fx.git(demo_repo, "commit", "-qam", "ignore build outputs")
+    spec = OracleSpec(
+        build_command="mkdir -p build && cp app/buffer.py build/buffer.py",
+        poc_command="cat build/buffer.py; python3 poc.py",
+        regression_command="python3 tests.py",
+    )
+    report, runner, _ = run_scripted(
+        demo_repo, tmp_path, fx.transcript_relocate_then_success, task=make_task(demo_repo, spec)
+    )
+    assert report.outcome == "success" and report.failed_attempts == 1
+    first, second = locator_evidence(runner)
+    assert fx.REPLACE_OLD in first  # printed from the pristine build
+    assert "buf.capacity * 8" not in second  # the failed candidate's guard
+    assert second == first
+
+
+def tool_missing_once_fixed(demo_repo) -> RepairTask:
+    """A task whose regression command exits 127 once the fix is applied,
+    so check_vul raises BuildToolMissing with the candidate in the tree."""
+    return make_task(demo_repo, OracleSpec(
+        poc_command="python3 poc.py",
+        regression_command=(
+            "if grep -q 'exceeds capacity' app/buffer.py; "
+            "then no_such_tool_xyz; else python3 tests.py; fi"
+        ),
+    ))
+
+
+def test_unexpected_error_restores_the_checkout_and_propagates(demo_repo, tmp_path):
+    task = tool_missing_once_fixed(demo_repo)
+    with pytest.raises(BuildToolMissing):
+        run_scripted(demo_repo, tmp_path, fx.transcript_success, task=task)
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+
+
+def test_failing_rollback_does_not_mask_the_original_error(demo_repo, tmp_path, monkeypatch):
+    task = tool_missing_once_fixed(demo_repo)
+
+    def broken_rollback(snapshot_id):
+        raise WorkspaceError("rollback failed")
+
+    monkeypatch.setattr(task.workspace, "rollback", broken_rollback)
+    with pytest.raises(BuildToolMissing):
+        run_scripted(demo_repo, tmp_path, fx.transcript_success, task=task)
 
 
 def test_attempt_diffs_are_against_pristine(demo_repo, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import conftest as fx
@@ -404,6 +405,44 @@ def test_repair_tasks_malformed_task_spares_its_sibling(tmp_path, capsys):
     assert json.loads(out)["results"] == {"broken.json": 2, "good.json": 0}
     assert "poc_command" in err
     assert json.loads((out_dir / "good.report.json").read_text())["outcome"] == "success"
+    assert len(load_store(mem).l2) == 1
+
+
+def test_repair_tasks_oracle_timeout_mid_batch_leaves_nothing_behind(tmp_path, capsys):
+    # Once the fix is in, the slow task's PoC starts a grandchild that would
+    # write into the checkout after the oracle timeout, unless it dies too.
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    slow_repo = fx.init_repo(tmp_path / "repo_slow", dict(fx.DEMO_FILES))
+    slow = fx.demo_task_json(slow_repo, {
+        "transcript": str(fx.transcript_success(tmp_path / "slow.jsonl")),
+        "poc_command": (
+            "if grep -q 'exceeds capacity' app/buffer.py; "
+            "then sh -c 'sleep 0.8; touch orphan_wrote_this'; fi; python3 poc.py"
+        ),
+    })
+    (tasks_dir / "a_slow.json").write_text(json.dumps(slow))
+    good_repo = fx.init_repo(tmp_path / "repo_good", dict(fx.DEMO_FILES))
+    good = fx.demo_task_json(good_repo, {"transcript": str(fx.transcript_success(tmp_path / "g.jsonl"))})
+    (tasks_dir / "b_good.json").write_text(json.dumps(good))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[gateway]\nbackend = scripted\ntranscript = unused-default\n"
+                   "[oracle]\ncommand_timeout = 0.3\n")
+    mem = tmp_path / "m.jsonl"
+    out_dir = tmp_path / "out"
+
+    code, out, _ = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", "--tasks", str(tasks_dir), "--memory", str(mem), "--out", str(out_dir),
+    )
+    assert json.loads(out)["results"] == {"a_slow.json": 1, "b_good.json": 0}
+    assert code == 1
+    report = json.loads((out_dir / "a_slow.report.json").read_text())
+    assert report["outcome"] == "exhausted" and "OracleTimeout" in report["reason"]
+    time.sleep(1.0)
+    assert not (slow_repo / "orphan_wrote_this").exists()
+    assert fx.git(slow_repo, "status", "--porcelain") == ""
     assert len(load_store(mem).l2) == 1
 
 

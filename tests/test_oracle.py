@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import subprocess
+import time
+
 import pytest
 
 from conftest import BAD_NEW_REGRESSION, GOOD_NEW, REPLACE_OLD
@@ -144,6 +148,37 @@ def test_command_timeout_raises(demo_repo):
     runner = OracleRunner(demo_repo, spec, command_timeout=1)
     with pytest.raises(OracleTimeout):
         runner.run_poc()
+
+
+def test_non_utf8_output_is_decoded_with_replacement(demo_repo):
+    spec = OracleSpec(poc_command="printf '\\377\\376 bad\\n'; exit 1", regression_command="true")
+    assert OracleRunner(demo_repo, spec).run_poc() == (1, "\ufffd\ufffd bad\n")
+
+
+@pytest.mark.parametrize("stop", ["timeout", "interrupt"])
+def test_stopped_command_takes_its_grandchildren_down(demo_repo, monkeypatch, stop):
+    # The inner sh is a grandchild of the oracle; killing only the outer
+    # shell would leave it to write into the checkout after the call.
+    spec = OracleSpec(
+        poc_command="sh -c 'sleep 0.6; touch orphan_wrote_this'; exit 1",
+        regression_command="true",
+    )
+    runner = OracleRunner(demo_repo, spec, command_timeout=0.2 if stop == "timeout" else 60)
+    expected = OracleTimeout
+    if stop == "interrupt":
+        communicate = subprocess.Popen.communicate
+
+        def interrupted(self, *args, **kwargs):
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                communicate(self, timeout=0.2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        expected = KeyboardInterrupt
+    with pytest.raises(expected):
+        runner.run_poc()
+    time.sleep(1.0)
+    assert not (demo_repo / "orphan_wrote_this").exists()
 
 
 def test_total_budget_enforced(demo_repo):

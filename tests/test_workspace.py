@@ -426,6 +426,14 @@ def test_submit_diff_applies_cleanly_after_rollback(ws):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_submit_diff_of_non_utf8_content_is_decoded_with_replacement(ws):
+    base = ws.snapshot()
+    (ws.root / "top.txt").write_bytes(b"caf\xe9\n")  # Latin-1, not UTF-8
+    tree, diff = ws.submit(base)
+    assert tree != base
+    assert "+caf\ufffd" in diff
+
+
 def test_file_at_snapshot(ws):
     snap = ws.snapshot()
     ws.str_replace("top.txt", "alpha", "ALPHA")
