@@ -13,8 +13,8 @@ Every failed attempt is compressed into a three-field summary that feeds
 the next iteration's prompts, and the workspace is rolled back to pristine
 so each candidate diff stands alone. Because every locate therefore sees
 the pristine tree, its crash evidence is the PoC run the oracle made while
-validating the pristine checkout, parsed once per session; no locate runs
-an oracle command. The loop stops after a fixed number of failed attempts.
+validating the pristine checkout, parsed and bounded once per session. The
+loop stops after a fixed number of failed attempts.
 Whatever ends a session, the checkout is left as the session found it.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from . import diffutil, memory, retrieval
@@ -45,11 +45,12 @@ from .localizer import (
 )
 from .memory import MemoryStore, RetrievalKeys
 from .oracle import OracleRunner, VerificationVerdict
-from .session import Attempt, Outcome, Phase, RepairSession
+from .session import Attempt, Outcome, RepairSession
 from .workspace import (
     ToolCall,
     ToolResult,
     Workspace,
+    cap_output,
     log_compress,
     tool_log_record,
 )
@@ -136,17 +137,7 @@ class SessionReport:
     reason: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "failed_attempts": self.failed_attempts,
-            "final_diff": self.final_diff,
-            "attempts": self.attempts,
-            "localization_correct": self.localization_correct,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "cost_usd": round(self.cost_usd, 6),
-            "reason": self.reason,
-        }
+        return {**asdict(self), "cost_usd": round(self.cost_usd, 6)}
 
 
 _JSON_OBJ_RE = re.compile(r"\{")
@@ -186,21 +177,11 @@ class SessionRunner:
         store: MemoryStore,
         gateway,
         limits: EngineLimits | None = None,
-        rationale_fn=None,
-        insight_fn=None,
     ) -> None:
         self.task = task
         self.store = store
         self.gateway = gateway
         self.limits = limits or EngineLimits()
-        self.rationale_fn = rationale_fn
-        self.insight_fn = insight_fn
-        # Deterministic backends use templated consolidation text; a live
-        # model is asked to explain the accepted fix instead.
-        if rationale_fn is None and not getattr(gateway, "deterministic", True):
-            self.rationale_fn = self._live_rationale
-        if insight_fn is None and not getattr(gateway, "deterministic", True):
-            self.insight_fn = self._live_insight
         self.session = RepairSession(keys=task.keys)
         self.trajectory: list[dict] = []
         self.prompt_tokens = 0
@@ -335,16 +316,25 @@ class SessionRunner:
     # -- phases ---------------------------------------------------------------
 
     def _runtime_evidence(self) -> str:
-        """The pristine PoC run, rendered once per session. Every locate runs
-        on the pristine tree, so the run ``validate_pristine`` kept stands for
-        all of them; a runner without one runs the PoC here, once."""
+        """The PoC run ``validate_pristine`` kept, rendered once per session:
+        every locate runs on the pristine tree, so that run stands for all
+        of them. A crash report longer than half the prompt budget becomes
+        its parsed frames followed by a head/tail excerpt of the output, so
+        the frames survive the cut."""
         if self._evidence is None:
-            oracle = self.task.oracle
-            _, poc_output = oracle.pristine_poc or oracle.run_poc()
-            self._crash = parse_crash_report(poc_output)
-            self._evidence = "# Runtime evidence\n" + (
-                self._crash.raw if self._crash else poc_output[-2000:] or "(no output)"
-            )
+            _, output = self.task.oracle.pristine_poc
+            self._crash = crash = parse_crash_report(output)
+            cap = self.limits.prompt_budget // 2
+            if crash is None:
+                body = output[-2000:] or "(no output)"
+            elif len(output) <= cap:
+                body = output
+            else:
+                frames = cap_output("\n".join(
+                    f"#{i} in {f.function} {f.file}:{f.line}" for i, f in enumerate(crash.frames)
+                ), cap // 2)
+                body = f"{frames}\n{cap_output(output, cap - len(frames) - 1)}"
+            self._evidence = "# Runtime evidence\n" + body
         return self._evidence
 
     def locate(self) -> LocalizationObject:
@@ -410,8 +400,7 @@ class SessionRunner:
         ws = self.task.workspace
         self.pristine_id = ws.snapshot()
         try:
-            if self.task.oracle.baseline_passing is None:
-                self.task.oracle.validate_pristine()
+            self.task.oracle.validate_pristine()
             reason = self._loop()
         except BaseException:
             # Leave the checkout as found, then let the caller see the
@@ -430,16 +419,12 @@ class SessionRunner:
         session = self.session
         ws = self.task.workspace
         reason = ""
+        relocate = True
         try:
             while True:
-                if session.phase == Phase.LOCATE:
+                if relocate:
                     session.current_loc = self.locate()
-                    session.phase = Phase.PATCH
-
                 tree, candidate = self.patch(session.current_loc)
-                session.current_patch = candidate
-
-                session.phase = Phase.VERIFY
                 verdict, transition = self.verify(candidate)
                 session.attempts.append(Attempt(
                     patch=candidate, verdict=verdict, tree=tree, localization=session.current_loc
@@ -451,16 +436,19 @@ class SessionRunner:
                 )
                 if transition == Transition.SUCCESS:
                     session.outcome = Outcome.SUCCESS
-                    session.phase = Phase.DONE
+                    # Deterministic backends use templated consolidation
+                    # text; a live model is asked to explain the fix instead.
+                    live = not getattr(self.gateway, "deterministic", True)
                     memory.consolidate_success(
-                        self.store, session, ws.diff, self.rationale_fn, self.insight_fn
+                        self.store, session, ws.diff,
+                        self._live_rationale if live else None,
+                        self._live_insight if live else None,
                     )
                     break
 
                 session.failed_attempts += 1
                 if session.failed_attempts >= self.limits.attempt_cap:
                     session.outcome = Outcome.EXHAUSTED
-                    session.phase = Phase.DONE
                     reason = f"attempt cap of {self.limits.attempt_cap} failed patches reached"
                     ws.rollback(self.pristine_id)
                     break
@@ -473,12 +461,9 @@ class SessionRunner:
                 )
                 self._visited = []
                 ws.rollback(self.pristine_id)
-                session.phase = (
-                    Phase.LOCATE if transition == Transition.RELOCATE else Phase.PATCH
-                )
+                relocate = transition == Transition.RELOCATE
         except (OracleTimeout, GatewayExhausted, LocalizationFailure) as exc:
             session.outcome = Outcome.EXHAUSTED
-            session.phase = Phase.DONE
             reason = f"{type(exc).__name__}: {exc}"
             ws.rollback(self.pristine_id)
         finally:

@@ -2,17 +2,30 @@
 [oracle], [limits], and [ingest] sections.
 
 Values may be quoted TOML-style; quotes are stripped on load so the same
-file works for either habit.
+file works for either habit. A ``;`` after whitespace starts a comment. A key
+that no field reads in [gateway], [retrieval], [oracle] or [limits] is
+logged as a warning and otherwise ignored.
 """
 
 from __future__ import annotations
 
 import configparser
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import EngineLimits
+from .embedding import (
+    DEFAULT_REMOTE_TIMEOUT,
+    CachingEmbedder,
+    DeterministicEmbedder,
+    RemoteEmbedder,
+)
 from .gateway import GatewayConfig
+from .oracle import DEFAULT_COMMAND_TIMEOUT, DEFAULT_TOTAL_BUDGET
+from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_OUTPUT_CAP
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -21,13 +34,13 @@ class RetrievalConfig:
     endpoint: str = ""
     model_name: str = ""
     api_key_env: str = ""
-    timeout: float = 30.0
+    timeout: float = DEFAULT_REMOTE_TIMEOUT
 
 
 @dataclass
 class OracleConfig:
-    command_timeout: float = 600.0
-    total_budget: float = 1800.0
+    command_timeout: float = DEFAULT_COMMAND_TIMEOUT
+    total_budget: float = DEFAULT_TOTAL_BUDGET
 
 
 @dataclass
@@ -36,9 +49,8 @@ class EngineConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     limits: EngineLimits = field(default_factory=EngineLimits)
-    bash_timeout: float = 300.0
-    tool_output_cap: int = 20_000
-    prune_window: int = 50
+    bash_timeout: float = DEFAULT_BASH_TIMEOUT
+    tool_output_cap: int = DEFAULT_OUTPUT_CAP
     ingest_column_map: dict[str, str] = field(default_factory=dict)
 
 
@@ -49,17 +61,16 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _apply(target, section: configparser.SectionProxy, casts: dict) -> None:
+def _apply(section: configparser.SectionProxy, targets: list[tuple[object, dict]]) -> None:
+    """Set each key of `section` on the first target whose casts name it;
+    warn about a key no target reads, such as a misspelt one."""
     for key, raw in section.items():
-        if key not in casts:
-            continue
-        value = _unquote(raw)
-        cast = casts[key]
-        setattr(target, key, cast(value))
-
-
-def _to_bool(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+        for target, casts in targets:
+            if key in casts:
+                setattr(target, key, casts[key](_unquote(raw)))
+                break
+        else:
+            logger.warning("config section [%s]: ignoring unknown key %r", section.name, key)
 
 
 def load_config(path: Path | None) -> EngineConfig:
@@ -67,37 +78,38 @@ def load_config(path: Path | None) -> EngineConfig:
     cfg = EngineConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with Path(path).open("r", encoding="utf-8") as fh:
         parser.read_file(fh)
 
     # Some [gateway] and [retrieval] keys are engine limits: they load into cfg.limits.
-    if parser.has_section("gateway"):
-        _apply(cfg.gateway, parser["gateway"], {
-            "endpoint": str, "model_name": str, "temperature": float,
-            "api_key_env": str, "backend": str, "transcript": str, "timeout": float,
-        })
-        _apply(cfg.limits, parser["gateway"], {
-            "max_turns": int, "prompt_budget": int,
-            "prompt_price_per_1k": float, "completion_price_per_1k": float,
-        })
-    if parser.has_section("retrieval"):
-        _apply(cfg.retrieval, parser["retrieval"], {
-            "embedder": str, "endpoint": str, "model_name": str,
-            "api_key_env": str, "timeout": float,
-        })
-        _apply(cfg.limits, parser["retrieval"], {"k_min": int, "top_n": int})
-    if parser.has_section("oracle"):
-        _apply(cfg.oracle, parser["oracle"], {
-            "command_timeout": float, "total_budget": float,
-        })
-    if parser.has_section("limits"):
-        _apply(cfg, parser["limits"], {
-            "bash_timeout": float, "tool_output_cap": int, "prune_window": int,
-        })
-        _apply(cfg.limits, parser["limits"], {
-            "attempt_cap": int, "log_budget": int,
-        })
+    sections = {
+        "gateway": [
+            (cfg.gateway, {
+                "endpoint": str, "model_name": str, "temperature": float,
+                "api_key_env": str, "backend": str, "transcript": str, "timeout": float,
+            }),
+            (cfg.limits, {
+                "max_turns": int, "prompt_budget": int,
+                "prompt_price_per_1k": float, "completion_price_per_1k": float,
+            }),
+        ],
+        "retrieval": [
+            (cfg.retrieval, {
+                "embedder": str, "endpoint": str, "model_name": str,
+                "api_key_env": str, "timeout": float,
+            }),
+            (cfg.limits, {"k_min": int, "top_n": int}),
+        ],
+        "oracle": [(cfg.oracle, {"command_timeout": float, "total_budget": float})],
+        "limits": [
+            (cfg, {"bash_timeout": float, "tool_output_cap": int}),
+            (cfg.limits, {"attempt_cap": int, "log_budget": int}),
+        ],
+    }
+    for name, targets in sections.items():
+        if parser.has_section(name):
+            _apply(parser[name], targets)
     if parser.has_section("ingest"):
         cfg.ingest_column_map = {
             key: _unquote(value) for key, value in parser["ingest"].items()
@@ -106,8 +118,6 @@ def load_config(path: Path | None) -> EngineConfig:
 
 
 def build_embedder(cfg: RetrievalConfig):
-    from .embedding import CachingEmbedder, DeterministicEmbedder, RemoteEmbedder
-
     if cfg.embedder == "remote":
         return CachingEmbedder(
             RemoteEmbedder(cfg.endpoint, cfg.model_name, cfg.api_key_env, cfg.timeout)

@@ -28,6 +28,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Texts a CachingEmbedder keeps, least recently used evicted first.
 CACHE_SIZE = 256
 
+DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
+
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
@@ -146,7 +148,7 @@ class RemoteEmbedder:
         endpoint: str,
         model_name: str,
         api_key_env: str = "",
-        timeout: float = 30.0,
+        timeout: float = DEFAULT_REMOTE_TIMEOUT,
         dim: int = 1536,
     ) -> None:
         self.endpoint = endpoint.rstrip("/")

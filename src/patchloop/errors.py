@@ -59,7 +59,3 @@ class MalformedToolCall(PatchloopError):
 
 class LocalizationFailure(PatchloopError):
     """The locator phase ended without a parseable target location."""
-
-
-class EmptyPatch(PatchloopError):
-    """The patch phase produced no edits."""

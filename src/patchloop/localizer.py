@@ -36,7 +36,7 @@ DEFINITION = "definition"
 USE = "use"
 
 DEFAULT_K = 5
-DEFAULT_CONTEXT_RADIUS = 10
+CONTEXT_RADIUS = 10  # lines on each side of a site in a localization's range
 MAX_INDEXED_BYTES = 2 * 1024 * 1024
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -327,13 +327,10 @@ class SymbolIndex:
     :func:`index_repository`; ``sites(symbol)`` gathers them on demand."""
 
     def __init__(
-        self,
-        files: dict[str, int] | None = None,
-        sites: Mapping[str, list[SymbolSite]] | None = None,
-        groups: list[Mapping[str, tuple[SymbolSite, ...]]] | None = None,
+        self, files: dict[str, int], groups: list[Mapping[str, tuple[SymbolSite, ...]]]
     ) -> None:
-        self.files = files or {}  # rel path -> line count
-        self._groups = groups if groups is not None else [sites or {}]
+        self.files = files  # rel path -> line count
+        self._groups = groups
 
     def sites(self, symbol: str) -> list[SymbolSite]:
         found = [site for group in self._groups for site in group.get(symbol, ())]
@@ -374,7 +371,7 @@ def _parse(data: bytes, rel: str) -> tuple[int, Mapping[str, tuple[SymbolSite, .
     )
 
 
-def index_repository(root: Path, max_bytes: int = MAX_INDEXED_BYTES) -> SymbolIndex:
+def index_repository(root: Path) -> SymbolIndex:
     """Index every readable text file under `root` (skips .git and binaries),
     parsing only the files whose content this process has not indexed yet."""
     global _PARSED
@@ -386,7 +383,7 @@ def index_repository(root: Path, max_bytes: int = MAX_INDEXED_BYTES) -> SymbolIn
     for path, rel in walk_files(os.fspath(root)):
         try:
             with open(path, "rb") as fh:
-                if os.fstat(fh.fileno()).st_size > max_bytes:
+                if os.fstat(fh.fileno()).st_size > MAX_INDEXED_BYTES:
                     continue
                 data = fh.read()
         except OSError as exc:
@@ -400,7 +397,7 @@ def index_repository(root: Path, max_bytes: int = MAX_INDEXED_BYTES) -> SymbolIn
         files[rel] = parsed[0]
         groups.append(parsed[1])
     _PARSED = used
-    return SymbolIndex(files, groups=groups)
+    return SymbolIndex(files, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,6 @@ def iter_grep(
     symbol: str,
     report: CrashReport | None = None,
     k: int = DEFAULT_K,
-    context_radius: int = DEFAULT_CONTEXT_RADIUS,
 ) -> list[LocalizationObject]:
     """Return the top-k locations of `symbol`, ranked by crash proximity.
 
@@ -455,8 +451,8 @@ def iter_grep(
     results = []
     for rank, site in enumerate(ranked, 1):
         count = index.line_count(site.file) or site.line
-        start = max(1, site.line - context_radius)
-        end = min(count, site.line + context_radius)
+        start = max(1, site.line - CONTEXT_RADIUS)
+        end = min(count, site.line + CONTEXT_RADIUS)
         results.append(
             LocalizationObject(
                 file=site.file,

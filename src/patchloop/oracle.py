@@ -162,11 +162,8 @@ class OracleRunner:
         return code, output
 
     def run_poc(self) -> tuple[int, str]:
-        """Run the reproduction command alone on the current tree.
-
-        Sessions take their crash evidence from ``pristine_poc`` instead, the
-        run ``validate_pristine`` already made; this is the fallback for a
-        runner whose baseline was set without one."""
+        """Run the reproduction command alone on the current tree. Sessions
+        take their crash evidence from ``pristine_poc`` instead."""
         return self._run(self.spec.poc_command)
 
     def validate_pristine(self) -> None:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .embedding import (
-    CachingEmbedder,
-    VectorRows,
     cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
     jaccard_similarity,
 )
@@ -25,7 +23,6 @@ from .memory import (
     MemoryEntry,
     MemoryStore,
     RetrievalKeys,
-    TierIndex,
     entry_timestamp,
     field_text,
     query_timestamp,
@@ -65,7 +62,6 @@ def retrieve(
     tier: str,
     query: Query,
     query_text_override: str | None = None,
-    embedder: CachingEmbedder | None = None,
 ) -> list[RankedEntry]:
     """Rank one tier's entries for a query.
 
@@ -104,13 +100,15 @@ def retrieve(
 
     query_text = query_text_override if query_text_override is not None else q.description
     field = "description" if query_text_override is None else "fail_patch"
+    pool_rows = [rows for _, rows in pools]
+    sims: list[list[float]] = [[] for _ in pools]
     try:
-        sims = _similarities(store, index, entries, field, query_text,
-                             [rows for _, rows in pools], embedder)
+        if any(pool_rows):
+            sims = store.cosines(index, field, store.embedder.embed(query_text), pool_rows)
     except EmbeddingUnavailable:
         sims = [
             [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
-            for _, rows in pools
+            for rows in pool_rows
         ]
     scored = [
         RankedEntry(entries[row], sim, priority)
@@ -132,28 +130,3 @@ def retrieve(
     scored.sort(key=sort_key)
     return scored[: query.top_n]
 
-
-def _similarities(
-    store: MemoryStore,
-    index: TierIndex,
-    entries: list[MemoryEntry],
-    field: str,
-    query_text: str,
-    pools: list[list[int]],
-    embedder: CachingEmbedder | None,
-) -> list[list[float]]:
-    """Cosine of the query against each pool's rows of `field`.
-
-    With the store's embedder the rows come from the tier index, which
-    embeds those it lacks; any other embedder embeds the pools on the spot.
-    Either way each pool is one :meth:`VectorRows.cosine` call.
-    """
-    if not any(pools):
-        return [[] for _ in pools]
-    if embedder is None or embedder is store.embedder:
-        return store.cosines(index, field, store.embedder.embed(query_text), pools)
-    q_vec = embedder.embed(query_text)
-    rows = [row for pool in pools for row in pool]
-    vectors = VectorRows()
-    vectors.put(rows, [embedder.embed(field_text(field, entries[row])) for row in rows])
-    return [vectors.cosine(q_vec, pool).tolist() for pool in pools]

@@ -11,13 +11,6 @@ from .oracle import VerificationVerdict
 from .workspace import CompressedContext
 
 
-class Phase(str, Enum):
-    LOCATE = "locate"
-    PATCH = "patch"
-    VERIFY = "verify"
-    DONE = "done"
-
-
 class Outcome(str, Enum):
     SUCCESS = "success"
     EXHAUSTED = "exhausted"
@@ -36,10 +29,8 @@ class RepairSession:
     """Full state of one task's repair lifecycle."""
 
     keys: RetrievalKeys
-    phase: Phase = Phase.LOCATE
     failed_attempts: int = 0
     current_loc: LocalizationObject | None = None
-    current_patch: str | None = None
     compressed: CompressedContext | None = None
     attempts: list[Attempt] = field(default_factory=list)
     outcome: Outcome | None = None

@@ -19,6 +19,7 @@ import os
 import re
 import select
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -33,7 +34,8 @@ DEFAULT_OUTPUT_CAP = 20_000
 DEFAULT_BASH_TIMEOUT = 300.0
 DEFAULT_LOG_BUDGET = 4_000
 DEFAULT_SEARCH_LIMIT = 5
-DEFAULT_SEARCH_CONTEXT = 2
+SEARCH_CONTEXT = 2  # lines shown on each side of a search match
+MAX_FAILURE_FRAMES = 8  # stack frames a compressed failure log keeps
 
 _GIT = shutil.which("git") or "git"
 
@@ -92,7 +94,12 @@ class _Escape(Exception):
 
 
 class PersistentShell:
-    """One long-lived bash process; cwd and environment persist across calls."""
+    """One long-lived bash process; cwd and environment persist across calls.
+
+    The shell leads a process group of its own, and a timeout, a restart and
+    ``close`` kill that whole group, so no command it started can write to
+    the checkout afterwards.
+    """
 
     def __init__(self, cwd: Path, timeout: float = DEFAULT_BASH_TIMEOUT) -> None:
         self.cwd = Path(cwd)
@@ -107,6 +114,7 @@ class PersistentShell:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=False,
+            start_new_session=True,
         )
         os.set_blocking(self._proc.stdout.fileno(), False)
 
@@ -119,13 +127,20 @@ class PersistentShell:
         self._spawn()
 
     def close(self) -> None:
-        if self._proc is not None:
+        """Kill the shell's process group, reap the shell and close its pipes."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        for pipe in (proc.stdin, proc.stdout):
             try:
-                self._proc.kill()
-                self._proc.wait(timeout=5)
-            except OSError:
+                pipe.close()
+            except OSError:  # unflushed input to a shell that already died
                 pass
-            self._proc = None
+        proc.wait()
 
     def run(self, command: str, timeout: float | None = None) -> tuple[bool, str, str | None]:
         """Returns (ok, output, error_kind). Timeout kills and respawns the shell."""
@@ -137,8 +152,8 @@ class PersistentShell:
         try:
             self._proc.stdin.write(script.encode("utf-8"))
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            self._proc = None
+        except OSError:
+            self.close()
             return False, "shell session died", SESSION_DEAD
 
         deadline = time.monotonic() + timeout
@@ -148,14 +163,17 @@ class PersistentShell:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.restart()
-                return False, f"command timed out after {timeout:.0f}s", TIMEOUT
+                return False, f"command timed out after {timeout:g}s", TIMEOUT
             ready, _, _ = select.select([fd], [], [], min(remaining, 0.2))
             if not ready:
                 if self._proc.poll() is not None:
-                    self._proc = None
+                    self.close()
                     return False, "shell session died", SESSION_DEAD
                 continue
             data = self._proc.stdout.read()
+            if data == b"":  # end of file: the shell exited, e.g. on `exit`
+                self.close()
+                return False, "shell session died", SESSION_DEAD
             if data:
                 chunks.append(data)
             buf = b"".join(chunks)
@@ -204,15 +222,16 @@ _DIAG_RE = re.compile(r"(ERROR|FAILED|FAIL\b|error:|Assertion|SUMMARY|Traceback)
 _FRAME_LINE_RE = re.compile(r"^\s*#\d+\s")
 
 
-def extract_failure_log(raw_logs: str, max_frames: int = 8) -> str:
-    """Keep the first diagnostic line, up to `max_frames` stack frames, and
-    failing-test lines; everything else is noise for the next iteration."""
+def extract_failure_log(raw_logs: str) -> str:
+    """Keep the first diagnostic line, up to ``MAX_FAILURE_FRAMES`` stack
+    frames, and failing-test lines; everything else is noise for the next
+    iteration."""
     lines = raw_logs.splitlines()
     picked: list[str] = []
     diag = next((l for l in lines if _DIAG_RE.search(l)), None)
     if diag is not None:
         picked.append(diag.strip())
-    frames = [l.rstrip() for l in lines if _FRAME_LINE_RE.match(l)][:max_frames]
+    frames = [l.rstrip() for l in lines if _FRAME_LINE_RE.match(l)][:MAX_FAILURE_FRAMES]
     picked.extend(frames)
     fails = [l.strip() for l in lines if l.strip().startswith("FAIL")][:5]
     for l in fails:
@@ -362,15 +381,10 @@ class Workspace:
         return "\n".join(rows)
 
     def search(
-        self,
-        pattern: str,
-        search_path: str = ".",
-        limit: int = DEFAULT_SEARCH_LIMIT,
-        context: int = DEFAULT_SEARCH_CONTEXT,
-        per_file_limit: bool = False,
+        self, pattern: str, search_path: str = ".", limit: int = DEFAULT_SEARCH_LIMIT
     ) -> ToolResult:
-        """Regex search with context lines; `limit` is global unless
-        `per_file_limit` is set."""
+        """Regex search with ``SEARCH_CONTEXT`` lines of context around each
+        of the first `limit` matches."""
         try:
             compiled = re.compile(pattern)
         except re.error as exc:
@@ -392,7 +406,6 @@ class Workspace:
             files = walk_files(str(target), prefix)
         blocks: list[str] = []
         total = 0
-        truncated = False
         for path, rel in files:
             try:
                 with open(path, "rb") as fh:
@@ -402,27 +415,21 @@ class Workspace:
             if b"\x00" in data:
                 continue
             lines = data.decode("utf-8", errors="replace").splitlines()
-            shown_in_file = 0
             for lineno, line in enumerate(lines, 1):
                 if not compiled.search(line):
                     continue
                 total += 1
-                budget_hit = (
-                    shown_in_file >= limit if per_file_limit else len(blocks) >= limit
-                )
-                if budget_hit:
-                    truncated = True
+                if len(blocks) >= limit:
                     continue
-                shown_in_file += 1
-                lo = max(1, lineno - context)
-                hi = min(len(lines), lineno + context)
+                lo = max(1, lineno - SEARCH_CONTEXT)
+                hi = min(len(lines), lineno + SEARCH_CONTEXT)
                 body = "\n".join(
                     f"{'>' if i == lineno else ' '}{i:5}: {lines[i - 1]}"
                     for i in range(lo, hi + 1)
                 )
                 blocks.append(f"== {rel}:{lineno} ==\n{body}")
         out = "\n".join(blocks) if blocks else "(no matches)"
-        if truncated:
+        if total > len(blocks):
             out += f"\n({total - len(blocks)} more matches not shown)"
         return ToolResult(True, cap_output(out, self.output_cap))
 

@@ -15,7 +15,7 @@ from patchloop.agent import (
     extract_localization,
 )
 from patchloop.errors import BuildToolMissing, WorkspaceError
-from patchloop.gateway import ChatTurn, ScriptedGateway
+from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, ScriptedGateway
 from patchloop.memory import (
     L3Entry,
     MemoryStore,
@@ -239,20 +239,6 @@ def test_relocate_runs_the_poc_only_to_validate_and_verify(demo_repo, tmp_path, 
     assert commands.count("python3 poc.py") == 3
 
 
-def test_runner_without_pristine_run_runs_poc_once(demo_repo, tmp_path, monkeypatch):
-    task = make_task(demo_repo)
-    task.oracle.baseline_passing = {"copies_payload", "tracks_length", "zero_length_copy"}
-    runs = []
-    run_poc = OracleRunner.run_poc
-    monkeypatch.setattr(OracleRunner, "run_poc", lambda self: runs.append(1) or run_poc(self))
-    report, runner, _ = run_scripted(
-        demo_repo, tmp_path, fx.transcript_relocate_then_success, task=task
-    )
-    assert report.outcome == "success"
-    assert len(runs) == 1
-    assert "heap-buffer-overflow" in locator_evidence(runner)[1]
-
-
 def test_every_locator_prompt_carries_the_pristine_poc_output(demo_repo, tmp_path):
     _, runner, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
     code, output = runner.task.oracle.pristine_poc
@@ -279,6 +265,28 @@ def test_relocate_evidence_comes_from_the_pristine_build(demo_repo, tmp_path):
     assert fx.REPLACE_OLD in first  # printed from the pristine build
     assert "buf.capacity * 8" not in second  # the failed candidate's guard
     assert second == first
+
+
+def test_long_poc_output_is_cut_to_its_frames_and_an_excerpt(demo_repo, tmp_path):
+    # About 220k characters of output around the two crash frames.
+    noise = "python3 -c \"print('noise ' * 18_300)\""
+    spec = OracleSpec(
+        poc_command=f"{noise}; python3 poc.py; status=$?; {noise}; exit $status",
+        regression_command="python3 tests.py",
+    )
+    report, runner, _ = run_scripted(
+        demo_repo, tmp_path, fx.transcript_success, task=make_task(demo_repo, spec)
+    )
+    assert report.outcome == "success"
+    _, output = runner.task.oracle.pristine_poc
+    assert len(output) > 200_000
+    turns = [t for t in runner.trajectory if t["type"] == "turn"]
+    system, user = turns[0], turns[1]
+    assert "# Runtime evidence" in user["content"]
+    assert len(system["content"]) + len(user["content"]) <= DEFAULT_PROMPT_BUDGET
+    (evidence,) = locator_evidence(runner)
+    assert evidence.startswith("#0 in safe_copy app/buffer.py:14\n#1 in main poc.py:10\n")
+    assert "output truncated" in evidence
 
 
 def tool_missing_once_fixed(demo_repo) -> RepairTask:

@@ -76,6 +76,31 @@ cwe = cwe_id
     assert cfg.ingest_column_map == {"cwe": "cwe_id"}
 
 
+def test_readme_configuration_block_loads_without_warnings(tmp_path, caplog):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration\n\n```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.cfg"
+    path.write_text(block, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="patchloop.config"):
+        cfg = load_config(path)
+    assert caplog.records == []
+    assert cfg.gateway.backend == "scripted"  # the trailing "; or: http" is a comment
+    assert cfg.limits.k_min == 2 and cfg.limits.attempt_cap == 3
+    assert cfg.tool_output_cap == 20_000
+
+
+def test_load_config_warns_about_keys_it_does_not_read(tmp_path, caplog):
+    path = tmp_path / "run.cfg"
+    path.write_text("[limits]\natempt_cap = 1\n\n[oracle]\ntotal_budget = 60\n")
+    with caplog.at_level("WARNING", logger="patchloop.config"):
+        cfg = load_config(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        "config section [limits]: ignoring unknown key 'atempt_cap'"
+    ]
+    assert cfg.limits.attempt_cap == 3
+    assert cfg.oracle.total_budget == 60.0
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_ranking_matches_brute_force_comparator():
     )
     index = SymbolIndex(
         files={f: 300 for f in ("a.c", "b.c", "c.c", "d.c")},
-        sites={"sym": [s for s in sites if s.symbol == "sym"]},
+        groups=[{"sym": [s for s in sites if s.symbol == "sym"]}],
     )
     for k in (3, 5, 12):
         got = [(o.file, o.line_range) for o in iter_grep(index, "sym", report, k=k)]
@@ -252,7 +252,7 @@ def test_without_report_ranking_degrades_to_kind_then_path():
         SymbolSite("a.c", 5, USE, "sym"),
         SymbolSite("m.c", 1, DEFINITION, "sym"),
     ]
-    index = SymbolIndex(files={"z.c": 20, "a.c": 20, "m.c": 20}, sites={"sym": sites})
+    index = SymbolIndex(files={"z.c": 20, "a.c": 20, "m.c": 20}, groups=[{"sym": sites}])
     result = iter_grep(index, "sym", None)
     assert [(o.file, o.rank) for o in result] == [("m.c", 1), ("a.c", 2), ("z.c", 3)]
 
@@ -286,7 +286,7 @@ def test_crash_file_sites_outrank_outside_sites():
         SymbolSite("cold.c", 50, DEFINITION, "sym"),
         SymbolSite("hot.c", 400, USE, "sym"),
     ]
-    index = SymbolIndex(files={"cold.c": 500, "hot.c": 500}, sites={"sym": sites})
+    index = SymbolIndex(files={"cold.c": 500, "hot.c": 500}, groups=[{"sym": sites}])
     report = CrashReport([CrashFrame("hot.c", 10, "f")], "heap-buffer-overflow", "")
     result = iter_grep(index, "sym", report)
     assert result[0].file == "hot.c"
@@ -295,7 +295,7 @@ def test_crash_file_sites_outrank_outside_sites():
 def test_absolute_frame_paths_match_relative_sites():
     index = SymbolIndex(
         files={"src/mod.c": 100},
-        sites={"sym": [SymbolSite("src/mod.c", 10, USE, "sym")]},
+        groups=[{"sym": [SymbolSite("src/mod.c", 10, USE, "sym")]}],
     )
     report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv", "")
     result = iter_grep(index, "sym", report)

@@ -209,12 +209,11 @@ def test_l3_refinement_scores_against_failed_patches():
 
 
 def test_embedding_outage_degrades_to_token_overlap():
-    store = MemoryStore()
-    insert(store, entry("proj.cve-2020-1", desc="overflow copying attacker payload"))
-    insert(store, entry("proj.cve-2020-2", desc="unrelated words entirely different"))
-    result = retrieve(
-        store, "L1", Query(QUERY_KEYS), embedder=FailingEmbedder()
-    )
+    store = MemoryStore(embedder=FailingEmbedder())
+    # Appended directly: insert would need the embedder for its dedup check.
+    store.l1.append(entry("proj.cve-2020-1", desc="overflow copying attacker payload"))
+    store.l1.append(entry("proj.cve-2020-2", desc="unrelated words entirely different"))
+    result = retrieve(store, "L1", Query(QUERY_KEYS))
     assert [r.entry.keys.instance_id for r in result] == ["proj.cve-2020-1", "proj.cve-2020-2"]
     assert result[0].similarity > result[1].similarity
 
@@ -230,7 +229,7 @@ class ScaledEmbedder:
 
 
 def test_ranking_invariant_under_uniform_positive_scaling():
-    store = MemoryStore()
+    store, scaled_store = MemoryStore(), MemoryStore(embedder=ScaledEmbedder(7.25))
     for i, desc in enumerate(
         [
             "overflow copying payload into packet buffer",
@@ -240,8 +239,9 @@ def test_ranking_invariant_under_uniform_positive_scaling():
         ]
     ):
         insert(store, entry(f"proj.cve-2019-{i + 1}", desc=desc))
+        insert(scaled_store, entry(f"proj.cve-2019-{i + 1}", desc=desc))
     baseline = retrieve(store, "L1", Query(QUERY_KEYS))
-    scaled = retrieve(store, "L1", Query(QUERY_KEYS), embedder=ScaledEmbedder(7.25))
+    scaled = retrieve(scaled_store, "L1", Query(QUERY_KEYS))
     assert [r.entry.keys.instance_id for r in baseline] == [
         r.entry.keys.instance_id for r in scaled
     ]

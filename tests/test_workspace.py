@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 import subprocess
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -116,17 +119,7 @@ def test_search_truncates_at_limit_with_note(ws):
     assert "4 more matches not shown" in result.output
 
 
-def test_search_per_file_limit_flag(ws):
-    ws.create("m1.txt", "needle\n" * 4)
-    ws.create("m2.txt", "needle\n" * 4)
-    result = ws.search("needle", limit=3, per_file_limit=True)
-    assert result.output.count("== m1.txt:") == 3
-    assert result.output.count("== m2.txt:") == 3
-
-
-def _reference_search(
-    root: Path, pattern: str, limit: int, per_file_limit: bool, target: str = "."
-) -> str:
+def _reference_search(root: Path, pattern: str, limit: int, target: str = ".") -> str:
     """Search as a plain `sorted(rglob)` walk does it (context 2, no cap)."""
     compiled = re.compile(pattern)
     blocks, total, truncated = [], 0, False
@@ -138,15 +131,13 @@ def _reference_search(
         if b"\x00" in data:
             continue
         lines = data.decode("utf-8", errors="replace").splitlines()
-        shown = 0
         for lineno, line in enumerate(lines, 1):
             if not compiled.search(line):
                 continue
             total += 1
-            if (shown >= limit) if per_file_limit else (len(blocks) >= limit):
+            if len(blocks) >= limit:
                 truncated = True
                 continue
-            shown += 1
             lo, hi = max(1, lineno - 2), min(len(lines), lineno + 2)
             body = "\n".join(
                 f"{'>' if i == lineno else ' '}{i:5}: {lines[i - 1]}" for i in range(lo, hi + 1)
@@ -187,14 +178,14 @@ def test_search_and_index_walk_matches_sorted_rglob(tmp_path):
 
     ws = Workspace(repo, bash_timeout=10)
     try:
-        for limit, per_file in ((4, False), (100, False), (2, True)):
-            got = ws.search("needle", limit=limit, per_file_limit=per_file)
+        for limit in (4, 100):
+            got = ws.search("needle", limit=limit)
             assert got.ok
-            assert got.output == _reference_search(repo, "needle", limit, per_file), (limit, per_file)
+            assert got.output == _reference_search(repo, "needle", limit), limit
         assert "more matches not shown" in ws.search("needle", limit=4).output
         for target in ("a", "vendor", "vendor/lib/.git"):
             got = ws.search("needle", target, limit=100).output
-            assert got == _reference_search(repo, "needle", 100, False, target), target
+            assert got == _reference_search(repo, "needle", 100, target), target
         assert ws.search("needle", "a", limit=100).output.splitlines()[0] == "== a/x.c:1 =="
     finally:
         ws.close()
@@ -276,6 +267,31 @@ def test_bash_timeout_restarts_session(ws):
     assert result.error_kind == "Timeout"
     # session is usable again and back at the root
     assert ws.bash("pwd").output.strip() == str(ws.root)
+
+
+def test_bash_timeout_kills_the_commands_children(tmp_path):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ws = Workspace(repo, bash_timeout=10)
+        result = ws.bash("sh -c 'sleep 1; touch orphan_from_bash'", timeout=0.3)
+        ws.close()
+        del ws
+        gc.collect()
+    assert result.error_kind == "Timeout"
+    assert result.output == "command timed out after 0.3s"
+    time.sleep(1.5)
+    assert not (repo / "orphan_from_bash").exists()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_bash_exit_ends_the_session_at_once(ws):
+    started = time.monotonic()
+    result = ws.bash("exit 3")
+    assert result.error_kind == "SessionDead"
+    assert time.monotonic() - started < 5  # not the 10 s timeout
+    assert ws.bash("pwd").error_kind == "SessionDead"
+    assert ws.bash("pwd", restart=True).output.strip() == str(ws.root)
 
 
 def test_bash_nonzero_exit_reported(ws):
