@@ -153,11 +153,14 @@ def extract_localization(text: str) -> LocalizationObject | None:
             continue
         if not isinstance(obj, dict) or "file" not in obj:
             continue
-        if "line_start" in obj and "line_end" in obj:
-            start, end = int(obj["line_start"]), int(obj["line_end"])
-        elif "line_range" in obj:
-            start, end = int(obj["line_range"][0]), int(obj["line_range"][1])
-        else:
+        try:
+            if "line_start" in obj and "line_end" in obj:
+                start, end = int(obj["line_start"]), int(obj["line_end"])
+            elif "line_range" in obj:
+                start, end = int(obj["line_range"][0]), int(obj["line_range"][1])
+            else:
+                continue
+        except (TypeError, ValueError, LookupError, OverflowError):  # not line numbers
             continue
         return LocalizationObject(
             file=str(obj["file"]),

@@ -3,7 +3,8 @@ and memory administration.
 
 Exit codes for `repair`: 0 on success, 1 when the attempt budget is
 exhausted, 2 on configuration errors (bad task file, unusable workspace,
-reproduction command passing on the pristine repo, ...).
+reproduction command passing, missing or timing out on the pristine repo,
+...).
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from pathlib import Path
 from . import memory
 from .agent import RepairTask, SessionRunner
 from .config import EngineConfig, build_embedder, load_config
-from .errors import (
-    CorruptMemoryFile,
-    InvariantViolation,
-    NoMatch,
-    PristineCheckFailed,
-    UnreadableCorpus,
-    WorkspaceError,
-)
+from .errors import InvariantViolation, NoMatch, PatchloopError, UnreadableCorpus
 from .gateway import build_gateway
 from .localizer import index_repository, iter_grep, parse_crash_report
 from .memory import (
@@ -57,7 +51,7 @@ def _normalize_cwe(raw: str) -> str | None:
     return f"CWE-{int(raw)}" if raw.isdigit() else None
 
 
-def _iter_corpus_rows(path: Path, column_map: dict[str, str]):
+def _iter_corpus_rows(path: Path):
     """Yield (lineno, row_dict) from a CSV or JSON-lines corpus."""
     try:
         if path.suffix.lower() == ".csv":
@@ -78,16 +72,12 @@ def _iter_corpus_rows(path: Path, column_map: dict[str, str]):
 
 
 def ingest(
-    corpus_file: Path,
-    memory_file: Path,
-    column_map: dict[str, str] | None = None,
-    store: MemoryStore | None = None,
+    corpus_file: Path, memory_file: Path, column_map: dict[str, str], store: MemoryStore
 ) -> tuple[int, int, int]:
-    """Load corpus rows as historical-fix entries; returns (inserted, merged, rejected)."""
-    column_map = column_map or {}
-    store = store if store is not None else load_store(memory_file)
+    """Load corpus rows into `store` as historical-fix entries, then save it
+    to `memory_file`; returns (inserted, merged, rejected)."""
     inserted = merged = rejected = 0
-    for lineno, row in _iter_corpus_rows(Path(corpus_file), column_map):
+    for lineno, row in _iter_corpus_rows(Path(corpus_file)):
         mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}
         cwe = _normalize_cwe(mapped["cwe"])
         if cwe is None:
@@ -197,8 +187,9 @@ def repair_one(
 
 
 def _cmd_ingest(args, cfg: EngineConfig) -> int:
+    store = load_store(Path(args.memory), embedder=build_embedder(cfg.retrieval))
     inserted, merged, rejected = ingest(
-        Path(args.corpus), Path(args.memory), cfg.ingest_column_map
+        Path(args.corpus), Path(args.memory), cfg.ingest_column_map, store
     )
     if args.json:
         print(json.dumps({"inserted": inserted, "merged": merged, "rejected": rejected}))
@@ -364,16 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (
-        FileNotFoundError,
-        KeyError,
-        json.JSONDecodeError,
-        UnreadableCorpus,
-        CorruptMemoryFile,
-        WorkspaceError,
-        PristineCheckFailed,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, KeyError, ValueError, PatchloopError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import EngineLimits
-from .embedding import (
-    DEFAULT_REMOTE_TIMEOUT,
-    CachingEmbedder,
-    DeterministicEmbedder,
-    RemoteEmbedder,
-)
+from .embedding import DEFAULT_REMOTE_TIMEOUT, CachingEmbedder, RemoteEmbedder, default_embedder
 from .gateway import GatewayConfig
 from .oracle import DEFAULT_COMMAND_TIMEOUT, DEFAULT_TOTAL_BUDGET
 from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_OUTPUT_CAP
@@ -110,6 +105,11 @@ def load_config(path: Path | None) -> EngineConfig:
     for name, targets in sections.items():
         if parser.has_section(name):
             _apply(parser[name], targets)
+    if not 1 <= cfg.limits.k_min <= cfg.limits.top_n:
+        raise ValueError(
+            f"[retrieval] needs 1 <= k_min <= top_n, got k_min = {cfg.limits.k_min}, "
+            f"top_n = {cfg.limits.top_n}"
+        )
     if parser.has_section("ingest"):
         cfg.ingest_column_map = {
             key: _unquote(value) for key, value in parser["ingest"].items()
@@ -122,4 +122,4 @@ def build_embedder(cfg: RetrievalConfig):
         return CachingEmbedder(
             RemoteEmbedder(cfg.endpoint, cfg.model_name, cfg.api_key_env, cfg.timeout)
         )
-    return CachingEmbedder(DeterministicEmbedder())
+    return default_embedder()

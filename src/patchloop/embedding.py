@@ -1,4 +1,4 @@
-"""Text embedding backends, a bounded content-hash cache, and row-wise cosine.
+"""Text embedding backends, a bounded least-recently-used cache, and row-wise cosine.
 
 Two backends share one interface: a deterministic local embedder used for
 tests and offline runs (signed feature hashing over word tokens), and a
@@ -10,14 +10,13 @@ cache mostly serves texts a session repeats, such as its queries.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
-import threading
 import urllib.error
 import urllib.request
-from collections import OrderedDict
 
 import numpy as np
 
@@ -42,25 +41,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def cosine_rows(rows: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``cosine(vec, row)`` for every row, given each row's ``np.linalg.norm``.
-
-    The float operations are those of :func:`cosine`: ``dot / (|vec| * |row|)``,
-    clipped, and 0.0 where either norm is zero. Rows are not normalised in
-    advance, because ``(a/|a|)·(b/|b|)`` can differ from that in the last bit.
-    For integer-valued vectors (the deterministic embedder's) every dot
-    product is exact, so the result equals :func:`cosine` bit for bit; for
-    real-valued vectors (a remote embedder's) the mat-vec may sum in another
-    order than ``np.dot`` and differ from it in the last bit.
-    """
-    out = np.zeros(len(norms))
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return out
-    np.divide(rows @ vec, norm * norms, out=out, where=norms != 0.0)
-    return np.clip(out, -1.0, 1.0, out=out)
 
 
 class VectorRows:
@@ -105,10 +85,23 @@ class VectorRows:
         self.vectors, self.norms, self.stored = vectors, norms, stored
 
     def cosine(self, vec: np.ndarray, rows) -> np.ndarray:
-        """:func:`cosine_rows` of `vec` against `rows`, which must all be stored."""
-        if self.vectors is None:
-            return np.zeros(0)
-        return cosine_rows(self.vectors[rows], self.norms[rows], vec)
+        """``cosine(vec, row)`` for each of `rows`, which must all be stored.
+
+        The float operations are those of :func:`cosine`: ``dot / (|vec| * |row|)``,
+        clipped, and 0.0 where either norm is zero. Rows are not normalised in
+        advance, because ``(a/|a|)·(b/|b|)`` can differ from that in the last bit.
+        For integer-valued vectors (the deterministic embedder's) every dot
+        product is exact, so the result equals :func:`cosine` bit for bit; for
+        real-valued vectors (a remote embedder's) the mat-vec may sum in another
+        order than ``np.dot`` and differ from it in the last bit.
+        """
+        norms = self.norms[rows]
+        out = np.zeros(len(norms))
+        norm = float(np.linalg.norm(vec))
+        if self.vectors is None or norm == 0.0:
+            return out
+        np.divide(self.vectors[rows] @ vec, norm * norms, out=out, where=norms != 0.0)
+        return np.clip(out, -1.0, 1.0, out=out)
 
 
 def jaccard_similarity(a: str, b: str) -> float:
@@ -127,8 +120,7 @@ class DeterministicEmbedder:
     signed token-count histogram (unnormalized; cosine is scale-invariant).
     """
 
-    def __init__(self, dim: int = 64) -> None:
-        self.dim = dim
+    dim = 64
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
@@ -149,13 +141,11 @@ class RemoteEmbedder:
         model_name: str,
         api_key_env: str = "",
         timeout: float = DEFAULT_REMOTE_TIMEOUT,
-        dim: int = 1536,
     ) -> None:
         self.endpoint = endpoint.rstrip("/")
         self.model_name = model_name
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
         payload = json.dumps({"model": self.model_name, "input": [text]}).encode("utf-8")
@@ -176,35 +166,22 @@ class RemoteEmbedder:
 
 
 class CachingEmbedder:
-    """Wraps any embedder with a thread-safe cache keyed by content hash.
+    """Wraps any embedder with a thread-safe cache of the :data:`CACHE_SIZE`
+    most recently used texts. A hit returns the cached array itself.
 
-    The cache holds the :data:`CACHE_SIZE` most recently used texts.
+    A miss looks ``inner.embed`` up anew, so a method replaced on the inner
+    embedder or its class takes effect at once.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
-        self.dim = inner.dim
-        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
+        self._cached = functools.lru_cache(maxsize=CACHE_SIZE)(lambda text: self.inner.embed(text))
 
     def embed(self, text: str) -> np.ndarray:
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit
-        vec = self.inner.embed(text)
-        with self._lock:
-            self._cache[key] = vec
-            self._cache.move_to_end(key)
-            while len(self._cache) > CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return vec
+        return self._cached(text)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return self._cached.cache_info().currsize
 
 
 def default_embedder() -> CachingEmbedder:

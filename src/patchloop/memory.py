@@ -25,10 +25,10 @@ import json
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Callable, ClassVar, Iterable, Union
 
 import numpy as np
 
@@ -81,72 +81,70 @@ class RetrievalKeys:
 
 
 @dataclass
-class L1Entry:
-    keys: RetrievalKeys
-    fix_patch: str
-    fallback_seq: int | None = None
+class _Entry:
+    """What every tier's entry has: its retrieval keys, the ingestion
+    sequence number that orders an id without a CVE timestamp, and the
+    unified-diff fields named in ``DIFFS``. Each tier adds its own fields."""
 
-    tier = "L1"
+    keys: RetrievalKeys
+    fallback_seq: int | None = field(default=None, kw_only=True)
+
+    DIFFS: ClassVar[tuple[str, ...]] = ()
 
     @property
     def patch_text(self) -> str:
-        return self.fix_patch
+        # Dedup compares the whole payload: an L3 entry's failed patch and its
+        # correction delta, not just one side.
+        return "\n".join(getattr(self, name) for name in self.DIFFS)
 
     def validate(self) -> None:
         self.keys.validate()
-        if not diffutil.looks_like_unified_diff(self.fix_patch):
-            raise InvariantViolation("fix_patch is not a unified diff")
+        for name in self.DIFFS:
+            if not diffutil.looks_like_unified_diff(getattr(self, name)):
+                raise InvariantViolation(f"{name} is not a unified diff")
 
 
 @dataclass
-class L2Entry:
-    keys: RetrievalKeys
+class L1Entry(_Entry):
+    fix_patch: str
+
+    tier = "L1"
+    DIFFS = ("fix_patch",)
+
+
+@dataclass
+class L2Entry(_Entry):
     fix_patch: str
     rationale: str
-    fallback_seq: int | None = None
 
     tier = "L2"
-
-    @property
-    def patch_text(self) -> str:
-        return self.fix_patch
+    DIFFS = ("fix_patch",)
 
     def validate(self) -> None:
-        self.keys.validate()
-        if not diffutil.looks_like_unified_diff(self.fix_patch):
-            raise InvariantViolation("fix_patch is not a unified diff")
+        super().validate()
         if not self.rationale.strip():
             raise InvariantViolation("rationale must be non-empty")
 
 
 @dataclass
-class L3Entry:
-    keys: RetrievalKeys
+class L3Entry(_Entry):
     fail_patch: str
     correction_delta: str
     transition_insight: str
-    fallback_seq: int | None = None
 
     tier = "L3"
-
-    @property
-    def patch_text(self) -> str:
-        # Dedup compares the whole failure-to-success payload, not just one side.
-        return self.fail_patch + "\n" + self.correction_delta
+    DIFFS = ("fail_patch", "correction_delta")
 
     def validate(self) -> None:
-        self.keys.validate()
-        if not diffutil.looks_like_unified_diff(self.fail_patch):
-            raise InvariantViolation("fail_patch is not a unified diff")
-        if not diffutil.looks_like_unified_diff(self.correction_delta):
-            raise InvariantViolation("correction_delta is not a unified diff")
+        super().validate()
         if self.fail_patch == self.correction_delta:
             raise InvariantViolation("fail_patch and correction_delta must differ")
 
 
 MemoryEntry = Union[L1Entry, L2Entry, L3Entry]
 
-TIERS = ("L1", "L2", "L3")
+ENTRY_TYPES = {cls.tier: cls for cls in (L1Entry, L2Entry, L3Entry)}
+TIERS = tuple(ENTRY_TYPES)
 
 
 def field_text(field: str, entry: MemoryEntry) -> str:
@@ -161,10 +159,12 @@ def field_text(field: str, entry: MemoryEntry) -> str:
 
 
 class TierIndex:
-    """One tier's entries in store order, their rows by ``(cwe, language)``,
-    and the raw embedding rows of each text field.
+    """One tier's entries in store order, each one's :func:`entry_timestamp`,
+    their rows by ``(cwe, language)``, and the raw embedding rows of each
+    text field.
 
-    Row ``i`` of every field belongs to ``entries[i]``. A field's rows are
+    Row ``i`` of ``stamps`` and of every field belongs to ``entries[i]``; a
+    stamp is taken once, when its entry is added. A field's rows are
     embedded when first needed, each on its own: a read embeds only the
     rows it scores, and an embedding outage part-way leaves the rows
     stored so far.
@@ -172,6 +172,7 @@ class TierIndex:
 
     def __init__(self, entries: Iterable[MemoryEntry] = ()) -> None:
         self.entries: list[MemoryEntry] = []
+        self.stamps: list[tuple[float, float, float]] = []
         self.buckets: dict[tuple[str, str], list[int]] = {}
         self.fields: dict[str, VectorRows] = {}
         for entry in entries:
@@ -180,6 +181,7 @@ class TierIndex:
     def add(self, entry: MemoryEntry) -> None:
         row = len(self.entries)
         self.entries.append(entry)
+        self.stamps.append(entry_timestamp(entry))
         self.buckets.setdefault((entry.keys.cwe, entry.keys.language), []).append(row)
 
     def field(self, name: str) -> VectorRows:
@@ -209,22 +211,18 @@ def entry_timestamp(entry: MemoryEntry) -> tuple[float, float, float]:
 
     Entries without a parseable CVE segment use their ingestion sequence
     number, namespaced after every real timestamp so the temporal filter
-    stays a total order.
+    stays a total order; without one they sort after everything.
     """
     ts = parse_timestamp(entry.keys.instance_id)
     if ts is not None:
         return (0.0, float(ts.year), float(ts.sequence))
-    if entry.fallback_seq is not None:
-        return (1.0, float(entry.fallback_seq), 0.0)
-    return (1.0, math.inf, 0.0)
+    return (1.0, math.inf if entry.fallback_seq is None else float(entry.fallback_seq), 0.0)
 
 
 def query_timestamp(keys: RetrievalKeys) -> tuple[float, float, float]:
-    """Sort key for a query; unparseable ids sort after everything."""
-    ts = parse_timestamp(keys.instance_id)
-    if ts is not None:
-        return (0.0, float(ts.year), float(ts.sequence))
-    return (1.0, math.inf, 0.0)
+    """Sort key for a query: :func:`entry_timestamp` of an entry with these
+    keys and no sequence number."""
+    return entry_timestamp(_Entry(keys))
 
 
 class InsertOutcome(str, Enum):
@@ -285,15 +283,13 @@ class MemoryStore:
         index = self._indexes[tier] = self._indexes[tier].caught_up(self.tier_entries(tier))
         return index
 
-    def bucket(
-        self, tier: str, cwe: str, language: str
-    ) -> tuple[TierIndex, list[MemoryEntry], list[int]]:
-        """The tier's caught-up index, its entries, and its rows for
-        ``(cwe, language)`` in store order. These rows never change: later
-        writes append after them or go to a new index."""
+    def bucket(self, tier: str, cwe: str, language: str) -> tuple[TierIndex, list[int]]:
+        """The tier's caught-up index and its rows for ``(cwe, language)`` in
+        store order. These rows never change: later writes append after them
+        or go to a new index."""
         with self._write_lock:
             index = self._index(tier)
-            return index, index.entries, list(index.buckets.get((cwe, language), ()))
+            return index, list(index.buckets.get((cwe, language), ()))
 
     def embed_rows(self, index: TierIndex, field: str, rows) -> None:
         """Store in `index` the vectors of `field` its `rows` lack.
@@ -460,21 +456,20 @@ def consolidate_success(
 # Persistence: line-delimited JSON, one entry per line with a tier tag.
 # ---------------------------------------------------------------------------
 
-_SHARED_FIELDS = ("project", "cwe", "language", "instance_id", "description")
+_KEY_FIELDS = [f.name for f in fields(RetrievalKeys)]
+# Each tier's own fields, in declaration order.
+_TIER_FIELDS = {
+    tier: [f.name for f in fields(cls) if f.name not in ("keys", "fallback_seq")]
+    for tier, cls in ENTRY_TYPES.items()
+}
 
 
 def _entry_to_record(entry: MemoryEntry, store: MemoryStore) -> dict:
     rec: dict = {"tier": entry.tier}
-    for name in _SHARED_FIELDS:
+    for name in _KEY_FIELDS:
         rec[name] = getattr(entry.keys, name)
-    if isinstance(entry, (L1Entry, L2Entry)):
-        rec["fix_patch"] = entry.fix_patch
-    if isinstance(entry, L2Entry):
-        rec["rationale"] = entry.rationale
-    if isinstance(entry, L3Entry):
-        rec["fail_patch"] = entry.fail_patch
-        rec["correction_delta"] = entry.correction_delta
-        rec["transition_insight"] = entry.transition_insight
+    for name in _TIER_FIELDS[entry.tier]:
+        rec[name] = getattr(entry, name)
     if entry.fallback_seq is not None:
         rec["fallback_seq"] = entry.fallback_seq
     last = store.retrieval_log.get(entry_key(entry))
@@ -485,29 +480,15 @@ def _entry_to_record(entry: MemoryEntry, store: MemoryStore) -> dict:
 
 def _record_to_entry(rec: dict) -> MemoryEntry:
     try:
-        keys = RetrievalKeys(*(rec[name] for name in _SHARED_FIELDS))
+        keys = RetrievalKeys(*(rec[name] for name in _KEY_FIELDS))
         tier = rec["tier"]
-        fallback_seq = rec.get("fallback_seq")
-        if tier == "L1":
-            return L1Entry(keys=keys, fix_patch=rec["fix_patch"], fallback_seq=fallback_seq)
-        if tier == "L2":
-            return L2Entry(
-                keys=keys,
-                fix_patch=rec["fix_patch"],
-                rationale=rec["rationale"],
-                fallback_seq=fallback_seq,
-            )
-        if tier == "L3":
-            return L3Entry(
-                keys=keys,
-                fail_patch=rec["fail_patch"],
-                correction_delta=rec["correction_delta"],
-                transition_insight=rec["transition_insight"],
-                fallback_seq=fallback_seq,
-            )
+        cls = ENTRY_TYPES.get(tier) if isinstance(tier, str) else None
+        if cls is None:
+            raise CorruptMemoryFile(f"unknown tier tag: {tier!r}")
+        own = {name: rec[name] for name in _TIER_FIELDS[tier]}
     except KeyError as exc:
         raise CorruptMemoryFile(f"entry record missing field: {exc}") from exc
-    raise CorruptMemoryFile(f"unknown tier tag: {rec.get('tier')!r}")
+    return cls(keys, fallback_seq=rec.get("fallback_seq"), **own)
 
 
 def _state_path(path: Path) -> Path:

@@ -23,7 +23,6 @@ from .memory import (
     MemoryEntry,
     MemoryStore,
     RetrievalKeys,
-    entry_timestamp,
     field_text,
     query_timestamp,
 )
@@ -80,16 +79,16 @@ def retrieve(
     q = query.keys
     q_ts = query_timestamp(q)
 
-    index, entries, bucket = store.bucket(tier, q.cwe, q.language)
+    index, bucket = store.bucket(tier, q.cwe, q.language)
+    entries, stamps = index.entries, index.stamps
     p1: list[int] = []
     p2: list[int] = []
     for row in bucket:
-        entry = entries[row]
-        keys = entry.keys
+        keys = entries[row].keys
         if keys.instance_id == q.instance_id:
             continue
         if keys.project == q.project:
-            if entry_timestamp(entry) < q_ts:
+            if stamps[row] < q_ts:
                 p1.append(row)
         else:
             p2.append(row)
@@ -110,23 +109,14 @@ def retrieve(
             [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
             for rows in pool_rows
         ]
-    scored = [
-        RankedEntry(entries[row], sim, priority)
+    # Higher similarity first, then the newer timestamp, then the instance
+    # id; the row number last keeps full ties in store order.
+    scored = sorted(
+        (priority, -sim, *(-t for t in stamps[row]), entries[row].keys.instance_id, row)
         for (priority, rows), pool_sims in zip(pools, sims)
         for row, sim in zip(rows, pool_sims)
+    )
+    return [
+        RankedEntry(entries[row], -neg_sim, priority)
+        for priority, neg_sim, *_, row in scored[: query.top_n]
     ]
-
-    def sort_key(r: RankedEntry):
-        kind, major, minor = entry_timestamp(r.entry)
-        return (
-            int(r.priority_tier),
-            -r.similarity,
-            -kind,
-            -major,
-            -minor,
-            r.entry.keys.instance_id,
-        )
-
-    scored.sort(key=sort_key)
-    return scored[: query.top_n]
-

@@ -157,36 +157,47 @@ class PersistentShell:
             return False, "shell session died", SESSION_DEAD
 
         deadline = time.monotonic() + timeout
-        chunks: list[bytes] = []
+        marker_b = marker.encode()
+        buf = bytearray()
         fd = self._proc.stdout.fileno()
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.restart()
-                return False, f"command timed out after {timeout:g}s", TIMEOUT
+                return False, _ended(buf, f"command timed out after {timeout:g}s"), TIMEOUT
             ready, _, _ = select.select([fd], [], [], min(remaining, 0.2))
             if not ready:
                 if self._proc.poll() is not None:
                     self.close()
-                    return False, "shell session died", SESSION_DEAD
+                    return False, _ended(buf, "shell session died"), SESSION_DEAD
                 continue
             data = self._proc.stdout.read()
             if data == b"":  # end of file: the shell exited, e.g. on `exit`
                 self.close()
-                return False, "shell session died", SESSION_DEAD
-            if data:
-                chunks.append(data)
-            buf = b"".join(chunks)
-            idx = buf.find(marker.encode())
+                return False, _ended(buf, "shell session died"), SESSION_DEAD
+            if not data:
+                continue
+            # Only the new bytes, and a marker split across two reads, can hold it.
+            start = max(0, len(buf) - len(marker_b) + 1)
+            buf += data
+            idx = buf.find(marker_b, start)
             if idx >= 0:
                 output = buf[:idx].decode("utf-8", errors="replace")
-                tail = buf[idx:].decode("utf-8", errors="replace")
-                m = re.search(rf"{marker} (\d+)", tail)
+                m = re.match(rb" (\d+)", buf[idx + len(marker_b):])
                 code = int(m.group(1)) if m else 1
                 # drop the newline our printf prepended
                 if output.endswith("\n"):
                     output = output[:-1]
                 return code == 0, output, None
+
+
+def _ended(buf: bytearray, message: str) -> str:
+    """What a command printed before it ended abnormally, then `message` on
+    its own line; just `message` when it printed nothing."""
+    if not buf:
+        return message
+    text = buf.decode("utf-8", errors="replace")
+    return text + ("" if text.endswith("\n") else "\n") + message
 
 
 @dataclass

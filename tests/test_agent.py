@@ -115,6 +115,21 @@ def test_extract_localization_variants():
     assert extract_localization('{"other": 1} {"file": "c.c", "line_start": 5, "line_end": 6}').file == "c.c"
 
 
+def test_extract_localization_skips_objects_whose_lines_are_not_numbers():
+    bad = [
+        '{"file": "a.c", "line_start": "eleven", "line_end": 17}',
+        '{"file": "a.c", "line_start": null, "line_end": 17}',
+        '{"file": "a.c", "line_start": Infinity, "line_end": 17}',
+        '{"file": "a.c", "line_range": 11}',
+        '{"file": "a.c", "line_range": [11]}',
+        '{"file": "a.c", "line_range": {"from": 1}}',
+    ]
+    for obj in bad:
+        assert extract_localization(obj) is None, obj
+    loc = extract_localization(" ".join(bad) + ' {"file": "b.c", "line_range": ["3", 4]}')
+    assert (loc.file, loc.line_range) == ("b.c", (3, 4))
+
+
 # ---------------------------------------------------------------------------
 # scripted sessions
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from patchloop import cli
 from patchloop.config import load_config
+from patchloop.embedding import CachingEmbedder, DeterministicEmbedder
 from patchloop.memory import load_store
 from patchloop.workspace import Workspace
 
@@ -87,6 +88,18 @@ def test_readme_configuration_block_loads_without_warnings(tmp_path, caplog):
     assert cfg.gateway.backend == "scripted"  # the trailing "; or: http" is a comment
     assert cfg.limits.k_min == 2 and cfg.limits.attempt_cap == 3
     assert cfg.tool_output_cap == 20_000
+
+
+@pytest.mark.parametrize("values", ["k_min = 0", "k_min = 3\ntop_n = 2"])
+def test_retrieval_bounds_out_of_order_are_a_bad_config(tmp_path, capsys, values):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[retrieval]\n{values}\n")
+    with pytest.raises(ValueError, match="k_min"):
+        load_config(cfg)
+    code, _, err = run_cli(
+        capsys, "--config", str(cfg), "memory", "inspect", "--memory", str(tmp_path / "m.jsonl")
+    )
+    assert code == 2 and "bad config" in err
 
 
 def test_load_config_warns_about_keys_it_does_not_read(tmp_path, caplog):
@@ -212,6 +225,36 @@ def test_ingest_idempotent_second_run_inserts_nothing(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--json", "ingest", str(corpus), "--memory", str(mem))
     assert code == 0
     assert json.loads(out) == {"inserted": 0, "merged": 1, "rejected": 0}
+
+
+def test_ingest_dedups_with_the_configured_embedder(tmp_path, capsys, monkeypatch):
+    seen: list[str] = []
+
+    class RecordingEmbedder(DeterministicEmbedder):
+        def embed(self, text):
+            seen.append(text)
+            return super().embed(text)
+
+    built = []
+
+    def build(retrieval_cfg):
+        built.append(retrieval_cfg.embedder)
+        return CachingEmbedder(RecordingEmbedder())
+
+    monkeypatch.setattr(cli, "build_embedder", build)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[retrieval]\nembedder = remote\n")
+    corpus = write_jsonl(
+        tmp_path / "corpus.jsonl",
+        [corpus_row("p.cve-2020-1", "alpha overflow in first parser", "a")],
+    )
+    code, out, _ = run_cli(
+        capsys, "--config", str(cfg), "--json",
+        "ingest", str(corpus), "--memory", str(tmp_path / "m.jsonl"),
+    )
+    assert code == 0 and json.loads(out)["inserted"] == 1
+    assert built == ["remote"]
+    assert "alpha overflow in first parser" in seen
 
 
 def test_ingest_missing_corpus_is_config_error(tmp_path, capsys):
@@ -364,6 +407,44 @@ def test_repair_already_fixed_repo_exit_two(demo_repo, tmp_path, capsys):
     )
     assert code == 2
     assert "pristine" in err
+
+
+def test_repair_with_missing_poc_tool_exit_two(demo_repo, tmp_path, capsys):
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    task.write_text(json.dumps(fx.demo_task_json(demo_repo, {"poc_command": "no-such-poc-tool"})))
+    code, _, err = run_cli(
+        capsys,
+        "--config", str(cfg),
+        "repair", str(task), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "configuration error" in err and "no-such-poc-tool" in err
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+
+
+@pytest.mark.parametrize(
+    "loc",
+    [
+        {"file": "app/buffer.py", "line_start": "eleven", "line_end": 17},
+        {"file": "app/buffer.py", "line_range": 11},
+    ],
+)
+def test_repair_with_unusable_locator_output_exit_one(demo_repo, tmp_path, capsys, loc):
+    def transcript(path):
+        records = fx.locator_turns(1)
+        records[-1]["turn"]["content"] = json.dumps(loc)
+        return fx.write_transcript(path, records)
+
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, transcript)
+    code, _, _ = run_cli(
+        capsys,
+        "--config", str(cfg),
+        "repair", str(task), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    assert code == 1
+    report = json.loads((out_dir / "task.report.json").read_text())
+    assert report["outcome"] == "exhausted"
+    assert report["reason"].startswith("LocalizationFailure")
 
 
 def test_json_flag_keeps_stdout_machine_readable(demo_repo, tmp_path, capsys):

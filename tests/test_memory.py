@@ -398,6 +398,29 @@ def test_load_rejects_corrupt_file(tmp_path):
         load_store(path)
 
 
+# One entry per tier: a fallback_seq, two last_retrieved stamps, an escaped
+# non-ASCII character and a task counter in the sidecar.
+GOLDEN_MEMORY = r'''{"cwe": "CWE-787", "description": "heap overflow copying the frame \u2013 past cap", "fix_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  memcpy(dst, src, min(n, cap));\n", "instance_id": "libio.cve-2021-3141", "language": "c", "last_retrieved": 5, "project": "libio", "tier": "L1"}
+{"cwe": "CWE-787", "description": "overflow found by the fuzzer", "fallback_seq": 4, "fix_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  if (n > cap) return -1;\n", "instance_id": "libio-local-7", "language": "c", "project": "libio", "rationale": "bound the copy by the capacity", "tier": "L2"}
+{"correction_delta": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  if (n > cap) return -1;\n", "cwe": "CWE-UNKNOWN", "description": "frame copy overflow", "fail_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  memcpy(dst, src, min(n, cap));\n", "instance_id": "libio.CVE-2022-18", "language": "c", "last_retrieved": 2, "project": "libio", "tier": "L3", "transition_insight": "return early instead of clamping"}
+'''
+GOLDEN_STATE = '{"completed_tasks": 6}'
+
+
+def test_memory_file_format_round_trips_byte_for_byte(tmp_path):
+    golden = tmp_path / "golden" / "memory.jsonl"
+    golden.parent.mkdir()
+    golden.write_bytes(GOLDEN_MEMORY.encode("utf-8"))
+    (golden.parent / "memory.jsonl.state.json").write_bytes(GOLDEN_STATE.encode("utf-8"))
+    store = load_store(golden)
+    assert [len(store.tier_entries(tier)) for tier in memory.TIERS] == [1, 1, 1]
+    assert store.l2[0].fallback_seq == 4 and store.completed_tasks == 6
+    out = tmp_path / "memory.jsonl"
+    save_store(store, out)
+    assert out.read_bytes() == golden.read_bytes()
+    assert (tmp_path / "memory.jsonl.state.json").read_bytes() == GOLDEN_STATE.encode("utf-8")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(

@@ -43,7 +43,7 @@ from patchloop.memory import (
     query_timestamp,
     save_store,
 )
-from patchloop.retrieval import Query, retrieve
+from patchloop.retrieval import Priority, Query, retrieve
 
 # ---------------------------------------------------------------------------
 # A stub embedder with hand-picked integer vectors around the threshold
@@ -311,6 +311,21 @@ def test_appends_extend_the_index_and_other_changes_rebuild_it():
     assert_same_column(stored_column(rebuilt, "description"), fresh_column(store.l2, "description"))
 
 
+def test_row_stamps_are_taken_once_the_entry_has_its_sequence_number():
+    store = MemoryStore()
+    for i, desc in enumerate(["heap overflow in parser", "frame length copy", "tag size bound"]):
+        insert(store, l2(f"p-local-{i}", desc))
+    insert(store, l2("p.cve-2020-1", "overflow guard"))
+    assert [e.fallback_seq for e in store.l2] == [0, 1, 2, None]
+    index = store._indexes["L2"]
+    assert index.stamps == [entry_timestamp(e) for e in store.l2]
+    # An id without a CVE segment sorts after every numbered entry, so all
+    # four are older than the query and share its project: all are P1.
+    query = Query(replace(QUERY.keys, instance_id="p-local-query"), k_min=1, top_n=10)
+    ranked = retrieve(store, "L2", query)
+    assert len(ranked) == 4 and {r.priority_tier for r in ranked} == {Priority.P1}
+
+
 def test_reads_embed_only_the_rows_they_score():
     counting = CountingEmbedder()
     store = MemoryStore(embedder=CachingEmbedder(counting))
@@ -536,3 +551,20 @@ def test_caching_embedder_is_bounded_and_evicts_least_recent_first():
     assert counting.texts == []
     emb.embed(f"text {oldest + 1}")
     assert counting.texts == [f"text {oldest + 1}"]
+
+
+def test_caching_embedder_looks_the_inner_method_up_on_every_miss(monkeypatch):
+    emb = CachingEmbedder(DeterministicEmbedder())
+    emb.embed("before")
+    seen: list[str] = []
+    original = DeterministicEmbedder.embed
+
+    def spy(self, text):
+        seen.append(text)
+        return original(self, text)
+
+    # Replaced on the class after the cache exists, as a tracer does.
+    monkeypatch.setattr(DeterministicEmbedder, "embed", spy)
+    emb.embed("before")
+    emb.embed("after")
+    assert seen == ["after"]

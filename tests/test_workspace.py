@@ -294,6 +294,19 @@ def test_bash_exit_ends_the_session_at_once(ws):
     assert ws.bash("pwd", restart=True).output.strip() == str(ws.root)
 
 
+def test_bash_keeps_what_a_dying_command_printed(ws):
+    result = ws.bash("echo partial-output; exit 3")
+    assert result.error_kind == "SessionDead"
+    assert result.output == "partial-output\nshell session died"
+
+
+def test_bash_timeout_keeps_what_the_command_printed(ws):
+    result = ws.bash("printf before-hang; sleep 30", timeout=0.5)
+    assert result.error_kind == "Timeout"
+    assert result.output == "before-hang\ncommand timed out after 0.5s"
+    assert ws.bash("echo again").output.strip() == "again"
+
+
 def test_bash_nonzero_exit_reported(ws):
     result = ws.bash("false")
     assert not result.ok
