@@ -116,6 +116,15 @@ def _load_task(task_file: Path) -> dict:
     return task
 
 
+def _checkout_of(task_file: Path) -> Path:
+    """The resolved checkout a task edits; a task file that cannot be read
+    stands for itself, so it fails alone."""
+    try:
+        return Path(_load_task(task_file)["repo"]).resolve()
+    except (OSError, ValueError, LookupError, TypeError):
+        return task_file
+
+
 def repair_one(
     task_file: Path,
     memory_file: Path,
@@ -207,20 +216,34 @@ def _cmd_repair(args, cfg: EngineConfig) -> int:
             return 2
         # One shared store: session writes are serialized by its writer lock.
         store = load_store(Path(args.memory), embedder=build_embedder(cfg.retrieval))
+        # Tasks on one checkout run one after another on one worker, so no
+        # two sessions edit it at once; checkouts run in parallel.
+        groups: dict[Path, list[Path]] = {}
+        for tf in task_files:
+            groups.setdefault(_checkout_of(tf), []).append(tf)
+
+        def run_serially(group: list[Path]) -> dict[Path, tuple | Exception]:
+            outcomes: dict[Path, tuple | Exception] = {}
+            for tf in group:
+                try:
+                    outcomes[tf] = repair_one(tf, Path(args.memory), cfg, out_dir, store)
+                except Exception as exc:  # one bad task must not take its siblings down
+                    outcomes[tf] = exc
+            return outcomes
+
         results: dict[str, int] = {}
         try:
             with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-                futures = {
-                    pool.submit(repair_one, tf, Path(args.memory), cfg, out_dir, store): tf
-                    for tf in task_files
-                }
-                for future, tf in futures.items():
-                    try:
-                        code, report_path = future.result()
-                    except Exception as exc:  # one bad task must not take its siblings down
-                        print(f"{tf}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                futures = {}
+                for group in groups.values():
+                    futures.update(dict.fromkeys(group, pool.submit(run_serially, group)))
+                for tf in task_files:
+                    outcome = futures[tf].result()[tf]
+                    if isinstance(outcome, Exception):
+                        print(f"{tf}: {type(outcome).__name__}: {outcome}", file=sys.stderr)
                         results[tf.name] = 2
                         continue
+                    code, report_path = outcome
                     results[tf.name] = code
                     if not args.json:
                         print(f"{tf.name}: exit {code} ({report_path})")

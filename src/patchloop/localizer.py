@@ -129,32 +129,20 @@ def parse_crash_report(text: str) -> CrashReport | None:
 # ---------------------------------------------------------------------------
 
 
-def _strip_c_noise(line: str) -> str:
-    """Blank out string/char literals and line comments; length-preserving."""
-    out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in ("\"", "'"):
-            out.append(" ")
-            i += 1
-            while i < n and line[i] != ch:
-                if line[i] == "\\":
-                    out.append("  ")
-                    i += 2
-                    continue
-                out.append(" ")
-                i += 1
-            if i < n:
-                out.append(" ")
-                i += 1
-        elif ch == "/" and i + 1 < n and line[i + 1] == "/":
-            break
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+# Whichever starts first of a line comment, a block comment (an unterminated
+# one runs to the end of the file) and a string or character literal (with
+# backslash escapes; an unterminated one ends at the line end).
+_C_NOISE_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*(?s:.*?)(?:\*/|\Z)"
+    r'|"(?:[^"\\\n]+|\\.?)*"?'
+    r"|'(?:[^'\\\n]+|\\.?)*'?"
+)
+
+
+def _blank(match: re.Match) -> str:
+    """Spaces in place of a comment or literal, keeping its line breaks."""
+    return "\n".join(" " * len(part) for part in match.group().split("\n"))
 
 
 _C_FUNC_DEF_RE = re.compile(
@@ -197,25 +185,8 @@ def _c_param_names(arglist: str) -> list[str]:
 
 def _extract_c_sites(text: str, path: str) -> list[SymbolSite]:
     sites: dict[tuple[str, int, str], str] = {}  # (file, line, symbol) -> kind
-    in_block_comment = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw
-        if in_block_comment:
-            end = line.find("*/")
-            if end < 0:
-                continue
-            line = " " * (end + 2) + line[end + 2 :]
-            in_block_comment = False
-        start = line.find("/*")
-        while start >= 0:
-            end = line.find("*/", start + 2)
-            if end < 0:
-                line = line[:start]
-                in_block_comment = True
-                break
-            line = line[:start] + " " * (end + 2 - start) + line[end + 2 :]
-            start = line.find("/*")
-        line = _strip_c_noise(line)
+    code = _C_NOISE_RE.sub(_blank, "\n".join(text.splitlines()))
+    for lineno, line in enumerate(code.split("\n"), 1):
         if line.lstrip().startswith("#"):
             continue
 

@@ -38,6 +38,7 @@ SEARCH_CONTEXT = 2  # lines shown on each side of a search match
 MAX_FAILURE_FRAMES = 8  # stack frames a compressed failure log keeps
 
 _GIT = shutil.which("git") or "git"
+_BARE_LF_RE = re.compile(r"(?<!\r)\n")
 
 # ToolResult.error_kind values
 NOT_FOUND = "NotFound"
@@ -352,11 +353,10 @@ class Workspace:
         return "" if old_tree == new_tree else self._git("diff", old_tree, new_tree)
 
     def file_at_snapshot(self, snapshot_id: str, path: str) -> str | None:
-        proc = subprocess.run(
-            ["git", "cat-file", "-p", f"{snapshot_id}:{path}"],
-            cwd=self.root, capture_output=True, text=True,
-        )
-        return proc.stdout if proc.returncode == 0 else None
+        try:
+            return self._git("cat-file", "-p", f"{snapshot_id}:{path}")
+        except WorkspaceError:
+            return None
 
     # -- tools ----------------------------------------------------------------
 
@@ -463,13 +463,16 @@ class Workspace:
             return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
         if not target.is_file():
             return ToolResult(False, f"no such file: {path}", NOT_FOUND)
-        content = target.read_text(encoding="utf-8", errors="replace")
+        # Bytes that are not UTF-8 and the file's line endings survive the edit.
+        content = target.read_bytes().decode("utf-8", errors="surrogateescape")
+        if "\r\n" in content:
+            old, new = (_BARE_LF_RE.sub("\r\n", s) for s in (old, new))
         count = content.count(old)
         if count == 0:
             return ToolResult(False, f"old text not found in {path}", NO_MATCH)
         if count > 1:
             return ToolResult(False, f"old text occurs {count} times in {path}", AMBIGUOUS_MATCH)
-        target.write_text(content.replace(old, new, 1), encoding="utf-8")
+        target.write_bytes(content.replace(old, new, 1).encode("utf-8", errors="surrogateescape"))
         return ToolResult(True, f"replaced 1 occurrence in {path}")
 
     def bash(self, command: str, restart: bool = False, timeout: float | None = None) -> ToolResult:

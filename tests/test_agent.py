@@ -421,6 +421,59 @@ def test_trajectory_logs_tools_and_turns(demo_repo, tmp_path):
     json.dumps(runner.trajectory)
 
 
+def test_every_tool_path_reports_its_error_kind_in_the_trajectory(demo_repo, tmp_path):
+    def turn(phase: str, content: str, *calls: tuple[str, dict]) -> dict:
+        rec = {"role": "assistant", "content": content}
+        if calls:
+            rec["tool_calls"] = [{"name": name, "args": args} for name, args in calls]
+        return {"phase": phase, "attempt": 1, "turn": rec}
+
+    window = {"path": "app/buffer.py", "line_start": "11", "line_end": "12"}
+    records = [
+        turn(
+            "locator", "looking around",
+            ("view", window),
+            ("search", {"pattern": "def safe_copy", "path": "app"}),
+            ("iter_grep", {"symbol": "no_such_symbol"}),
+            ("view", {**window, "line_start": "eleven"}),
+            ("teleport", {}),
+        ),
+        {"phase": "locator", "attempt": 1, "turn": {"role": "assistant", "tool_calls": [{"args": {}}]}},
+        fx.locator_turns(1)[1],
+        turn("patcher", "", ("create", {"path": "NOTES.txt", "text": "a\n"}),
+             ("create", {"path": "NOTES.txt", "text": "b\n"})),
+        turn("patcher", "", ("bash", {"command": "echo restarted", "restart": "true"})),
+        fx.patcher_turns(1, fx.GOOD_NEW)[0],
+        turn("patcher", "never read: the patcher is out of turns"),
+    ]
+    transcript = fx.write_transcript(tmp_path / "tools.jsonl", records)
+    task = make_task(demo_repo)
+    runner = SessionRunner(
+        task, MemoryStore(), ScriptedGateway.from_file(transcript), EngineLimits(max_turns=3)
+    )
+    try:
+        report = runner.run()
+    finally:
+        task.workspace.close()
+
+    assert report.outcome == "success"
+    tools = [t for t in runner.trajectory if t["type"] == "tool"]
+    assert [(t["call"]["name"], t["result"].get("error_kind")) for t in tools] == [
+        ("view", None), ("search", None), ("iter_grep", "NoMatch"), ("view", "BadArguments"),
+        ("teleport", "UnknownTool"), ("create", None), ("create", "AlreadyExists"),
+        ("bash", None), ("str_replace", None),
+    ]
+    assert [line.split("\t")[0].strip() for line in tools[0]["result"]["output"].splitlines()] == [
+        "11", "12"
+    ]
+    assert "== app/buffer.py:" in tools[1]["result"]["output"]
+    assert tools[7]["result"]["output"].strip() == "restarted"
+    contents = [t["content"] for t in runner.trajectory if t["type"] == "turn"]
+    assert any(c.startswith("malformed tool call, ignored:") for c in contents)
+    assert not any(c.startswith("never read") for c in contents)
+    assert "NOTES.txt" in report.final_diff
+
+
 def test_memory_recency_touched_by_session(demo_repo, tmp_path):
     store = MemoryStore()
     insert(store, seeded_l3_entry())

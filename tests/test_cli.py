@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -485,6 +486,40 @@ def test_repair_tasks_directory_fans_out(tmp_path, capsys):
     store = load_store(mem)
     assert len(store.l2) == 1
     assert store.completed_tasks == 2
+
+
+def test_repair_tasks_on_one_checkout_never_run_at_once(tmp_path, capsys, monkeypatch):
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    for name, repo in [("a1", "repo_a"), ("a2", "repo_a"), ("b1", "repo_b")]:
+        task = fx.demo_task_json(tmp_path / repo)
+        (tasks_dir / f"{name}.json").write_text(json.dumps(task))
+    lock = threading.Lock()
+    running: dict[str, int] = {}
+    peaks: dict[str, int] = {}
+    overlapped = []
+
+    def fake_repair_one(task_file, memory_file, cfg, out_dir, store):
+        repo = Path(json.loads(task_file.read_text())["repo"]).name
+        with lock:
+            running[repo] = running.get(repo, 0) + 1
+            peaks[repo] = max(peaks.get(repo, 0), running[repo])
+            overlapped.append(sum(running.values()) > 1)
+        time.sleep(0.2)
+        with lock:
+            running[repo] -= 1
+        return 0, out_dir / f"{task_file.stem}.report.json"
+
+    monkeypatch.setattr(cli, "repair_one", fake_repair_one)
+    code, out, _ = run_cli(
+        capsys,
+        "repair", "--tasks", str(tasks_dir),
+        "--memory", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "out"), "--jobs", "3",
+    )
+    assert code == 0
+    assert peaks == {"repo_a": 1, "repo_b": 1}
+    assert any(overlapped)  # the two checkouts still ran side by side
+    assert [line.split(":")[0] for line in out.splitlines()] == ["a1.json", "a2.json", "b1.json"]
 
 
 def test_repair_tasks_malformed_task_spares_its_sibling(tmp_path, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import http.server
 import json
+import threading
 
 import pytest
 
 from conftest import write_transcript
+from patchloop.embedding import RemoteEmbedder
 from patchloop.errors import GatewayExhausted, MalformedToolCall
 from patchloop.gateway import (
     ChatTurn,
@@ -254,3 +257,67 @@ def test_http_gateway_fails_fast_only_on_non_retryable_4xx(monkeypatch, status, 
         gw.complete([ChatTurn("system", "s")], [])
     assert len(seen_urls) == calls
     assert seen_sleeps == sleeps
+
+
+# ---------------------------------------------------------------------------
+# live backends against a loopback server
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """An HTTP server on 127.0.0.1: answers a POST with ``replies[path]`` and
+    records (path, Authorization header, JSON body) in ``seen``."""
+    for var in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(var, "127.0.0.1")
+    replies: dict[str, dict] = {}
+    seen: list[tuple] = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((self.path, self.headers.get("Authorization"), body))
+            data = json.dumps(replies[self.path]).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1", replies, seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def test_http_gateway_sends_the_key_and_decodes_tool_calls(loopback, monkeypatch):
+    url, replies, seen = loopback
+    call = {"id": "c0", "type": "function",
+            "function": {"name": "view", "arguments": json.dumps({"path": "a.c"})}}
+    replies["/v1/chat/completions"] = {"choices": [{"message": {"content": None, "tool_calls": [call]}}]}
+    monkeypatch.setenv("PATCHLOOP_TEST_KEY", "sekrit")
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint=url + "/", model_name="m",
+                                   api_key_env="PATCHLOOP_TEST_KEY", timeout=5))
+    reply = gw.complete([ChatTurn("user", "hi")], [])
+    assert (reply.role, reply.content) == ("assistant", "")
+    assert [(c.name, c.args) for c in reply.tool_calls] == [("view", {"path": "a.c"})]
+    [(path, auth, body)] = seen
+    assert (path, auth) == ("/v1/chat/completions", "Bearer sekrit")
+    assert body == {"model": "m", "temperature": 0.0, "messages": [{"role": "user", "content": "hi"}]}
+
+
+def test_remote_embedder_reads_the_first_embedding(loopback, monkeypatch):
+    url, replies, seen = loopback
+    replies["/v1/embeddings"] = {"data": [{"embedding": [0.5, -1, 2]}]}
+    monkeypatch.setenv("PATCHLOOP_TEST_KEY", "sekrit")
+    vec = RemoteEmbedder(url, "emb", api_key_env="PATCHLOOP_TEST_KEY", timeout=5).embed("some text")
+    assert vec.dtype == "float64" and vec.tolist() == [0.5, -1.0, 2.0]
+    assert seen == [("/v1/embeddings", "Bearer sekrit", {"model": "emb", "input": ["some text"]})]

@@ -157,6 +157,66 @@ def test_comments_and_strings_do_not_produce_c_sites(tmp_path):
     assert index.sites("real_sym")
 
 
+def c_sites(text: str) -> set[tuple[int, str, str]]:
+    return {(s.line, s.kind, s.symbol) for s in localizer._extract_c_sites(text, "x.c")}
+
+
+def test_block_comment_marker_in_a_line_comment_opens_nothing():
+    sites = c_sites(
+        "// build every src/*.c file\n"
+        "int parse_header(char *buf) {\n"
+        "    return checksum(buf);\n"
+        "}\n"
+    )
+    assert sites == {
+        (2, DEFINITION, "parse_header"), (2, DEFINITION, "buf"),
+        (3, USE, "checksum"), (3, USE, "buf"),
+    }
+
+
+def test_block_comment_marker_in_a_literal_opens_nothing():
+    sites = c_sites(
+        'const char *msg = "/* not a comment";\n'
+        "char slash = '/';\n"
+        "int after_literal(int n) {\n"
+        "    return n + 1; /* a real one */\n"
+        "}\n"
+    )
+    assert sites == {
+        (1, DEFINITION, "msg"), (2, DEFINITION, "slash"),
+        (3, DEFINITION, "after_literal"), (3, DEFINITION, "n"), (4, USE, "n"),
+    }
+
+
+def test_block_comment_spanning_lines_hides_only_its_own_text():
+    sites = c_sites(
+        "int before;\n"
+        "/* ghost_a\n"
+        "   ghost_b\n"
+        "   ghost_c */ int after_comment;\n"
+        "int later; /* ghost_d */ int same_line;\n"
+    )
+    assert {s for _, _, s in sites} == {"before", "after_comment", "later", "same_line"}
+    assert (4, DEFINITION, "after_comment") in sites
+
+
+def test_unterminated_block_comment_hides_the_rest_of_the_file():
+    sites = c_sites("int visible;\n/* never closed\nint hidden;\nvoid also_hidden(void) {\n}\n")
+    assert sites == {(1, DEFINITION, "visible")}
+
+
+def test_c_line_numbers_follow_every_line_break():
+    sites = c_sites(
+        "int first;\r\n"
+        "/* two\r\n three */\x0cint fourth;\r\n"
+        "int fifth; // ghost\x0cint sixth;\u2028int seventh;\n"
+    )
+    assert sites == {
+        (1, DEFINITION, "first"), (4, DEFINITION, "fourth"),
+        (5, DEFINITION, "fifth"), (6, DEFINITION, "sixth"), (7, DEFINITION, "seventh"),
+    }
+
+
 # ---------------------------------------------------------------------------
 # iter_grep ranking
 # ---------------------------------------------------------------------------

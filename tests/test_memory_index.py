@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchloop.embedding import (
@@ -184,6 +184,12 @@ _OPS = st.lists(
 
 @settings(max_examples=120, deadline=None)
 @given(ops=_OPS)
+# Ids without a CVE segment on both sides: only the inserted entry's
+# sequence number puts it in the query's P1 pool.
+@example(ops=[
+    ("insert", ("L1", "p", "CWE-787", "p.nots-1", "v0", "v0", "v0")),
+    ("retrieve", "L1", ("L1", "p", "CWE-787", "p.nots-2", "v0", "v0", "v0"), None, 1),
+])
 def test_index_matches_scalar_brute_force(ops):
     embed = TableEmbedder().embed
     store = MemoryStore(embedder=CachingEmbedder(TableEmbedder()))

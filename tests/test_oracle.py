@@ -122,6 +122,28 @@ def test_baseline_failing_tests_never_block_verdicts(demo_repo):
     assert verdict.functionality_preserved is True
 
 
+def test_without_pass_lines_the_regression_exit_code_decides(demo_repo):
+    # The suite prints nothing and fails once `broken` exists.
+    spec = OracleSpec(poc_command="python3 poc.py", regression_command="test ! -e broken")
+    runner = OracleRunner(demo_repo, spec)
+    runner.validate_pristine()
+    assert runner.baseline_passing == set() and runner.baseline_predicate_ok is True
+    apply_fix(demo_repo, GOOD_NEW)
+    assert runner.check_vul().functionality_preserved is True
+    (demo_repo / "broken").write_text("")
+    assert runner.check_vul().functionality_preserved is False
+
+
+def test_a_suite_failing_on_pristine_with_no_pass_lines_cannot_regress(demo_repo):
+    spec = OracleSpec(poc_command="python3 poc.py", regression_command="echo no tests; exit 1")
+    runner = OracleRunner(demo_repo, spec)
+    runner.validate_pristine()
+    assert runner.baseline_passing == set() and runner.baseline_predicate_ok is False
+    apply_fix(demo_repo, GOOD_NEW)
+    verdict = runner.check_vul()
+    assert verdict.vuln_mitigated is True and verdict.functionality_preserved is True
+
+
 def test_pristine_validation_rejects_nonfailing_poc(demo_repo):
     apply_fix(demo_repo, GOOD_NEW)  # repo already fixed: nothing to repair
     runner = OracleRunner(demo_repo, DEMO_SPEC)

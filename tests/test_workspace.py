@@ -243,6 +243,27 @@ def test_str_replace_no_match_leaves_file_untouched(ws):
     assert (ws.root / "top.txt").read_bytes() == before
 
 
+LEGACY = b"name = 'caf\xe9'\r\nx = 1\r\ny = 2\r\n"  # CRLF, Latin-1
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("x = 1", "x = 10", b"name = 'caf\xe9'\r\nx = 10\r\ny = 2\r\n"),
+        ("x = 1\ny = 2", "x = 10\ny = 20", b"name = 'caf\xe9'\r\nx = 10\r\ny = 20\r\n"),
+    ],    ids=["one line", "two lines"],
+)
+def test_str_replace_keeps_line_endings_and_undecodable_bytes(ws, old, new, expected):
+    path = ws.root / "legacy.py"
+    path.write_bytes(LEGACY)
+    git(ws.root, "add", "legacy.py")
+    git(ws.root, "commit", "-qm", "legacy")
+    assert ws.str_replace("legacy.py", old, new).ok
+    assert path.read_bytes() == expected
+    changed = str(old.count("\n") + 1)
+    assert git(ws.root, "diff", "--numstat").split() == [changed, changed, "legacy.py"]
+
+
 # ---------------------------------------------------------------------------
 # bash
 # ---------------------------------------------------------------------------
@@ -468,6 +489,8 @@ def test_file_at_snapshot(ws):
     ws.str_replace("top.txt", "alpha", "ALPHA")
     assert ws.file_at_snapshot(snap, "top.txt") == "alpha\nbeta\ngamma\n"
     assert ws.file_at_snapshot(snap, "absent.txt") is None
+    (ws.root / "latin1.txt").write_bytes(b"caf\xe9\n")
+    assert ws.file_at_snapshot(ws.snapshot(), "latin1.txt") == "caf\ufffd\n"
 
 
 # ---------------------------------------------------------------------------
