@@ -47,6 +47,7 @@ from .memory import MemoryStore, RetrievalKeys
 from .oracle import OracleRunner, VerificationVerdict
 from .session import Attempt, Outcome, RepairSession
 from .workspace import (
+    DEFAULT_LOG_BUDGET,
     ToolCall,
     ToolResult,
     Workspace,
@@ -117,7 +118,7 @@ class EngineLimits:
     attempt_cap: int = DEFAULT_ATTEMPT_CAP
     max_turns: int = 30
     prompt_budget: int = DEFAULT_PROMPT_BUDGET
-    log_budget: int = 4_000
+    log_budget: int = DEFAULT_LOG_BUDGET
     k_min: int = retrieval.DEFAULT_K_MIN
     top_n: int = retrieval.DEFAULT_TOP_N
     prompt_price_per_1k: float = 0.0
@@ -209,7 +210,10 @@ class SessionRunner:
     def _log_tool(self, call: ToolCall, result: ToolResult) -> None:
         self.trajectory.append({"type": "tool", **tool_log_record(call, result)})
 
-    def _dispatch(self, call: ToolCall) -> ToolResult:
+    def _dispatch(self, call: ToolCall, tools: tuple[str, ...]) -> ToolResult:
+        """Run `call` if its phase offers that tool; any other name is unknown."""
+        if call.name not in tools:
+            return ToolResult(False, f"unknown tool: {call.name}", "UnknownTool")
         ws = self.task.workspace
         args = call.args
         try:
@@ -230,23 +234,26 @@ class SessionRunner:
             if call.name == "bash":
                 restart = str(args.get("restart", "")).lower() in ("1", "true", "yes")
                 return ws.bash(str(args.get("command", "")), restart=restart)
-            if call.name == "iter_grep":
-                try:
-                    objs = iter_grep(self.index, str(args.get("symbol", "")), self._crash)
-                except NoMatch as exc:
-                    return ToolResult(False, str(exc), "NoMatch")
-                for obj in objs:
-                    self._visited.append((obj.file, obj.line_range))
-                return ToolResult(True, json.dumps([o.to_json() for o in objs], indent=1))
-            return ToolResult(False, f"unknown tool: {call.name}", "UnknownTool")
+            try:  # iter_grep, the one tool left
+                objs = iter_grep(self.index, str(args.get("symbol", "")), self._crash)
+            except NoMatch as exc:
+                return ToolResult(False, str(exc), "NoMatch")
+            for obj in objs:
+                self._visited.append((obj.file, obj.line_range))
+            return ToolResult(True, json.dumps([o.to_json() for o in objs], indent=1))
         except (ValueError, TypeError) as exc:
             return ToolResult(False, f"bad arguments for {call.name}: {exc}", "BadArguments")
 
     def _drive_phase(
-        self, phase: str, attempt: int, system: ChatTurn, user: ChatTurn, tools: tuple[str, ...]
+        self, phase: str, task_text: str, memories: list, compressed, tools: tuple[str, ...]
     ) -> ChatTurn | None:
-        """Run the model/tool loop for one phase; returns the final plain turn."""
-        self.gateway.set_context(phase, attempt)
+        """Run the model/tool loop for one phase, every model call of the
+        session included; returns the final plain turn, or None when the
+        phase runs out of turns."""
+        system, user = render_prompt(
+            phase, task_text, memories, compressed, budget=self.limits.prompt_budget
+        )
+        self.gateway.set_context(phase, self.session.failed_attempts + 1)
         history = [system, user]
         self._log_turn(system)
         self._log_turn(user)
@@ -266,7 +273,7 @@ class SessionRunner:
             if not reply.tool_calls:
                 return reply
             for i, call in enumerate(reply.tool_calls):
-                result = self._dispatch(call)
+                result = self._dispatch(call, tools)
                 self._log_tool(call, result)
                 tool_turn = ChatTurn(role="tool", content=result.output, tool_call_id=f"call_{i}")
                 history.append(tool_turn)
@@ -292,15 +299,12 @@ class SessionRunner:
         return "\n".join(parts)
 
     def _ask_verifier(self, question: str, fallback: str) -> str:
-        system, user = render_prompt(
-            "verifier", question, [], budget=self.limits.prompt_budget
-        )
-        self.gateway.set_context("verifier", self.session.failed_attempts + 1)
+        """The verifier's answer, or `fallback` when it gives none."""
         try:
-            reply = self.gateway.complete([system, user], [])
-        except (GatewayExhausted, MalformedToolCall):
+            reply = self._drive_phase("verifier", question, [], None, ())
+        except GatewayExhausted:
             return fallback
-        return reply.content.strip() or fallback
+        return (reply.content.strip() if reply else "") or fallback
 
     def _live_rationale(self, session) -> str:
         question = (
@@ -341,27 +345,22 @@ class SessionRunner:
         return self._evidence
 
     def locate(self) -> LocalizationObject:
-        attempt = self.session.failed_attempts + 1
         evidence = self._runtime_evidence()
         memories = self._retrieve("L1") + self._retrieve("L2")
-        system, user = render_prompt(
-            "locator",
-            self._task_text(evidence),
-            memories,
-            self.session.compressed,
-            budget=self.limits.prompt_budget,
+        final = self._drive_phase(
+            "locator", self._task_text(evidence), memories, self.session.compressed, LOCATOR_TOOLS
         )
-        final = self._drive_phase("locator", attempt, system, user, LOCATOR_TOOLS)
         loc = extract_localization(final.content) if final else None
         if loc is None:
-            raise LocalizationFailure(f"no parseable location after locator attempt {attempt}")
+            raise LocalizationFailure(
+                f"no parseable location after locator attempt {self.session.failed_attempts + 1}"
+            )
         self._visited.append((loc.file, loc.line_range))
         return loc
 
     def patch(self, loc: LocalizationObject) -> tuple[str, str]:
         """Drive the patcher; returns the candidate's tree id and its diff
         against the pristine snapshot."""
-        attempt = self.session.failed_attempts + 1
         failed = self.session.last_failed
         failed_patch = failed.patch if failed else None
         memories = self._retrieve("L1") + self._retrieve("L2")
@@ -373,14 +372,9 @@ class SessionRunner:
         )
         if failed_patch:
             target += f"\n# Previous failed candidate\n{failed_patch}"
-        system, user = render_prompt(
-            "patcher",
-            self._task_text(target),
-            memories,
-            self.session.compressed,
-            budget=self.limits.prompt_budget,
+        self._drive_phase(
+            "patcher", self._task_text(target), memories, self.session.compressed, PATCHER_TOOLS
         )
-        self._drive_phase("patcher", attempt, system, user, PATCHER_TOOLS)
         return self.task.workspace.submit(self.pristine_id)
 
     def verify(self, candidate: str) -> tuple[VerificationVerdict, Transition]:
@@ -426,12 +420,12 @@ class SessionRunner:
         try:
             while True:
                 if relocate:
-                    session.current_loc = self.locate()
-                tree, candidate = self.patch(session.current_loc)
+                    loc = self.locate()
+                tree, candidate = self.patch(loc)
                 verdict, transition = self.verify(candidate)
-                session.attempts.append(Attempt(
-                    patch=candidate, verdict=verdict, tree=tree, localization=session.current_loc
-                ))
+                session.attempts.append(
+                    Attempt(patch=candidate, verdict=verdict, tree=tree, localization=loc)
+                )
                 logger.info(
                     "attempt %d verdict mitigated=%s preserved=%s -> %s",
                     len(session.attempts), verdict.vuln_mitigated,

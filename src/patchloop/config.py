@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agent import EngineLimits
@@ -56,13 +57,15 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _apply(section: configparser.SectionProxy, targets: list[tuple[object, dict]]) -> None:
-    """Set each key of `section` on the first target whose casts name it;
-    warn about a key no target reads, such as a misspelt one."""
+def _apply(section: configparser.SectionProxy, targets: list[tuple[object, tuple | None]]) -> None:
+    """Set each key of `section` on the first target that names it (None
+    names every field), cast to that field's declared type; warn about a key
+    no target reads, such as a misspelt one."""
     for key, raw in section.items():
-        for target, casts in targets:
-            if key in casts:
-                setattr(target, key, casts[key](_unquote(raw)))
+        for target, names in targets:
+            if key in (names or [f.name for f in fields(target)]):
+                cast = typing.get_type_hints(type(target))[key]
+                setattr(target, key, cast(_unquote(raw)))
                 break
         else:
             logger.warning("config section [%s]: ignoring unknown key %r", section.name, key)
@@ -80,26 +83,15 @@ def load_config(path: Path | None) -> EngineConfig:
     # Some [gateway] and [retrieval] keys are engine limits: they load into cfg.limits.
     sections = {
         "gateway": [
-            (cfg.gateway, {
-                "endpoint": str, "model_name": str, "temperature": float,
-                "api_key_env": str, "backend": str, "transcript": str, "timeout": float,
-            }),
-            (cfg.limits, {
-                "max_turns": int, "prompt_budget": int,
-                "prompt_price_per_1k": float, "completion_price_per_1k": float,
-            }),
+            (cfg.gateway, None),
+            (cfg.limits, ("max_turns", "prompt_budget",
+                          "prompt_price_per_1k", "completion_price_per_1k")),
         ],
-        "retrieval": [
-            (cfg.retrieval, {
-                "embedder": str, "endpoint": str, "model_name": str,
-                "api_key_env": str, "timeout": float,
-            }),
-            (cfg.limits, {"k_min": int, "top_n": int}),
-        ],
-        "oracle": [(cfg.oracle, {"command_timeout": float, "total_budget": float})],
+        "retrieval": [(cfg.retrieval, None), (cfg.limits, ("k_min", "top_n"))],
+        "oracle": [(cfg.oracle, None)],
         "limits": [
-            (cfg, {"bash_timeout": float, "tool_output_cap": int}),
-            (cfg.limits, {"attempt_cap": int, "log_budget": int}),
+            (cfg, ("bash_timeout", "tool_output_cap")),
+            (cfg.limits, ("attempt_cap", "log_budget")),
         ],
     }
     for name, targets in sections.items():

@@ -181,19 +181,23 @@ class HttpGateway:
 
         try:
             message = reply["choices"][0]["message"]
-        except (KeyError, IndexError) as exc:
+            content, raw_calls = message.get("content") or "", message.get("tool_calls")
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise GatewayExhausted(f"malformed completion response: {exc}") from exc
         tool_calls = None
-        if message.get("tool_calls"):
-            tool_calls = _decode_tool_calls(
-                [
-                    {"name": tc["function"]["name"], "args": tc["function"]["arguments"]}
-                    for tc in message["tool_calls"]
-                ]
-            )
-        return ChatTurn(
-            role="assistant", content=message.get("content") or "", tool_calls=tool_calls
-        )
+        if raw_calls:
+            if isinstance(raw_calls, list):
+                raw_calls = [_function_call(tc) for tc in raw_calls]
+            tool_calls = _decode_tool_calls(raw_calls)
+        return ChatTurn(role="assistant", content=content, tool_calls=tool_calls)
+
+
+def _function_call(raw) -> dict:
+    """An OpenAI-style tool call in the shape `_decode_tool_calls` reads."""
+    try:
+        return {"name": raw["function"]["name"], "args": raw["function"]["arguments"]}
+    except (KeyError, TypeError) as exc:
+        raise MalformedToolCall(f"tool call without function name and arguments: {raw!r}") from exc
 
 
 def build_gateway(config: GatewayConfig):

@@ -150,9 +150,10 @@ _C_FUNC_DEF_RE = re.compile(
 )
 _C_DECL_RE = re.compile(
     r"^\s*(?:const\s+|static\s+|unsigned\s+|signed\s+|struct\s+|register\s+|volatile\s+)*"
-    r"[A-Za-z_]\w*(?:\s*\*+\s*|\s+)([A-Za-z_]\w*)\s*(?:=|;|\[)"
+    r"([A-Za-z_]\w*)(?:\s*\*+\s*|\s+)([A-Za-z_]\w*)\s*(?:=|;|\[)"
 )
-_C_CONTROL = frozenset({"if", "for", "while", "switch", "return", "else", "do", "sizeof"})
+# Words that start a statement, so never a function's name or a declaration's type.
+_C_CONTROL = frozenset("if for while switch return else do sizeof goto case delete".split())
 
 
 def _c_param_names(arglist: str) -> list[str]:
@@ -197,8 +198,8 @@ def _extract_c_sites(text: str, path: str) -> list[SymbolSite]:
             definitions.update(_c_param_names(m.group(2)))
         else:
             m = _C_DECL_RE.match(line)
-            if m and m.group(1) not in _C_KEYWORDS:
-                definitions.add(m.group(1))
+            if m and m.group(1) not in _C_CONTROL and m.group(2) not in _C_KEYWORDS:
+                definitions.add(m.group(2))
 
         for token in _IDENT_RE.findall(line):
             if token in _C_KEYWORDS:

@@ -30,7 +30,6 @@ class RepairSession:
 
     keys: RetrievalKeys
     failed_attempts: int = 0
-    current_loc: LocalizationObject | None = None
     compressed: CompressedContext | None = None
     attempts: list[Attempt] = field(default_factory=list)
     outcome: Outcome | None = None

@@ -90,10 +90,6 @@ def cap_output(text: str, cap: int = DEFAULT_OUTPUT_CAP) -> str:
     return head + note + tail
 
 
-class _Escape(Exception):
-    """Internal: path resolved outside the workspace root."""
-
-
 class PersistentShell:
     """One long-lived bash process; cwd and environment persist across calls.
 
@@ -102,10 +98,10 @@ class PersistentShell:
     the checkout afterwards.
     """
 
-    def __init__(self, cwd: Path, timeout: float = DEFAULT_BASH_TIMEOUT) -> None:
+    def __init__(self, cwd: Path, timeout: float) -> None:
         self.cwd = Path(cwd)
         self.timeout = timeout
-        self._proc: subprocess.Popen | None = None
+        self._spawn()
 
     def _spawn(self) -> None:
         self._proc = subprocess.Popen(
@@ -149,7 +145,10 @@ class PersistentShell:
             return False, "shell session is not running", SESSION_DEAD
         timeout = self.timeout if timeout is None else timeout
         marker = f"__DONE_{uuid.uuid4().hex}__"
-        script = f"{command}\nprintf '\\n%s %s\\n' {marker} $?\n"
+        # The command reads /dev/null, not this pipe, so it cannot swallow
+        # the marker line; a { } group runs in this shell, so cd and export
+        # persist.
+        script = f"{{ {command}\n}} < /dev/null\nprintf '\\n%s %s\\n' {marker} $?\n"
         try:
             self._proc.stdin.write(script.encode("utf-8"))
             self._proc.stdin.flush()
@@ -282,11 +281,9 @@ class Workspace:
         if not (self.root / ".git").exists():
             raise WorkspaceError(f"workspace root is not a git checkout: {self.root}")
         self.output_cap = output_cap
-        self.snapshot_id: str | None = None
         self._index_dir = tempfile.mkdtemp(prefix="pl-index-")
         self._git_env = {**os.environ, "GIT_INDEX_FILE": os.path.join(self._index_dir, "index")}
-        self._shell = PersistentShell(self.root, timeout=bash_timeout)
-        self._shell._spawn()
+        self._shell = PersistentShell(self.root, bash_timeout)
 
     def close(self) -> None:
         self._shell.close()
@@ -294,10 +291,12 @@ class Workspace:
 
     # -- path confinement ---------------------------------------------------
 
-    def _resolve(self, path: str) -> Path:
+    def _resolve(self, path: str) -> Path | ToolResult:
+        """The absolute path, or the refusal a tool returns for a path
+        outside the root."""
         candidate = (self.root / path).resolve()
         if candidate != self.root and self.root not in candidate.parents:
-            raise _Escape(path)
+            return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
         return candidate
 
     # -- git plumbing ---------------------------------------------------------
@@ -319,9 +318,7 @@ class Workspace:
     def snapshot(self) -> str:
         """Capture the working tree (tracked and untracked, not ignored) as a git tree."""
         self._git("add", "-A")
-        tree = self._git("write-tree").strip()
-        self.snapshot_id = tree
-        return tree
+        return self._git("write-tree").strip()
 
     def rollback(self, snapshot_id: str) -> ToolResult:
         """Restore the working tree byte-identically to a prior snapshot.
@@ -335,17 +332,12 @@ class Workspace:
         except WorkspaceError:
             return ToolResult(False, f"unknown snapshot {snapshot_id}", SNAPSHOT_MISSING)
         self._git("clean", "-fdq")
-        self.snapshot_id = snapshot_id
         return ToolResult(True, f"restored snapshot {snapshot_id[:12]}")
 
-    def submit(self, base_snapshot: str | None = None) -> tuple[str, str]:
-        """Tree id of the current working tree and its unified diff against a
-        snapshot (default: last)."""
-        base = base_snapshot or self.snapshot_id
-        if base is None:
-            raise WorkspaceError("no snapshot to diff against")
+    def submit(self, base: str) -> tuple[str, str]:
+        """Tree id of the current working tree and its unified diff against
+        the snapshot `base`."""
         current = self.snapshot()
-        self.snapshot_id = base
         return current, self.diff(base, current)
 
     def diff(self, old_tree: str, new_tree: str) -> str:
@@ -362,10 +354,8 @@ class Workspace:
 
     def view(self, path: str, window: tuple[int, int] | None = None) -> ToolResult:
         """File contents with 1-based line numbers, or a depth-2 directory listing."""
-        try:
-            target = self._resolve(path)
-        except _Escape:
-            return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
+        if isinstance(target := self._resolve(path), ToolResult):
+            return target
         if target.is_dir():
             return ToolResult(True, cap_output(self._list_dir(target), self.output_cap))
         if not target.is_file():
@@ -400,10 +390,8 @@ class Workspace:
             compiled = re.compile(pattern)
         except re.error as exc:
             return ToolResult(False, f"bad pattern: {exc}", BAD_PATTERN)
-        try:
-            target = self._resolve(search_path)
-        except _Escape:
-            return ToolResult(False, f"{search_path} is outside the workspace", OUTSIDE_WORKSPACE)
+        if isinstance(target := self._resolve(search_path), ToolResult):
+            return target
         if not target.exists():
             return ToolResult(False, f"no such path: {search_path}", NOT_FOUND)
 
@@ -445,10 +433,8 @@ class Workspace:
         return ToolResult(True, cap_output(out, self.output_cap))
 
     def create(self, path: str, text: str) -> ToolResult:
-        try:
-            target = self._resolve(path)
-        except _Escape:
-            return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
+        if isinstance(target := self._resolve(path), ToolResult):
+            return target
         if target.exists():
             return ToolResult(False, f"path already exists: {path}", ALREADY_EXISTS)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -457,10 +443,8 @@ class Workspace:
 
     def str_replace(self, path: str, old: str, new: str) -> ToolResult:
         """Replace an exact, unique occurrence; the file is untouched on error."""
-        try:
-            target = self._resolve(path)
-        except _Escape:
-            return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
+        if isinstance(target := self._resolve(path), ToolResult):
+            return target
         if not target.is_file():
             return ToolResult(False, f"no such file: {path}", NOT_FOUND)
         # Bytes that are not UTF-8 and the file's line endings survive the edit.

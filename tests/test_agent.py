@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 import conftest as fx
+from patchloop import diffutil
 from patchloop.agent import (
     EngineLimits,
     RepairTask,
@@ -472,6 +473,68 @@ def test_every_tool_path_reports_its_error_kind_in_the_trajectory(demo_repo, tmp
     assert any(c.startswith("malformed tool call, ignored:") for c in contents)
     assert not any(c.startswith("never read") for c in contents)
     assert "NOTES.txt" in report.final_diff
+
+
+def test_each_phase_runs_only_the_tools_it_offers(demo_repo, tmp_path):
+    locator = fx.locator_turns(1)
+    locator[0]["turn"]["tool_calls"] += [
+        {"name": "create", "args": {"path": "FROM_LOCATOR.txt", "text": "stray\n"}},
+        {"name": "bash", "args": {"command": "echo stray > from_locator_bash.txt"}},
+    ]
+
+    def transcript(path):
+        return fx.write_transcript(path, locator + fx.patcher_turns(1, fx.GOOD_NEW))
+
+    report, runner, _ = run_scripted(demo_repo, tmp_path, transcript)
+    assert report.outcome == "success"
+    tools = [t for t in runner.trajectory if t["type"] == "tool"]
+    assert [(t["call"]["name"], t["result"].get("error_kind")) for t in tools] == [
+        ("iter_grep", None), ("create", "UnknownTool"), ("bash", "UnknownTool"),
+        ("str_replace", None),
+    ]
+    assert tools[1]["result"]["output"] == "unknown tool: create"
+    assert not (demo_repo / "FROM_LOCATOR.txt").exists()
+    assert not (demo_repo / "from_locator_bash.txt").exists()
+    assert diffutil.changed_files(report.final_diff) == ["app/buffer.py"]
+
+
+def test_live_verifier_turns_are_logged_and_counted(demo_repo, tmp_path):
+    answer = "v" * 4_000
+
+    class LiveGateway(ScriptedGateway):
+        deterministic = False
+
+        def complete(self, history, available_tools):
+            if self._context[0] == "verifier":
+                return ChatTurn(role="assistant", content=answer)
+            return super().complete(history, available_tools)
+
+    transcript = fx.transcript_success(tmp_path / "t.jsonl")
+    limits = EngineLimits(prompt_price_per_1k=0.5, completion_price_per_1k=2.0)
+    runs = []
+    for gateway, repo in ((ScriptedGateway, demo_repo),
+                          (LiveGateway, fx.init_repo(tmp_path / "live", dict(fx.DEMO_FILES)))):
+        task = make_task(repo)
+        runner = SessionRunner(task, MemoryStore(), gateway.from_file(transcript), limits)
+        try:
+            runs.append((runner.run(), runner.trajectory))
+        finally:
+            task.workspace.close()
+    (scripted, _), (live, trajectory) = runs
+
+    assert live.outcome == "success"
+    system, user, reply = [t for t in trajectory if t["type"] == "turn"][-3:]
+    assert (system["role"], user["role"], reply) == (
+        "system", "user", {"type": "turn", "role": "assistant", "content": answer}
+    )
+    assert user["content"].startswith("# Accepted patch\n")
+    assert live.completion_tokens == scripted.completion_tokens + len(answer) // 4
+    verifier_prompt = (len(system["content"]) + len(user["content"])) // 4
+    assert live.prompt_tokens == scripted.prompt_tokens + verifier_prompt
+    assert live.cost_usd == pytest.approx(
+        live.prompt_tokens / 1000 * 0.5 + live.completion_tokens / 1000 * 2.0
+    )
+    assert live.cost_usd > scripted.cost_usd
 
 
 def test_memory_recency_touched_by_session(demo_repo, tmp_path):

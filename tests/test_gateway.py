@@ -321,3 +321,29 @@ def test_remote_embedder_reads_the_first_embedding(loopback, monkeypatch):
     vec = RemoteEmbedder(url, "emb", api_key_env="PATCHLOOP_TEST_KEY", timeout=5).embed("some text")
     assert vec.dtype == "float64" and vec.tolist() == [0.5, -1.0, 2.0]
     assert seen == [("/v1/embeddings", "Bearer sekrit", {"model": "emb", "input": ["some text"]})]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [{"choices": None}, {"choices": [{"message": None}]}, {"choices": []}, ["not", "an", "object"]],
+    ids=["choices null", "message null", "no choices", "a list"],
+)
+def test_http_gateway_reply_of_the_wrong_shape_exhausts(loopback, reply):
+    url, replies, _ = loopback
+    replies["/v1/chat/completions"] = reply
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint=url, timeout=5))
+    with pytest.raises(GatewayExhausted, match="malformed completion response"):
+        gw.complete([ChatTurn("user", "hi")], [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [{"id": "c0", "type": "function"}, {"function": {"name": "view"}}, {"function": None}, "view"],
+    ids=["no function", "no arguments", "function null", "a string"],
+)
+def test_http_gateway_tool_call_without_a_function_is_malformed(loopback, call):
+    url, replies, _ = loopback
+    replies["/v1/chat/completions"] = {"choices": [{"message": {"tool_calls": [call]}}]}
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint=url, timeout=5))
+    with pytest.raises(MalformedToolCall):
+        gw.complete([ChatTurn("user", "hi")], [])

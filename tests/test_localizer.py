@@ -188,6 +188,16 @@ def test_block_comment_marker_in_a_literal_opens_nothing():
     }
 
 
+@pytest.mark.parametrize(
+    "statement, symbol",
+    [("return n;", "n"), ("return *n;", "n"), ("goto out;", "out"), ("else n = 0;", "n")],
+)
+def test_statements_are_not_declarations(statement, symbol):
+    sites = c_sites(f"int f(int n) {{\n    {statement}\n}}\n")
+    assert (2, USE, symbol) in sites
+    assert (2, DEFINITION, symbol) not in sites
+
+
 def test_block_comment_spanning_lines_hides_only_its_own_text():
     sites = c_sites(
         "int before;\n"

@@ -328,6 +328,20 @@ def test_bash_timeout_keeps_what_the_command_printed(ws):
     assert ws.bash("echo again").output.strip() == "again"
 
 
+def test_bash_commands_read_dev_null_not_the_shell_input(ws):
+    started = time.monotonic()
+    result = ws.bash("cat")
+    assert (result.ok, result.output) == (True, "")
+    assert time.monotonic() - started < 5  # not the 10 s timeout
+    assert ws.bash("head -n1").ok
+    after = ws.bash("echo after")
+    assert (after.ok, after.output.strip()) == (True, "after")
+    eof = ws.bash("python3 -c 'input()'")
+    assert eof.error_kind == "NonZeroExit" and "EOFError" in eof.output
+    heredoc = ws.bash("cat <<'EOF'\nfrom a heredoc\nEOF")
+    assert (heredoc.ok, heredoc.output.strip()) == (True, "from a heredoc")
+
+
 def test_bash_nonzero_exit_reported(ws):
     result = ws.bash("false")
     assert not result.ok
@@ -433,7 +447,7 @@ def test_close_removes_private_index(tmp_path):
 
 def test_submit_empty_diff_on_untouched_workspace(ws):
     base = ws.snapshot()
-    assert ws.submit() == (base, "")
+    assert ws.submit(base) == (base, "")
 
 
 def test_submit_single_edit_has_one_hunk(ws):
