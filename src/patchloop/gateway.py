@@ -9,6 +9,7 @@ Prompt assembly is a pure function so rendered prompts are stable too.
 from __future__ import annotations
 
 import json
+import re
 import time
 import urllib.error
 import urllib.request
@@ -115,6 +116,7 @@ class HttpGateway:
     deterministic = False
     RETRIES = 3
     RETRYABLE_4XX = frozenset({408, 429})  # timeout, rate limit; other 4xx fail at once
+    RETRY_AFTER = frozenset({429, 503})  # statuses whose Retry-After sets the next wait
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
@@ -160,7 +162,9 @@ class HttpGateway:
             headers["Authorization"] = f"Bearer {key}"
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         last_error: Exception | None = None
+        sleep_left = 2 ** (self.RETRIES - 1) - 1  # the 1 + 2 + ... s of the backoff
         for attempt in range(self.RETRIES):
+            delay = 2**attempt
             try:
                 req = urllib.request.Request(url, data=body, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
@@ -171,11 +175,17 @@ class HttpGateway:
                     raise GatewayExhausted(
                         f"gateway refused the request: HTTP {exc.code} {exc.reason}"
                     ) from exc
+                if exc.code in self.RETRY_AFTER and exc.headers is not None:
+                    # delta-seconds only; an HTTP date keeps the backoff
+                    if m := re.fullmatch(r"\s*(\d+)\s*", exc.headers.get("Retry-After") or ""):
+                        delay = int(m[1])
                 last_error = exc
             except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
                 last_error = exc
             if attempt + 1 < self.RETRIES:
-                time.sleep(2**attempt)
+                delay = min(delay, sleep_left)
+                sleep_left -= delay
+                time.sleep(delay)
         else:
             raise GatewayExhausted(f"gateway unreachable after {self.RETRIES} attempts: {last_error}")
 

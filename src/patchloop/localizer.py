@@ -7,8 +7,10 @@ come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
 Each file is parsed once per process per content: the sites of a file are
-cached under its path and git blob id, and an unchanged file costs a read
-and a hash when the next session indexes the same checkout.
+cached under its path and git blob id. A stat cache, like git's own, lets
+the next call on the same checkout skip reading a file whose size, mtime,
+ctime and inode have not changed, binaries included; an unchanged file then
+costs one ``stat``.
 
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
@@ -22,6 +24,7 @@ import hashlib
 import logging
 import os
 import re
+import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
@@ -314,10 +317,19 @@ class SymbolIndex:
 
 
 # (rel path, git blob id) -> (line count, symbol -> sites) of every file the
-# last index_repository call indexed. Each call rebinds it to the entries it
-# used, so it never outgrows one repository; concurrent calls on different
-# repositories can only evict each other's entries.
+# last index_repository call indexed, and path -> (stat signature, blob id, or
+# None for a binary) of every file it found whose signature can be trusted.
+# Each call rebinds both to the entries it used, so they never outgrow one
+# repository; concurrent calls on different repositories can only evict each
+# other's entries.
 _PARSED: dict[tuple[str, str], tuple[int, Mapping[str, tuple[SymbolSite, ...]]]] = {}
+_STATS: dict[str, tuple[tuple[int, int, int, int], str | None]] = {}
+
+_NS = 1_000_000_000
+
+
+def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
 
 
 def _blob_id(data: bytes) -> str:
@@ -345,30 +357,53 @@ def _parse(data: bytes, rel: str) -> tuple[int, Mapping[str, tuple[SymbolSite, .
 
 def index_repository(root: Path) -> SymbolIndex:
     """Index every readable text file under `root` (skips .git and binaries),
-    parsing only the files whose content this process has not indexed yet."""
-    global _PARSED
+    reading only the files whose stat changed since the last call and
+    parsing only those whose content this process has not indexed yet."""
+    global _PARSED, _STATS
     if not Path(root).is_dir():
         raise IndexFailure(f"not a readable directory: {root}")
+    # git's racy-timestamp rule: a file written in the second its signature
+    # was taken, or the one before on a coarse clock, could change again
+    # without changing its signature, so that signature is not kept.
+    trusted_before = time.time_ns() // _NS - 1
     previous, used = _PARSED, {}
+    known, stats = _STATS, {}
     files: dict[str, int] = {}
     groups = []
     for path, rel in walk_files(os.fspath(root)):
         try:
-            with open(path, "rb") as fh:
-                if os.fstat(fh.fileno()).st_size > MAX_INDEXED_BYTES:
-                    continue
-                data = fh.read()
+            signature = _signature(os.stat(path))
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
-        if b"\x00" in data:
+        if signature[0] > MAX_INDEXED_BYTES:
             continue
-        key = (rel, _blob_id(data))
-        parsed = previous.get(key) or _parse(data, rel)
+        cached = known.get(path)
+        parsed = None
+        if cached is not None and cached[0] == signature:
+            stats[path] = cached
+            if cached[1] is None:  # a binary
+                continue
+            key = (rel, cached[1])
+            parsed = previous.get(key)
+        if parsed is None:
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                logger.warning("skipping unreadable file %s: %s", path, exc)
+                continue
+            blob = None if b"\x00" in data else _blob_id(data)
+            if signature[1] // _NS < trusted_before:
+                stats[path] = (signature, blob)
+            if blob is None:
+                continue
+            key = (rel, blob)
+            parsed = previous.get(key) or _parse(data, rel)
         used[key] = parsed
         files[rel] = parsed[0]
         groups.append(parsed[1])
-    _PARSED = used
+    _PARSED, _STATS = used, stats
     return SymbolIndex(files, groups)
 
 

@@ -7,7 +7,10 @@ exception and relies on the host container for confinement, with only a
 timeout and an output cap enforced here.
 
 Snapshots are git tree objects written through a private index that each
-workspace owns; the checkout's own index is never touched. Rollback is a
+workspace owns; the checkout's own index is never touched. The private index
+starts as a copy of the checkout's, so git's stat cache lets the first
+snapshot re-hash only the files whose stat changed, and tracked files that
+match an ignore rule are in every snapshot. Rollback is a
 ``read-tree --reset -u`` plus ``clean`` on that index, so git restores the
 working tree byte-identically, removals included, and never touches ignored
 files.
@@ -15,6 +18,7 @@ files.
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 import select
@@ -24,6 +28,7 @@ import subprocess
 import tempfile
 import time
 import uuid
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +44,7 @@ MAX_FAILURE_FRAMES = 8  # stack frames a compressed failure log keeps
 
 _GIT = shutil.which("git") or "git"
 _BARE_LF_RE = re.compile(r"(?<!\r)\n")
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]+")  # bytes surrogateescape could not decode
 
 # ToolResult.error_kind values
 NOT_FOUND = "NotFound"
@@ -147,8 +153,10 @@ class PersistentShell:
         marker = f"__DONE_{uuid.uuid4().hex}__"
         # The command reads /dev/null, not this pipe, so it cannot swallow
         # the marker line; a { } group runs in this shell, so cd and export
-        # persist.
-        script = f"{{ {command}\n}} < /dev/null\nprintf '\\n%s %s\\n' {marker} $?\n"
+        # persist. eval parses the command, so a syntax error in it is exit
+        # status 2, not the end of a shell that reads its script from a pipe.
+        quoted = "'" + command.replace("'", "'\\''") + "'"
+        script = f"{{ eval {quoted}\n}} < /dev/null\nprintf '\\n%s %s\\n' {marker} $?\n"
         try:
             self._proc.stdin.write(script.encode("utf-8"))
             self._proc.stdin.flush()
@@ -189,6 +197,39 @@ class PersistentShell:
                 if output.endswith("\n"):
                     output = output[:-1]
                 return code == 0, output, None
+
+
+def _as_viewed(content: str) -> tuple[str, Callable[[int], int]]:
+    """`content`, decoded with ``surrogateescape``, as ``view`` shows it, and
+    a map from an offset in that text to the same place in `content`.
+
+    ``view`` decodes with ``replace``, which shows each undecodable sequence
+    of one to three bytes as one U+FFFD; here that U+FFFD stands for it.
+    """
+    pieces: list[str] = []
+    marks = [(0, 0)]  # (offset shown, offset in content) after each U+FFFD
+    for run in _UNDECODABLE_RE.finditer(content):
+        shown, done = marks[-1]
+        pieces.append(content[done : run.start()])
+        shown, done = shown + run.start() - done, run.start()
+        data = run.group().encode("utf-8", errors="surrogateescape")
+        while data:
+            try:
+                data.decode("utf-8")
+                size = len(data)  # not reached: the run starts undecodable
+            except UnicodeDecodeError as exc:
+                size = exc.end
+            pieces.append("\ufffd")
+            data, shown, done = data[size:], shown + 1, done + size
+            marks.append((shown, done))
+    pieces.append(content[marks[-1][1] :])
+    shown_at = [mark[0] for mark in marks]
+
+    def to_content(offset: int) -> int:
+        mark_shown, mark_content = marks[bisect.bisect_right(shown_at, offset) - 1]
+        return mark_content + offset - mark_shown
+
+    return "".join(pieces), to_content
 
 
 def _ended(buf: bytearray, message: str) -> str:
@@ -282,8 +323,29 @@ class Workspace:
             raise WorkspaceError(f"workspace root is not a git checkout: {self.root}")
         self.output_cap = output_cap
         self._index_dir = tempfile.mkdtemp(prefix="pl-index-")
-        self._git_env = {**os.environ, "GIT_INDEX_FILE": os.path.join(self._index_dir, "index")}
+        index = os.path.join(self._index_dir, "index")
+        self._git_env = {**os.environ, "GIT_INDEX_FILE": index}
+        self._seed_index(index)
         self._shell = PersistentShell(self.root, bash_timeout)
+
+    def _seed_index(self, index: str) -> None:
+        """Start the private index as a copy of the checkout's own, so git's
+        stat cache skips the files that have not changed since it was last
+        written. ``copy2`` keeps the file's mtime, by which git tells which
+        entries are racy. A missing, unreadable or locked index, or one with
+        an entry ``ls-files -v`` does not tag ``H`` (assume-unchanged and
+        skip-worktree entries, whose staged blob ``add -A`` would keep, and
+        unmerged ones), leaves the index empty."""
+        user_index = self.root / ".git" / "index"
+        if user_index.with_name("index.lock").exists():
+            return
+        try:
+            shutil.copy2(user_index, index)
+            tags = self._git("ls-files", "-v", "-z")
+        except (OSError, WorkspaceError):
+            tags = None
+        if tags is None or any(entry[:2] != "H " for entry in tags.split("\0") if entry):
+            Path(index).unlink(missing_ok=True)
 
     def close(self) -> None:
         self._shell.close()
@@ -302,9 +364,10 @@ class Workspace:
     # -- git plumbing ---------------------------------------------------------
 
     def _git(self, *args: str) -> str:
-        """Run git on the workspace's private index."""
+        """Run git on the workspace's private index. A split index is written
+        whole, so git adds no shared index file to the checkout's ``.git``."""
         proc = subprocess.run(
-            [_GIT, "-C", str(self.root), *args],
+            [_GIT, "-C", str(self.root), "-c", "core.splitIndex=false", *args],
             env=self._git_env,
             capture_output=True,
             encoding="utf-8",
@@ -451,12 +514,15 @@ class Workspace:
         content = target.read_bytes().decode("utf-8", errors="surrogateescape")
         if "\r\n" in content:
             old, new = (_BARE_LF_RE.sub("\r\n", s) for s in (old, new))
-        count = content.count(old)
+        shown, to_content = _as_viewed(content)
+        count = shown.count(old)
         if count == 0:
             return ToolResult(False, f"old text not found in {path}", NO_MATCH)
         if count > 1:
             return ToolResult(False, f"old text occurs {count} times in {path}", AMBIGUOUS_MATCH)
-        target.write_bytes(content.replace(old, new, 1).encode("utf-8", errors="surrogateescape"))
+        start = shown.find(old)
+        edited = content[: to_content(start)] + new + content[to_content(start + len(old)) :]
+        target.write_bytes(edited.encode("utf-8", errors="surrogateescape"))
         return ToolResult(True, f"replaced 1 occurrence in {path}")
 
     def bash(self, command: str, restart: bool = False, timeout: float | None = None) -> ToolResult:

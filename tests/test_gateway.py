@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import http.server
 import json
 import threading
@@ -256,6 +257,44 @@ def test_http_gateway_fails_fast_only_on_non_retryable_4xx(monkeypatch, status, 
     with pytest.raises(GatewayExhausted, match=str(status)):
         gw.complete([ChatTurn("system", "s")], [])
     assert len(seen_urls) == calls
+    assert seen_sleeps == sleeps
+
+
+def _retry_after(value: str | None) -> http.client.HTTPMessage:
+    headers = http.client.HTTPMessage()
+    if value is not None:
+        headers["Retry-After"] = value
+    return headers
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, sleeps",
+    [
+        (429, "0", [0, 0]),
+        (503, "1", [1, 1]),
+        (429, " 2 ", [2, 1]),  # the two waits stay within the 1 + 2 s of the backoff
+        (503, "120", [3, 0]),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [1, 2]),
+        (503, "soon", [1, 2]),
+        (429, None, [1, 2]),
+        (408, "0", [1, 2]),  # only 429 and 503 set the wait
+    ],
+)
+def test_http_gateway_honours_retry_after(monkeypatch, status, retry_after, sleeps):
+    import urllib.error
+
+    seen_sleeps, seen_urls = [], []
+
+    def refuse(req, timeout=None):
+        seen_urls.append(req.full_url)
+        raise urllib.error.HTTPError(req.full_url, status, "busy", _retry_after(retry_after), None)
+
+    monkeypatch.setattr("patchloop.gateway.time.sleep", seen_sleeps.append)
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9", timeout=0.2))
+    with pytest.raises(GatewayExhausted, match=str(status)):
+        gw.complete([ChatTurn("system", "s")], [])
+    assert len(seen_urls) == 3
     assert seen_sleeps == sleeps
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -377,6 +379,9 @@ def test_absolute_frame_paths_match_relative_sites():
 # ---------------------------------------------------------------------------
 
 
+OLD_MTIME = 1_600_000_000 * 10**9
+
+
 def _blob_id(data: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
@@ -403,9 +408,22 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     for name in ("_extract_c_sites", "_extract_python_sites"):
         monkeypatch.setattr(localizer, name, counting(getattr(localizer, name)))
     monkeypatch.setattr(localizer, "_PARSED", {})
+    monkeypatch.setattr(localizer, "_STATS", {})
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).relative_to(root).as_posix())
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(localizer, "open", counting_open, raising=False)
+    (root / "tool.o").write_bytes(b"\x7fELF\x00alpha")  # a binary, never indexed
+    for path in root.rglob("*"):
+        if ".git" not in path.parts and path.is_file():
+            os.utime(path, ns=(OLD_MTIME, OLD_MTIME))  # old enough to trust its stat
 
     first = index_repository(root)
     assert sorted(parsed) == ["src/a.c", "src/b.c", "tool.py"]
+    assert sorted(opened) == ["README", "src/a.c", "src/b.c", "tool.o", "tool.py"]
     # the cache key is git's own blob id, as `git ls-files -s` lists it
     staged = {
         (line.split("\t")[1], line.split()[1])
@@ -414,14 +432,15 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     assert set(localizer._PARSED) == staged
 
     parsed.clear()
+    opened.clear()
     second = index_repository(root)
-    assert parsed == []
+    assert (parsed, opened) == ([], [])
     assert second.files == first.files
     assert second.sites("alpha") == first.sites("alpha")
 
     (root / "src" / "b.c").write_text("int delta;\n")
     third = index_repository(root)
-    assert parsed == ["src/b.c"]
+    assert parsed == opened == ["src/b.c"]
     assert [s.file for s in third.sites("beta")] == ["README"]  # no stale src/b.c site
     assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("src/b.c", 1, DEFINITION)]
 
@@ -438,7 +457,7 @@ _contents = st.lists(st.sampled_from(_TREE_LINES), max_size=6).map(lambda ls: "\
 _trees = st.dictionaries(st.sampled_from(_TREE_NAMES), _contents, min_size=1)
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(("edit", "rename", "delete")),
+        st.sampled_from(("edit", "same-size edit", "rename", "delete")),
         st.sampled_from(_TREE_NAMES),
         st.sampled_from(_TREE_NAMES),
         _contents,
@@ -457,22 +476,42 @@ def _snapshot(index) -> tuple:
     return index.files, {symbol: index.sites(symbol) for symbol in _TREE_SYMBOLS}
 
 
+def _same_size_edit(text: str) -> str:
+    return re.sub("foo|bar|baz", lambda m: {"foo": "bar", "bar": "baz", "baz": "foo"}[m[0]], text)
+
+
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees, steps=_steps, other=_trees)
 def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
-    saved = localizer._PARSED
+    saved = localizer._PARSED, localizer._STATS, localizer._signature
+    # As if the ctime could not be trusted (git's core.trustctime=false): a
+    # same-size edit that keeps the mtime then keeps the whole signature, and
+    # only the racy-timestamp rule makes the index read the file again.
+    localizer._signature = lambda st: (st.st_size, st.st_mtime_ns, 0, st.st_ino)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             root, second = Path(tmp, "one"), Path(tmp, "two")
             _write_tree(root, tree)
+            for rel in tree:  # old enough to trust, so unchanged files hit the cache
+                os.utime(root / rel, ns=(OLD_MTIME, OLD_MTIME))
             index_repository(root)
             files = dict(tree)
             for op, name, target, text in steps:
+                if op == "same-size edit" and files:
+                    name = min(files) if name not in files else name
                 if name not in files:
                     continue
                 if op == "edit":
                     files[name] = text
                     (root / name).write_text(text)
+                elif op == "same-size edit":  # inside the mtime tick an index call saw
+                    path = root / name
+                    path.write_text(files[name])
+                    index_repository(root)
+                    seen = path.stat()
+                    files[name] = _same_size_edit(files[name])
+                    path.write_text(files[name])
+                    os.utime(path, ns=(seen.st_atime_ns, seen.st_mtime_ns))
                 elif op == "rename" and target not in files:
                     (root / target).parent.mkdir(parents=True, exist_ok=True)
                     (root / name).rename(root / target)
@@ -481,7 +520,7 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                     (root / name).unlink()
                     del files[name]
             warm = _snapshot(index_repository(root))
-            localizer._PARSED = {}
+            localizer._PARSED, localizer._STATS = {}, {}
             cold = _snapshot(index_repository(root))
             assert warm == cold
             # every site points at a file that holds the symbol on that line now
@@ -496,4 +535,4 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                 (rel, _blob_id(text.encode())) for rel, text in other.items()
             }
     finally:
-        localizer._PARSED = saved
+        localizer._PARSED, localizer._STATS, localizer._signature = saved

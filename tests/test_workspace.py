@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import re
 import subprocess
 import time
@@ -251,7 +252,10 @@ LEGACY = b"name = 'caf\xe9'\r\nx = 1\r\ny = 2\r\n"  # CRLF, Latin-1
     [
         ("x = 1", "x = 10", b"name = 'caf\xe9'\r\nx = 10\r\ny = 2\r\n"),
         ("x = 1\ny = 2", "x = 10\ny = 20", b"name = 'caf\xe9'\r\nx = 10\r\ny = 20\r\n"),
-    ],    ids=["one line", "two lines"],
+        # the first line as view shows it
+        ("name = 'caf\ufffd'", "name = 'cafe'", b"name = 'cafe'\r\nx = 1\r\ny = 2\r\n"),
+    ],
+    ids=["one line", "two lines", "line copied from view"],
 )
 def test_str_replace_keeps_line_endings_and_undecodable_bytes(ws, old, new, expected):
     path = ws.root / "legacy.py"
@@ -262,6 +266,46 @@ def test_str_replace_keeps_line_endings_and_undecodable_bytes(ws, old, new, expe
     assert path.read_bytes() == expected
     changed = str(old.count("\n") + 1)
     assert git(ws.root, "diff", "--numstat").split() == [changed, changed, "legacy.py"]
+
+
+MIXED = b"a\xe9\n\xe2\x82b\xe9\xe9\nend\xff\n"  # view: "a\ufffd", "\ufffdb\ufffd\ufffd", "end\ufffd"
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("a\ufffd", "A", b"A\n\xe2\x82b\xe9\xe9\nend\xff\n"),
+        ("b\ufffd", "B", b"a\xe9\n\xe2\x82B\xe9\nend\xff\n"),
+        # one U+FFFD stands for a truncated two-byte sequence
+        ("\ufffdb", "X", b"a\xe9\nX\xe9\xe9\nend\xff\n"),
+        ("\ufffd\ufffd\nend", "\nEND", b"a\xe9\n\xe2\x82b\nEND\xff\n"),
+    ],
+    ids=["one byte", "first byte of a run", "two-byte sequence", "across a line end"],
+)
+def test_str_replace_matches_undecodable_bytes_as_view_shows_them(ws, old, new, expected):
+    path = ws.root / "mixed.txt"
+    path.write_bytes(MIXED)
+    shown = [line.split("\t", 1)[1] for line in ws.view("mixed.txt").output.splitlines()]
+    assert shown == ["a\ufffd", "\ufffdb\ufffd\ufffd", "end\ufffd"]
+    assert ws.str_replace("mixed.txt", old, new).ok
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "old, error_kind, message",
+    [
+        ("\ufffd", "AmbiguousMatch", "old text occurs 5 times in mixed.txt"),
+        ("b\ufffd\ufffd\ufffd", "NoMatch", "old text not found in mixed.txt"),
+        ("a\ufffd\ufffd", "NoMatch", "old text not found in mixed.txt"),
+    ],
+    ids=["ambiguous", "more than the run after b", "more than the run after a"],
+)
+def test_str_replace_errors_on_undecodable_bytes_leave_the_file(ws, old, error_kind, message):
+    path = ws.root / "mixed.txt"
+    path.write_bytes(MIXED)
+    result = ws.str_replace("mixed.txt", old, "X")
+    assert (result.error_kind, result.output) == (error_kind, message)
+    assert path.read_bytes() == MIXED
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +386,17 @@ def test_bash_commands_read_dev_null_not_the_shell_input(ws):
     assert (heredoc.ok, heredoc.output.strip()) == (True, "from a heredoc")
 
 
+def test_bash_syntax_error_keeps_the_shell(ws):
+    result = ws.bash("echo )")
+    assert result.error_kind == "NonZeroExit"
+    assert "syntax error near unexpected token" in result.output
+    assert ws.bash("pwd").output.strip() == str(ws.root)
+    assert ws.bash("cd docs && export WHERE='it'\\''s here'").ok
+    assert ws.bash('pwd; echo "$WHERE"').output.splitlines() == [str(ws.root / "docs"), "it's here"]
+    heredoc = ws.bash("cat <<'EOF'\n'quoted' \"and\" $WHERE\nEOF")
+    assert (heredoc.ok, heredoc.output.strip()) == (True, "'quoted' \"and\" $WHERE")
+
+
 def test_bash_nonzero_exit_reported(ws):
     result = ws.bash("false")
     assert not result.ok
@@ -419,6 +474,93 @@ def test_rollback_keeps_ignored_files_and_user_index(tmp_path):
     assert (repo / ".git" / "index").read_bytes() == user_index
     assert git(repo, "--no-optional-locks", "status", "--porcelain", "--ignored") == status
     assert (repo / ".git" / "index").read_bytes() == user_index
+
+
+def _git_dir_listing(repo: Path) -> list[str]:
+    """Every file under ``.git`` except the object store, which snapshots write to."""
+    git_dir = repo / ".git"
+    return sorted(
+        p.relative_to(git_dir).as_posix()
+        for p in git_dir.rglob("*")
+        if p.is_file() and p.relative_to(git_dir).parts[0] != "objects"
+    )
+
+
+def test_user_git_dir_is_unchanged_by_snapshot_submit_and_rollback(tmp_path):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n", "src/b.c": "int b;\n"})
+    listing = _git_dir_listing(repo)
+    user_index = (repo / ".git" / "index").read_bytes()
+    workspace = Workspace(repo)
+    try:
+        snap = workspace.snapshot()
+        workspace.str_replace("a.txt", "a", "A")
+        (repo / "src/b.c").unlink()
+        workspace.create("new.txt", "new\n")
+        assert workspace.submit(snap)[1]
+        assert workspace.rollback(snap).ok
+    finally:
+        workspace.close()
+    assert _git_dir_listing(repo) == listing
+    assert (repo / ".git" / "index").read_bytes() == user_index
+
+
+def test_snapshot_sees_a_same_size_edit_in_the_user_index_mtime_tick(tmp_path):
+    # The user's index was written in the tick a.txt was last changed, so git
+    # must re-hash a.txt; a copy of the index with a fresh mtime would not.
+    repo = init_repo(tmp_path / "racy", {"a.txt": "one\n", "b.txt": "two\n"})
+    git(repo, "config", "core.trustctime", "false")
+    tick = (1_600_000_000 * 10**9,) * 2
+    os.utime(repo / "a.txt", ns=tick)
+    git(repo, "update-index", "--refresh")
+    assert git(repo, "ls-files", "--debug", "a.txt").count("mtime: 1600000000:0") == 1
+    os.utime(repo / ".git" / "index", ns=tick)
+    (repo / "a.txt").write_text("ONE\n")
+    os.utime(repo / "a.txt", ns=tick)
+    workspace = Workspace(repo)
+    try:
+        snap = workspace.snapshot()
+        assert workspace.file_at_snapshot(snap, "a.txt") == "ONE\n"
+        assert workspace.file_at_snapshot(snap, "b.txt") == "two\n"
+    finally:
+        workspace.close()
+
+
+@pytest.mark.parametrize("flag", ["--assume-unchanged", "--skip-worktree"])
+def test_snapshot_sees_edits_to_flagged_entries_of_the_user_index(tmp_path, flag):
+    repo = init_repo(tmp_path / "flags", {"a.txt": "one\n", "b.txt": "two\n"})
+    git(repo, "update-index", flag, "a.txt")
+    (repo / "a.txt").write_text("edited\n")
+    workspace = Workspace(repo)
+    try:
+        base = workspace.snapshot()
+        assert workspace.file_at_snapshot(base, "a.txt") == "edited\n"
+        (repo / "a.txt").write_text("edited again\n")
+        assert "+edited again" in workspace.submit(base)[1]
+        assert workspace.rollback(base).ok
+    finally:
+        workspace.close()
+    assert (repo / "a.txt").read_text() == "edited\n"
+
+
+def test_tracked_file_matching_an_ignore_rule_is_snapshotted(tmp_path):
+    repo = init_repo(tmp_path / "tracked", {".gitignore": "*.o\n", "a.c": "int a;\n"})
+    (repo / "keep.o").write_text("original\n")
+    git(repo, "add", "-f", "keep.o")
+    git(repo, "commit", "-qm", "keep.o")
+    (repo / "other.o").write_text("ignored\n")
+    workspace = Workspace(repo)
+    try:
+        base = workspace.snapshot()
+        (repo / "keep.o").write_text("EDITED\n")
+        _, diff = workspace.submit(base)
+        assert "+++ b/keep.o" in diff and "+EDITED" in diff
+        assert "other.o" not in diff
+        assert workspace.rollback(base).ok
+    finally:
+        workspace.close()
+    assert (repo / "keep.o").read_text() == "original\n"
+    assert (repo / "other.o").read_text() == "ignored\n"
+    assert git(repo, "status", "--porcelain") == ""
 
 
 def test_rollback_to_snapshot_of_another_workspace(ws):
