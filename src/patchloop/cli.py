@@ -78,6 +78,10 @@ def ingest(
     to `memory_file`; returns (inserted, merged, rejected)."""
     inserted = merged = rejected = 0
     for lineno, row in _iter_corpus_rows(Path(corpus_file)):
+        if not isinstance(row, dict):
+            logger.warning("corpus line %d rejected: not an object", lineno)
+            rejected += 1
+            continue
         mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}
         cwe = _normalize_cwe(mapped["cwe"])
         if cwe is None:
@@ -110,6 +114,8 @@ def ingest(
 
 def _load_task(task_file: Path) -> dict:
     task = json.loads(Path(task_file).read_text(encoding="utf-8"))
+    if not isinstance(task, dict):
+        raise ValueError(f"task file {task_file} is not a JSON object")
     for required in ("repo", "poc_command", "regression_command", "instance_id"):
         if required not in task:
             raise KeyError(f"task file missing field {required!r}")

@@ -159,10 +159,12 @@ class RemoteEmbedder:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
-            vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        except (urllib.error.URLError, OSError, KeyError, IndexError, ValueError) as exc:
+            raw = body["data"][0]["embedding"]
+        except (urllib.error.URLError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise EmbeddingUnavailable(f"embedding request failed: {exc}") from exc
-        return vec
+        if not (isinstance(raw, list) and raw and all(type(x) in (int, float) for x in raw)):
+            raise EmbeddingUnavailable(f"malformed embedding response: {raw!r:.80}")
+        return np.asarray(raw, dtype=np.float64)
 
 
 class CachingEmbedder:

@@ -6,11 +6,11 @@ queried symbol by proximity to the crash: sites inside crash-stack files
 come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
-Each file is parsed once per process per content: the sites of a file are
-cached under its path and git blob id. A stat cache, like git's own, lets
-the next call on the same checkout skip reading a file whose size, mtime,
-ctime and inode have not changed, binaries included; an unchanged file then
-costs one ``stat``.
+One cache maps each path, relative to the indexed root, to the file's stat
+signature, git blob id and parse. Like git's stat cache, it lets the next
+call skip reading a file whose signature has not changed, binaries included.
+A changed file is read and hashed, and parsed only when its blob id changed,
+so a second checkout of the same files parses nothing.
 
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
@@ -24,6 +24,7 @@ import hashlib
 import logging
 import os
 import re
+import struct
 import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -272,24 +273,32 @@ def walk_files(root: str, prefix: str = "") -> Iterator[tuple[str, str]]:
     The order, and the files, are those of ``sorted(Path(root).rglob("*"))``
     filtered by ``is_file()``: siblings sorted by name, a directory's files
     right after its name, so ``a/x.c`` precedes ``a-b/x.c``. Symlinked files
-    are included, symlinked directories are not descended, and unreadable
-    directories are skipped. Every entry named ``.git`` is pruned.
+    are included only when they resolve inside `root`, symlinked directories
+    are not descended, and unreadable directories are skipped. Every entry
+    named ``.git`` is pruned.
     """
-    try:
-        with os.scandir(root) as it:
-            entries = sorted(it, key=attrgetter("name"))
-    except OSError:
-        return
-    for entry in entries:
-        if entry.name == ".git":
-            continue
+    inside = os.path.join(os.path.realpath(root), "")
+
+    def walk(directory: str, prefix: str) -> Iterator[tuple[str, str]]:
         try:
-            if entry.is_dir(follow_symlinks=False):
-                yield from walk_files(entry.path, prefix + entry.name + "/")
-            elif entry.is_file():
-                yield entry.path, prefix + entry.name
-        except OSError:  # e.g. a symlink loop: rglob's is_file() says False
-            continue
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=attrgetter("name"))
+        except OSError:
+            return
+        for entry in entries:
+            if entry.name == ".git":
+                continue
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    yield from walk(entry.path, prefix + entry.name + "/")
+                elif entry.is_file():
+                    if entry.is_symlink() and not os.path.realpath(entry.path).startswith(inside):
+                        continue  # a link out of the root
+                    yield entry.path, prefix + entry.name
+            except OSError:  # e.g. a symlink loop: rglob's is_file() says False
+                continue
+
+    return walk(root, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +325,19 @@ class SymbolIndex:
         return self.files.get(file, 0)
 
 
-# (rel path, git blob id) -> (line count, symbol -> sites) of every file the
-# last index_repository call indexed, and path -> (stat signature, blob id, or
-# None for a binary) of every file it found whose signature can be trusted.
-# Each call rebinds both to the entries it used, so they never outgrow one
-# repository; concurrent calls on different repositories can only evict each
-# other's entries.
-_PARSED: dict[tuple[str, str], tuple[int, Mapping[str, tuple[SymbolSite, ...]]]] = {}
-_STATS: dict[str, tuple[tuple[int, int, int, int], str | None]] = {}
+# rel path -> (stat signature, or None while git's racy-timestamp rule
+# distrusts it; git blob id, or None for a binary; (line count, symbol ->
+# sites), or None for a binary) of every file the last index_repository call
+# found. Each call rebinds it to those files. As the key does not name the
+# root, the signature holds the device as well as the inode.
+_Parsed = tuple[int, Mapping[str, tuple[SymbolSite, ...]]]
+_CACHE: dict[str, tuple[bytes | None, str | None, _Parsed | None]] = {}
 
 _NS = 1_000_000_000
 
 
-def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
+def _signature(st: os.stat_result) -> bytes:
+    return struct.pack("QqqQQ", st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
 
 
 def _blob_id(data: bytes) -> str:
@@ -339,7 +347,7 @@ def _blob_id(data: bytes) -> str:
     return digest.hexdigest()
 
 
-def _parse(data: bytes, rel: str) -> tuple[int, Mapping[str, tuple[SymbolSite, ...]]]:
+def _parse(data: bytes, rel: str) -> _Parsed:
     text = data.decode("utf-8", errors="replace")
     grammar = _grammar_for(rel)
     try:
@@ -358,35 +366,26 @@ def _parse(data: bytes, rel: str) -> tuple[int, Mapping[str, tuple[SymbolSite, .
 def index_repository(root: Path) -> SymbolIndex:
     """Index every readable text file under `root` (skips .git and binaries),
     reading only the files whose stat changed since the last call and
-    parsing only those whose content this process has not indexed yet."""
-    global _PARSED, _STATS
+    parsing only those whose content at that path the last call did not see."""
+    global _CACHE
     if not Path(root).is_dir():
         raise IndexFailure(f"not a readable directory: {root}")
     # git's racy-timestamp rule: a file written in the second its signature
     # was taken, or the one before on a coarse clock, could change again
     # without changing its signature, so that signature is not kept.
     trusted_before = time.time_ns() // _NS - 1
-    previous, used = _PARSED, {}
-    known, stats = _STATS, {}
-    files: dict[str, int] = {}
-    groups = []
+    found = {}
     for path, rel in walk_files(os.fspath(root)):
         try:
-            signature = _signature(os.stat(path))
+            st = os.stat(path)
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
-        if signature[0] > MAX_INDEXED_BYTES:
+        if st.st_size > MAX_INDEXED_BYTES:
             continue
-        cached = known.get(path)
-        parsed = None
-        if cached is not None and cached[0] == signature:
-            stats[path] = cached
-            if cached[1] is None:  # a binary
-                continue
-            key = (rel, cached[1])
-            parsed = previous.get(key)
-        if parsed is None:
+        signature = _signature(st)
+        entry = _CACHE.get(rel)
+        if entry is None or entry[0] != signature:
             try:
                 with open(path, "rb") as fh:
                     data = fh.read()
@@ -394,17 +393,14 @@ def index_repository(root: Path) -> SymbolIndex:
                 logger.warning("skipping unreadable file %s: %s", path, exc)
                 continue
             blob = None if b"\x00" in data else _blob_id(data)
-            if signature[1] // _NS < trusted_before:
-                stats[path] = (signature, blob)
-            if blob is None:
-                continue
-            key = (rel, blob)
-            parsed = previous.get(key) or _parse(data, rel)
-        used[key] = parsed
-        files[rel] = parsed[0]
-        groups.append(parsed[1])
-    _PARSED, _STATS = used, stats
-    return SymbolIndex(files, groups)
+            if entry is None or entry[1] != blob:
+                entry = (None, blob, None if blob is None else _parse(data, rel))
+            trusted = st.st_mtime_ns // _NS < trusted_before
+            entry = (signature if trusted else None, blob, entry[2])
+        found[rel] = entry
+    _CACHE = found
+    parsed = {rel: entry[2] for rel, entry in found.items() if entry[2] is not None}
+    return SymbolIndex({rel: p[0] for rel, p in parsed.items()}, [p[1] for p in parsed.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +442,11 @@ def iter_grep(
 ) -> list[LocalizationObject]:
     """Return the top-k locations of `symbol`, ranked by crash proximity.
 
-    Raises NoMatch when the symbol has no indexed site. Without a report
-    the ranking degrades to (definition-before-use, file, line).
+    Raises NoMatch when the symbol has no indexed site and ValueError for k < 1.
+    Without a report the ranking degrades to (definition-before-use, file, line).
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if not symbol:
         raise NoMatch("empty symbol")
     sites = index.sites(symbol)

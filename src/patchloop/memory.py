@@ -478,17 +478,28 @@ def _entry_to_record(entry: MemoryEntry, store: MemoryStore) -> dict:
     return rec
 
 
-def _record_to_entry(rec: dict) -> MemoryEntry:
+def _record_to_entry(rec) -> MemoryEntry:
+    if not isinstance(rec, dict):
+        raise CorruptMemoryFile(f"entry record is not an object: {rec!r:.80}")
     try:
-        keys = RetrievalKeys(*(rec[name] for name in _KEY_FIELDS))
         tier = rec["tier"]
         cls = ENTRY_TYPES.get(tier) if isinstance(tier, str) else None
         if cls is None:
             raise CorruptMemoryFile(f"unknown tier tag: {tier!r}")
-        own = {name: rec[name] for name in _TIER_FIELDS[tier]}
+        texts = {name: rec[name] for name in _KEY_FIELDS + _TIER_FIELDS[tier]}
     except KeyError as exc:
         raise CorruptMemoryFile(f"entry record missing field: {exc}") from exc
-    return cls(keys, fallback_seq=rec.get("fallback_seq"), **own)
+    for name, value in texts.items():
+        if not isinstance(value, str):
+            raise CorruptMemoryFile(f"entry field {name} is not a string: {value!r:.80}")
+    seq = rec.get("fallback_seq")
+    if seq is not None and type(seq) is not int:
+        raise CorruptMemoryFile(f"fallback_seq is not an integer: {seq!r:.80}")
+    last = rec.get("last_retrieved", 0)
+    if type(last) is not int:
+        raise CorruptMemoryFile(f"last_retrieved is not an integer: {last!r:.80}")
+    keys = RetrievalKeys(*(texts.pop(name) for name in _KEY_FIELDS))
+    return cls(keys, fallback_seq=seq, **texts)
 
 
 def _state_path(path: Path) -> Path:

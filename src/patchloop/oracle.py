@@ -70,6 +70,8 @@ class OracleSpec:
         return self.pass_predicates.get(which, defaults[which])
 
     def validate(self) -> None:
+        if not isinstance(self.pass_predicates, dict):
+            raise ValueError("pass_predicates must be a JSON object")
         if not self.poc_command.strip():
             raise ValueError("poc_command must be non-empty")
         for which in ("poc_command", "regression_command", "build_command"):

@@ -181,18 +181,20 @@ def test_ingest_near_duplicate_pair_merges(tmp_path, capsys):
     assert json.loads(out) == {"inserted": 2, "merged": 1, "rejected": 0}
 
 
-def test_ingest_rejects_malformed_rows(tmp_path, capsys):
+def test_ingest_rejects_malformed_rows(tmp_path, capsys, caplog):
     rows = [
         corpus_row("p.cve-2020-1", "fine row number one", "a"),
         {**corpus_row("p.cve-2020-2", "bad patch row", "b"), "fix_patch": "not a diff"},
         {**corpus_row("p.cve-2020-3", "bad cwe row", "c"), "cwe": "NVD-noinfo"},
+        [1, 2],
     ]
     corpus = write_jsonl(tmp_path / "corpus.jsonl", rows)
     code, out, _ = run_cli(
         capsys, "--json", "ingest", str(corpus), "--memory", str(tmp_path / "m.jsonl")
     )
     assert code == 0
-    assert json.loads(out) == {"inserted": 1, "merged": 0, "rejected": 2}
+    assert json.loads(out) == {"inserted": 1, "merged": 0, "rejected": 3}
+    assert "corpus line 4 rejected: not an object" in caplog.text
 
 
 def test_ingest_csv_with_column_map(tmp_path, capsys):
@@ -295,9 +297,27 @@ def test_localize_unknown_symbol_prints_empty_list(crash_repo, capsys):
     assert json.loads(out) == []
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_localize_k_below_one_exit_two(crash_repo, capsys, k):
+    code, out, err = run_cli(
+        capsys, "localize", "--repo", str(crash_repo), "--symbol", "len", "-k", k
+    )
+    assert (code, out) == (2, "")
+    assert "k must be at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # memory inspect / prune
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["inspect"], ["prune", "--window", "1"]])
+def test_memory_commands_on_a_corrupt_record_exit_two(tmp_path, capsys, command):
+    mem = tmp_path / "m.jsonl"
+    mem.write_text("[1, 2]\n")
+    code, _, err = run_cli(capsys, "memory", command[0], "--memory", str(mem), *command[1:])
+    assert code == 2
+    assert "entry record is not an object" in err
 
 
 def test_memory_inspect_empty_file(tmp_path, capsys):
@@ -389,6 +409,26 @@ def test_repair_missing_task_file_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        5,
+        None,
+        ["repo", "poc_command", "regression_command", "instance_id"],
+        {"repo": ".", "poc_command": "true", "regression_command": "true",
+         "instance_id": "t", "pass_predicates": ["exit_zero"]},
+    ],
+    ids=["a number", "null", "a list of the field names", "pass_predicates a list"],
+)
+def test_repair_task_file_of_the_wrong_shape_exit_two(tmp_path, capsys, task):
+    task_file = tmp_path / "task.json"
+    task_file.write_text(json.dumps(task))
+    code, _, err = run_cli(capsys, "repair", str(task_file), "--memory", str(tmp_path / "m.jsonl"))
+    assert code == 2
+    assert "configuration error" in err
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_repair_without_task_argument_exit_two(tmp_path, capsys):

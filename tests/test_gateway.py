@@ -9,7 +9,7 @@ import pytest
 
 from conftest import write_transcript
 from patchloop.embedding import RemoteEmbedder
-from patchloop.errors import GatewayExhausted, MalformedToolCall
+from patchloop.errors import EmbeddingUnavailable, GatewayExhausted, MalformedToolCall
 from patchloop.gateway import (
     ChatTurn,
     GatewayConfig,
@@ -360,6 +360,26 @@ def test_remote_embedder_reads_the_first_embedding(loopback, monkeypatch):
     vec = RemoteEmbedder(url, "emb", api_key_env="PATCHLOOP_TEST_KEY", timeout=5).embed("some text")
     assert vec.dtype == "float64" and vec.tolist() == [0.5, -1.0, 2.0]
     assert seen == [("/v1/embeddings", "Bearer sekrit", {"model": "emb", "input": ["some text"]})]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        [],
+        {"data": None},
+        {"data": [{"embedding": None}]},
+        {"data": [{"embedding": []}]},
+        {"data": [{"embedding": [[0.5, 1]]}]},
+        {"data": [{"embedding": [0.5, None]}]},
+        {"data": [{"embedding": [0.5, "1"]}]},
+    ],
+    ids=["a list", "data null", "embedding null", "empty", "nested", "a null", "a string"],
+)
+def test_remote_embedder_reply_of_the_wrong_shape_is_unavailable(loopback, reply):
+    url, replies, _ = loopback
+    replies["/v1/embeddings"] = reply
+    with pytest.raises(EmbeddingUnavailable):
+        RemoteEmbedder(url, "emb", timeout=5).embed("some text")
 
 
 @pytest.mark.parametrize(

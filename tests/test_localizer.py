@@ -407,8 +407,7 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
 
     for name in ("_extract_c_sites", "_extract_python_sites"):
         monkeypatch.setattr(localizer, name, counting(getattr(localizer, name)))
-    monkeypatch.setattr(localizer, "_PARSED", {})
-    monkeypatch.setattr(localizer, "_STATS", {})
+    monkeypatch.setattr(localizer, "_CACHE", {})
     opened = []
 
     def counting_open(path, *args, **kwargs):
@@ -429,7 +428,7 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
         (line.split("\t")[1], line.split()[1])
         for line in git(root, "ls-files", "-s").splitlines()
     }
-    assert set(localizer._PARSED) == staged
+    assert {(rel, blob) for rel, (_, blob, _) in localizer._CACHE.items() if blob} == staged
 
     parsed.clear()
     opened.clear()
@@ -443,6 +442,37 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     assert parsed == opened == ["src/b.c"]
     assert [s.file for s in third.sites("beta")] == ["README"]  # no stale src/b.c site
     assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("src/b.c", 1, DEFINITION)]
+
+
+def test_a_second_checkout_of_the_same_files_parses_nothing(tmp_path, monkeypatch):
+    files = {
+        "src/a.c": "int alpha(int n) {\n    return n;\n}\n",
+        "tool.py": "def gamma(x):\n    return x\n",
+        "README": "alpha gamma\n",
+    }
+    one, two = init_repo(tmp_path / "one", files), init_repo(tmp_path / "two", files)
+    parsed = []
+    real_parse = localizer._parse
+
+    def counting(data, rel):
+        parsed.append(rel)
+        return real_parse(data, rel)
+
+    monkeypatch.setattr(localizer, "_parse", counting)
+    monkeypatch.setattr(localizer, "_CACHE", {})
+    first = index_repository(one)
+    assert sorted(parsed) == ["README", "src/a.c", "tool.py"]
+
+    parsed.clear()
+    second = index_repository(two)
+    assert parsed == []
+    assert second.files == first.files
+    assert second.sites("alpha") == first.sites("alpha")
+
+    (two / "tool.py").write_text("def delta(x):\n    return x\n")
+    third = index_repository(two)
+    assert parsed == ["tool.py"]
+    assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("tool.py", 1, DEFINITION)]
 
 
 _TREE_NAMES = ("a.c", "b.h", "m.py", "notes.txt", "d/a.c", "d/e/m.py", "d-x/t.txt")
@@ -483,7 +513,7 @@ def _same_size_edit(text: str) -> str:
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees, steps=_steps, other=_trees)
 def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
-    saved = localizer._PARSED, localizer._STATS, localizer._signature
+    saved = localizer._CACHE, localizer._signature
     # As if the ctime could not be trusted (git's core.trustctime=false): a
     # same-size edit that keeps the mtime then keeps the whole signature, and
     # only the racy-timestamp rule makes the index read the file again.
@@ -520,7 +550,7 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                     (root / name).unlink()
                     del files[name]
             warm = _snapshot(index_repository(root))
-            localizer._PARSED, localizer._STATS = {}, {}
+            localizer._CACHE = {}
             cold = _snapshot(index_repository(root))
             assert warm == cold
             # every site points at a file that holds the symbol on that line now
@@ -531,8 +561,8 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
 
             _write_tree(second, other)
             index_repository(second)
-            assert set(localizer._PARSED) == {
+            assert {(rel, blob) for rel, (_, blob, _) in localizer._CACHE.items()} == {
                 (rel, _blob_id(text.encode())) for rel, text in other.items()
             }
     finally:
-        localizer._PARSED, localizer._STATS, localizer._signature = saved
+        localizer._CACHE, localizer._signature = saved

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 
@@ -396,6 +397,19 @@ def test_load_rejects_corrupt_file(tmp_path):
     path.write_text("not json at all\n")
     with pytest.raises(memory.CorruptMemoryFile):
         load_store(path)
+    good = json.loads(GOLDEN_MEMORY.splitlines()[0])
+    for bad in (
+        [1, 2],
+        {**good, "fallback_seq": "x"},
+        {**good, "last_retrieved": "5"},
+        {**good, "last_retrieved": 1.5},
+        {**good, "project": 7},
+        {**good, "description": None},
+        {**good, "fix_patch": ["--- a/x"]},
+    ):
+        path.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(memory.CorruptMemoryFile):
+            load_store(path)
 
 
 # One entry per tier: a fallback_seq, two last_retrieved stamps, an escaped

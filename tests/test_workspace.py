@@ -202,6 +202,32 @@ def test_search_and_index_walk_matches_sorted_rglob(tmp_path):
     assert "build/out.txt" in files and "link.c" in files
 
 
+def test_search_and_index_skip_links_that_leave_the_root(tmp_path):
+    from patchloop.localizer import index_repository, walk_files
+
+    (tmp_path / "secret.txt").write_text("TOPSECRET\n")
+    repo = init_repo(tmp_path / "repo", {"a/x.c": "int x;\n"})
+    (repo / "leak.txt").symlink_to("../secret.txt")
+    (repo / "a" / "abs.txt").symlink_to(tmp_path / "secret.txt")
+    (repo / "a" / "up.c").symlink_to("../a/x.c")  # leaves a/, stays in the root
+    (repo / "inside.c").symlink_to("a/x.c")
+    (tmp_path / "alias").symlink_to("repo", target_is_directory=True)
+
+    ws = Workspace(repo, bash_timeout=10)
+    try:
+        assert ws.view("leak.txt").error_kind == "OutsideWorkspace"
+        assert ws.search("TOPSECRET", limit=100).output == "(no matches)"
+        assert ws.search("TOPSECRET", "a", limit=100).output == "(no matches)"
+        assert "== inside.c:1 ==" in ws.search("int x", limit=100).output
+    finally:
+        ws.close()
+
+    inside = ["a/up.c", "a/x.c", "inside.c"]
+    assert [rel for _, rel in walk_files(str(repo))] == inside
+    assert [rel for _, rel in walk_files(str(tmp_path / "alias"))] == inside
+    assert list(index_repository(repo).files) == inside
+
+
 # ---------------------------------------------------------------------------
 # create / str_replace
 # ---------------------------------------------------------------------------
