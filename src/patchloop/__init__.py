@@ -1,6 +1,6 @@
 """patchloop: memory-guided automated vulnerability repair engine."""
 
-from .agent import RepairTask, SessionRunner, Transition, decide_transition, run_session
+from .agent import RepairTask, SessionRunner, Transition, decide_transition
 from .localizer import index_repository, iter_grep, parse_crash_report
 from .memory import (
     L1Entry,
@@ -47,6 +47,5 @@ __all__ = [
     "parse_timestamp",
     "prune",
     "retrieve",
-    "run_session",
     "save_store",
 ]

@@ -499,14 +499,3 @@ class SessionRunner:
             cost_usd=cost,
             reason=reason,
         )
-
-
-def run_session(
-    task: RepairTask,
-    store: MemoryStore,
-    gateway,
-    limits: EngineLimits | None = None,
-) -> tuple[SessionReport, RepairSession, list[dict]]:
-    runner = SessionRunner(task, store, gateway, limits)
-    report = runner.run()
-    return report, runner.session, runner.trajectory

@@ -119,6 +119,16 @@ def _load_task(task_file: Path) -> dict:
     for required in ("repo", "poc_command", "regression_command", "instance_id"):
         if required not in task:
             raise KeyError(f"task file missing field {required!r}")
+    for name in ("repo", "poc_command", "regression_command", "instance_id",
+                 "project", "cwe", "language", "description"):
+        if not isinstance(task.get(name, ""), str):
+            raise ValueError(f"task field {name!r} is not a string")
+    for name in ("build_command", "transcript"):
+        if task.get(name) is not None and not isinstance(task[name], str):
+            raise ValueError(f"task field {name!r} is neither a string nor null")
+    files = task.get("ground_truth_files")
+    if files is not None and not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise ValueError("task field 'ground_truth_files' is neither a list of strings nor null")
     return task
 
 
@@ -158,6 +168,7 @@ def repair_one(
         instance_id=task_data["instance_id"],
         description=task_data.get("description", ""),
     )
+    keys.validate()
     owns_store = store is None
     if owns_store:
         store = load_store(Path(memory_file), embedder=build_embedder(cfg.retrieval))

@@ -38,18 +38,8 @@ class FilePatch:
 
 
 def looks_like_unified_diff(text: str) -> bool:
-    """Cheap structural check: a ---/+++ header pair followed by a hunk."""
-    if not text or not text.strip():
-        return False
-    saw_old = saw_new = False
-    for line in text.splitlines():
-        if _FILE_OLD_RE.match(line):
-            saw_old = True
-        elif _FILE_NEW_RE.match(line):
-            saw_new = saw_old and True
-        elif saw_old and saw_new and _HUNK_RE.match(line):
-            return True
-    return False
+    """Structural check: a ---/+++ header pair followed by a hunk."""
+    return any(fp.hunks for fp in parse_patch(text))
 
 
 def parse_patch(text: str) -> list[FilePatch]:
@@ -63,7 +53,7 @@ def parse_patch(text: str) -> list[FilePatch]:
             hunk = None
             continue
         m = _FILE_OLD_RE.match(line)
-        if m and not line.startswith("----"):
+        if m:
             pending_old = DEV_NULL if m.group(1) == DEV_NULL else m.group(1)
             hunk = None
             continue

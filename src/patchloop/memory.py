@@ -11,11 +11,10 @@ per line with a ``tier`` tag. L2/L3 grow at runtime and are therefore
 subject to recency pruning; L1 is treated as a curated corpus and never
 pruned. Writes are serialized through a single writer lock.
 
-Each tier has a :class:`TierIndex` that follows its entry list: rows by
+Each tier is held by one :class:`TierIndex`: its entries, their rows by
 (CWE, language) and one embedding matrix per text field, so dedup and
 retrieval each score a whole tier or a pool with one mat-vec. Every index
-update, catching up with the list included, happens under the writer lock;
-the embedder never runs under it.
+update happens under the writer lock; the embedder never runs under it.
 """
 
 from __future__ import annotations
@@ -187,18 +186,6 @@ class TierIndex:
     def field(self, name: str) -> VectorRows:
         return self.fields.setdefault(name, VectorRows())
 
-    def caught_up(self, live: list[MemoryEntry]) -> TierIndex:
-        """This index extended by the entries appended to `live` since, or a
-        new index of `live` if it changed otherwise."""
-        head = live[: len(self.entries)]
-        if head != self.entries:
-            return TierIndex(live)
-        # Equal entries embed alike; keep the list's own objects all the same.
-        self.entries = head
-        for entry in live[len(head):]:
-            self.add(entry)
-        return self
-
 
 def entry_key(entry: MemoryEntry) -> str:
     """Stable identifier used by the retrieval log, survives persistence."""
@@ -234,22 +221,19 @@ class MemoryStore:
     """Holds the three tiers plus retrieval recency bookkeeping.
 
     Single-writer, multi-reader: mutating operations take the writer lock;
-    retrieval takes it only to catch a tier index up, to store the vectors
+    retrieval takes it only to read a tier's bucket, to store the vectors
     it embedded and to score. ``retrieval_log`` maps
     :func:`entry_key` to the completed-task counter at the entry's last
     retrieval (or insertion).
 
-    The tier lists are the truth and may be appended to directly; each
-    :class:`TierIndex` catches up with its list when next used, and is
-    built anew, its vectors embedded again when needed, when the list
-    changed in any other way. Entries are not to be
-    edited in place once stored.
+    Each tier's :class:`TierIndex` is the only holder of its entries. A row
+    enters through :func:`insert`, :meth:`add` or :func:`load_store` and
+    leaves only through :func:`prune`, which builds the tier a new index;
+    ``tier_entries`` and ``l1``/``l2``/``l3`` return copies. Entries are not
+    to be edited in place once stored.
     """
 
     def __init__(self, embedder: CachingEmbedder | None = None) -> None:
-        self.l1: list[L1Entry] = []
-        self.l2: list[L2Entry] = []
-        self.l3: list[L3Entry] = []
         self.retrieval_log: dict[str, int] = {}
         self.completed_tasks: int = 0
         self.embedder = default_embedder() if embedder is None else embedder
@@ -258,10 +242,21 @@ class MemoryStore:
         self._indexes = {tier: TierIndex() for tier in TIERS}
 
     def tier_entries(self, tier: str) -> list[MemoryEntry]:
-        return {"L1": self.l1, "L2": self.l2, "L3": self.l3}[tier]
+        """A copy of the tier's entries in store order."""
+        with self._write_lock:
+            return list(self._indexes[tier].entries)
+
+    l1 = property(lambda self: self.tier_entries("L1"))
+    l2 = property(lambda self: self.tier_entries("L2"))
+    l3 = property(lambda self: self.tier_entries("L3"))
 
     def __len__(self) -> int:
-        return len(self.l1) + len(self.l2) + len(self.l3)
+        return sum(len(index.entries) for index in self._indexes.values())
+
+    def add(self, entry: MemoryEntry) -> None:
+        """Append `entry` to its tier as it is, without dedup."""
+        with self._write_lock:
+            self._indexes[entry.tier].add(entry)
 
     def touch(self, entries: list[MemoryEntry]) -> None:
         """Record that `entries` were retrieved for the current task."""
@@ -278,17 +273,12 @@ class MemoryStore:
         self._ingest_seq += 1
         return seq
 
-    def _index(self, tier: str) -> TierIndex:
-        """The tier's index, caught up with its list; needs the writer lock."""
-        index = self._indexes[tier] = self._indexes[tier].caught_up(self.tier_entries(tier))
-        return index
-
     def bucket(self, tier: str, cwe: str, language: str) -> tuple[TierIndex, list[int]]:
-        """The tier's caught-up index and its rows for ``(cwe, language)`` in
-        store order. These rows never change: later writes append after them
-        or go to a new index."""
+        """The tier's index and its rows for ``(cwe, language)`` in store
+        order. These rows never change: later writes append after them or go
+        to a new index."""
         with self._write_lock:
-            index = self._index(tier)
+            index = self._indexes[tier]
             return index, list(index.buckets.get((cwe, language), ()))
 
     def embed_rows(self, index: TierIndex, field: str, rows) -> None:
@@ -313,13 +303,10 @@ class MemoryStore:
         self, index: TierIndex, field: str, vec: np.ndarray, pools: list[list[int]]
     ) -> list[list[float]]:
         """Cosine of `vec` against each pool's rows of `field` in `index`."""
-        rows = [row for pool in pools for row in pool]
-        while True:
-            with self._write_lock:
-                vectors = index.field(field)
-                if not vectors.missing(rows):
-                    return [vectors.cosine(vec, pool).tolist() for pool in pools]
-            self.embed_rows(index, field, rows)
+        self.embed_rows(index, field, [row for pool in pools for row in pool])
+        with self._write_lock:
+            vectors = index.field(field)
+            return [vectors.cosine(vec, pool).tolist() for pool in pools]
 
 
 def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
@@ -336,7 +323,7 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     patch_vec = store.embedder.embed(entry.patch_text)
     while True:
         with store._write_lock:
-            index = store._index(entry.tier)
+            index = store._indexes[entry.tier]
             rows = np.arange(len(index.entries))
             if not (index.field("description").missing(rows) or index.field("patch").missing(rows)):
                 return _merge_or_append(store, index, entry, desc_vec, patch_vec)
@@ -349,7 +336,7 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
 def _merge_or_append(
     store: MemoryStore, index: TierIndex, entry: MemoryEntry, desc_vec: np.ndarray, patch_vec: np.ndarray
 ) -> InsertOutcome:
-    """The dedup decision of :func:`insert`, on a caught-up index whose rows
+    """The dedup decision of :func:`insert`, on the tier's index whose rows
     are all embedded; needs the writer lock."""
     every = slice(0, len(index.entries))
     descs, patches = index.fields["description"], index.fields["patch"]
@@ -364,7 +351,6 @@ def _merge_or_append(
     if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
         entry.fallback_seq = store.next_fallback_seq()
     row = len(index.entries)
-    store.tier_entries(entry.tier).append(entry)
     index.add(entry)
     descs.put([row], [desc_vec])
     patches.put([row], [patch_vec])
@@ -384,16 +370,15 @@ def prune(store: MemoryStore, window: float) -> int:
     removed = 0
     with store._write_lock:
         for tier in ("L2", "L3"):
-            entries = store.tier_entries(tier)
             kept = []
-            for entry in entries:
+            for entry in store._indexes[tier].entries:
                 last = store.retrieval_log.get(entry_key(entry), 0)
                 if store.completed_tasks - last > window:
                     store.retrieval_log.pop(entry_key(entry), None)
                     removed += 1
                 else:
                     kept.append(entry)
-            entries[:] = kept
+            store._indexes[tier] = TierIndex(kept)
     return removed
 
 
@@ -534,7 +519,7 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
             except json.JSONDecodeError as exc:
                 raise CorruptMemoryFile(f"{path}:{lineno}: bad JSON ({exc})") from exc
             entry = _record_to_entry(rec)
-            store.tier_entries(entry.tier).append(entry)
+            store.add(entry)
             if "last_retrieved" in rec:
                 store.retrieval_log[entry_key(entry)] = rec["last_retrieved"]
             if entry.fallback_seq is not None:

@@ -158,14 +158,14 @@ def random_store_and_query(rng: random.Random):
                     transition_insight="t",
                     fallback_seq=fallback,
                 )
-            store.tier_entries(tier).append(entry)
+            store.add(entry)
     # a handful of entries deliberately share the query's instance id
     query_iid = f"alpha.cve-{rng.randint(2018, 2024)}-{rng.randint(1, 40000)}"
     for tier in ("L1",):
         leak_keys = RetrievalKeys(
             rng.choice(projects), "CWE-787", "c", query_iid, "leaked twin entry"
         )
-        store.tier_entries(tier).append(
+        store.add(
             L1Entry(keys=leak_keys, fix_patch="--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-l\n+m\n")
         )
     q_keys = RetrievalKeys(

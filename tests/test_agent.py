@@ -601,18 +601,3 @@ def test_scripted_gateway_uses_templated_consolidation_text(demo_repo, tmp_path)
     assert "regression suite" in store.l2[0].rationale
     assert store.l3[0].transition_insight.startswith("replaced ")
 
-
-def test_run_session_convenience_wrapper(demo_repo, tmp_path):
-    from patchloop.agent import run_session
-
-    transcript = fx.transcript_success(tmp_path / "t.jsonl")
-    task = make_task(demo_repo)
-    try:
-        report, session, trajectory = run_session(
-            task, MemoryStore(), ScriptedGateway.from_file(transcript)
-        )
-    finally:
-        task.workspace.close()
-    assert report.outcome == "success"
-    assert session.outcome == Outcome.SUCCESS
-    assert trajectory and trajectory[0]["type"] == "turn"

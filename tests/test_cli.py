@@ -411,6 +411,14 @@ def test_repair_missing_task_file_exit_two(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def on_demo(**fields):
+    """A demo task on a fresh checkout with `fields` replaced, whose PoC
+    first writes the marker file it is given."""
+    return lambda repo, marker: fx.demo_task_json(
+        repo, {"poc_command": f"touch {marker}; python3 poc.py", **fields}
+    )
+
+
 @pytest.mark.parametrize(
     "task",
     [
@@ -419,16 +427,36 @@ def test_repair_missing_task_file_exit_two(tmp_path, capsys):
         ["repo", "poc_command", "regression_command", "instance_id"],
         {"repo": ".", "poc_command": "true", "regression_command": "true",
          "instance_id": "t", "pass_predicates": ["exit_zero"]},
+        on_demo(poc_command=5),
+        on_demo(instance_id=7),
+        on_demo(repo=5),
+        on_demo(cwe="bogus"),
+        on_demo(instance_id=""),
+        on_demo(description=None),
+        on_demo(build_command=["make"]),
+        on_demo(ground_truth_files="app/buffer.py"),
+        on_demo(ground_truth_files=[1]),
     ],
-    ids=["a number", "null", "a list of the field names", "pass_predicates a list"],
+    ids=["a number", "null", "a list of the field names", "pass_predicates a list",
+         "poc_command a number", "instance_id a number", "repo a number", "cwe not a CWE tag",
+         "instance_id empty", "description null", "build_command a list",
+         "ground_truth_files a string", "ground_truth_files of numbers"],
 )
-def test_repair_task_file_of_the_wrong_shape_exit_two(tmp_path, capsys, task):
+def test_repair_task_file_of_the_wrong_shape_exit_two(tmp_path, capsys, request, task):
+    marker = tmp_path / "poc_ran"
+    argv = []
+    if callable(task):
+        repo = request.getfixturevalue("demo_repo")
+        _, cfg, _ = write_repair_setup(tmp_path, repo, fx.transcript_success)
+        task, argv = task(repo, marker), ["--config", str(cfg)]
     task_file = tmp_path / "task.json"
     task_file.write_text(json.dumps(task))
-    code, _, err = run_cli(capsys, "repair", str(task_file), "--memory", str(tmp_path / "m.jsonl"))
+    code, _, err = run_cli(capsys, *argv, "repair", str(task_file), "--memory", str(tmp_path / "m.jsonl"),
+                           "--out", str(tmp_path / "out"))
     assert code == 2
     assert "configuration error" in err
     assert not (tmp_path / "m.jsonl").exists()
+    assert not marker.exists()  # rejected before the oracle ran anything
 
 
 def test_repair_without_task_argument_exit_two(tmp_path, capsys):
@@ -586,6 +614,35 @@ def test_repair_tasks_malformed_task_spares_its_sibling(tmp_path, capsys):
     assert json.loads(out)["results"] == {"broken.json": 2, "good.json": 0}
     assert "poc_command" in err
     assert json.loads((out_dir / "good.report.json").read_text())["outcome"] == "success"
+    assert len(load_store(mem).l2) == 1
+
+
+def test_repair_tasks_bad_cwe_fails_alone_before_its_poc_runs(tmp_path, capsys):
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    marker = tmp_path / "poc_ran"
+    for name, cwe in [("bad", "bogus"), ("good", fx.DEMO_KEYS.cwe)]:
+        repo = fx.init_repo(tmp_path / f"repo_{name}", dict(fx.DEMO_FILES))
+        task = fx.demo_task_json(repo, {
+            "transcript": str(fx.transcript_success(tmp_path / f"{name}.jsonl")),
+            "cwe": cwe,
+        })
+        if name == "bad":
+            task["poc_command"] = f"touch {marker}; python3 poc.py"
+        (tasks_dir / f"{name}.json").write_text(json.dumps(task))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[gateway]\nbackend = scripted\ntranscript = unused-default\n")
+    mem = tmp_path / "m.jsonl"
+
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", "--tasks", str(tasks_dir), "--memory", str(mem), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert json.loads(out)["results"] == {"bad.json": 2, "good.json": 0}
+    assert "bogus" in err
+    assert not marker.exists()
     assert len(load_store(mem).l2) == 1
 
 

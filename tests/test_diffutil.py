@@ -19,6 +19,12 @@ def test_looks_like_unified_diff():
     assert not diffutil.looks_like_unified_diff("")
     assert not diffutil.looks_like_unified_diff("just some prose\nwith lines\n")
     assert not diffutil.looks_like_unified_diff("--- a/x\n+++ b/x\nno hunk header\n")
+    assert not diffutil.looks_like_unified_diff("+++ b/x\n--- a/x\n@@ -1 +1 @@\n-a\n+b\n")
+    assert not diffutil.looks_like_unified_diff("---- a/x\n+++ b/x\n@@ -1 +1 @@\n-a\n+b\n")
+    assert not diffutil.looks_like_unified_diff("@@ -1 +1 @@\n--- a/x\n+++ b/x\n")
+    assert diffutil.looks_like_unified_diff("--- a/x\n+++ b/x\n@@ -1 +1 @@\n")
+    assert diffutil.looks_like_unified_diff("--- a/x\njunk\n+++ b/x\n@@ -1 +1 @@\n-a\n+b\n")
+    assert diffutil.looks_like_unified_diff("diff --git a/x b/x\nindex 1..2 100644\n" + SIMPLE)
 
 
 def test_parse_patch_structure():

@@ -103,7 +103,7 @@ def ref_insert(store: MemoryStore, entry, embed) -> InsertOutcome:
             return InsertOutcome.MERGED
     if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
         entry.fallback_seq = store.next_fallback_seq()
-    store.tier_entries(entry.tier).append(entry)
+    store.add(entry)
     store.retrieval_log[entry_key(entry)] = store.completed_tasks
     return InsertOutcome.INSERTED
 
@@ -172,7 +172,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), _SPEC),
         st.tuples(st.just("append"), _SPEC),
-        st.tuples(st.just("replace"), _SPEC, st.integers(0, 9)),
         st.tuples(st.just("prune"), st.integers(1, 3)),
         st.tuples(st.just("roundtrip")),
         st.tuples(st.just("retrieve"), st.sampled_from(TIERS), _SPEC,
@@ -203,15 +202,8 @@ def test_index_matches_scalar_brute_force(ops):
                 ref.completed_tasks += 1
                 assert insert(store, make_entry(op[1])) == ref_insert(ref, make_entry(op[1]), embed)
             elif kind == "append":
-                entry = make_entry(op[1])
-                store.tier_entries(entry.tier).append(entry)
-                ref.tier_entries(entry.tier).append(make_entry(op[1]))
-            elif kind == "replace":
-                entry = make_entry(op[1])
-                entries = store.tier_entries(entry.tier)
-                if entries:
-                    entries[op[2] % len(entries)] = entry
-                    ref.tier_entries(entry.tier)[op[2] % len(entries)] = make_entry(op[1])
+                store.add(make_entry(op[1]))
+                ref.add(make_entry(op[1]))
             elif kind == "prune":
                 assert prune(store, op[1]) == prune(ref, op[1])
             elif kind == "roundtrip":
@@ -232,7 +224,8 @@ def test_index_matches_scalar_brute_force(ops):
 def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
     store = MemoryStore(embedder=CachingEmbedder(TableEmbedder()))
     first, second = (make_entry(("L1", "p", "CWE-787", f"p.cve-2020-{i}", "v0", "v0", "")) for i in (1, 2))
-    store.l1 += [first, second]  # appended directly, so neither absorbed the other
+    store.add(first)  # added as they are, so neither absorbed the other
+    store.add(second)
     on_edge = make_entry(("L1", "p", "CWE-787", "p.cve-2020-3", "v1", "v0", ""))
     assert insert(store, on_edge) == InsertOutcome.INSERTED  # description cosine == 0.95
     store.completed_tasks = 4
@@ -245,7 +238,7 @@ def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
 
 
 # ---------------------------------------------------------------------------
-# Coherence with the tier lists
+# Coherence of the tier index
 # ---------------------------------------------------------------------------
 
 
@@ -291,11 +284,11 @@ def test_appends_extend_the_index_and_other_changes_rebuild_it():
     store = MemoryStore()
     words = "heap overflow parser frame length copy tag size".split()
     for i in range(12):
-        store.l2.append(l2(f"p.cve-2020-{i}", " ".join(words[i % 8:] + words[: i % 8])))
+        store.add(l2(f"p.cve-2020-{i}", " ".join(words[i % 8:] + words[: i % 8])))
     retrieve(store, "L2", QUERY)
     index = store._indexes["L2"]
     assert "patch" not in index.fields  # only descriptions were needed
-    store.l2.append(l2("p.cve-2021-1", "overflow in the frame parser"))
+    store.add(l2("p.cve-2021-1", "overflow in the frame parser"))
     retrieve(store, "L2", QUERY)
     assert store._indexes["L2"] is index
     assert_same_column(stored_column(index, "description"), fresh_column(store.l2, "description"))
@@ -308,13 +301,28 @@ def test_appends_extend_the_index_and_other_changes_rebuild_it():
     assert all(r.entry in store.l2 for r in ranked)
     rebuilt = store._indexes["L2"]
     assert rebuilt is not index and rebuilt.entries == store.l2
-    store.l2[0] = l2(store.l2[0].keys.instance_id, "unrelated words only")  # same length
-    emb = DeterministicEmbedder()
-    sims = {id(r.entry): r.similarity for r in retrieve(store, "L2", QUERY)}
-    assert sims[id(store.l2[0])] == cosine(emb.embed(QUERY.keys.description),
-                                           emb.embed("unrelated words only"))
-    rebuilt = store._indexes["L2"]
     assert_same_column(stored_column(rebuilt, "description"), fresh_column(store.l2, "description"))
+
+
+def test_the_tier_index_is_the_only_holder_of_its_entries(tmp_path):
+    store = MemoryStore()
+    kept, stray = l2("p.cve-2020-1", "heap overflow in parser"), l2("p.cve-2020-2", "frame copy")
+    store.add(kept)
+    store.tier_entries("L2").append(stray)  # copies: neither reaches the store
+    store.l2.append(stray)
+    assert store.l2 == [kept] and len(store) == 1
+    assert [r.entry for r in retrieve(store, "L2", QUERY)] == [kept]
+
+    store.add(stray)
+    assert {id(r.entry) for r in retrieve(store, "L2", QUERY)} == {id(kept), id(stray)}
+    save_store(store, tmp_path / "m.jsonl")
+    assert load_store(tmp_path / "m.jsonl").l2 == [kept, stray]
+
+    index = store._indexes["L2"]
+    store.completed_tasks = 5
+    store.retrieval_log[entry_key(kept)] = 5
+    assert prune(store, 1) == 1
+    assert store._indexes["L2"] is not index and store._indexes["L2"].entries == [kept]
 
 
 def test_row_stamps_are_taken_once_the_entry_has_its_sequence_number():
@@ -342,7 +350,8 @@ def test_reads_embed_only_the_rows_they_score():
                 fix_patch=diff(f"x{i}"), rationale="r")
         for i in range(3)
     ]
-    store.l2 += mine + theirs + other_cwe
+    for entry in mine + theirs + other_cwe:
+        store.add(entry)
     retrieve(store, "L2", Query(QUERY.keys, k_min=1, top_n=10))
     assert counting.texts == [QUERY.keys.description] + [e.keys.description for e in mine]
     counting.texts.clear()
@@ -381,10 +390,10 @@ def test_the_embedder_never_runs_under_the_writer_lock():
     store = MemoryStore(embedder=CachingEmbedder(watching))
     watching.store = store
     for i in range(8):
-        store.l2.append(l2(f"p.cve-2020-{i}", " ".join(random.Random(i).choices(WORDS, k=4))))
+        store.add(l2(f"p.cve-2020-{i}", " ".join(random.Random(i).choices(WORDS, k=4))))
     retrieve(store, "L2", QUERY)
     insert(store, l2("p.cve-2020-50", "guard the frame copy"))
-    store.l3.append(L3Entry(keys=QUERY.keys, fail_patch=diff("frame"), correction_delta=diff("copy"),
+    store.add(L3Entry(keys=QUERY.keys, fail_patch=diff("frame"), correction_delta=diff("copy"),
                             transition_insight="t"))
     retrieve(store, "L3", Query(replace(QUERY.keys, instance_id="p.cve-2031-1"), k_min=1), diff("frame"))
     insert(store, L3Entry(keys=QUERY.keys, fail_patch=diff("tag"), correction_delta=diff("size"),
@@ -393,18 +402,18 @@ def test_the_embedder_never_runs_under_the_writer_lock():
 
 
 class AppendingEmbedder:
-    """Appends `late` to its store's L2 list when first asked for `trigger`,
-    like another writer while an insert embeds outside the lock."""
+    """Adds `late` to its store when first asked for `trigger`, like another
+    writer while an insert embeds outside the lock."""
 
     dim = 64
 
-    def __init__(self, store_l2: list, trigger: str, late: L2Entry) -> None:
+    def __init__(self, store: MemoryStore, trigger: str, late: L2Entry) -> None:
         self.inner = DeterministicEmbedder()
-        self.store_l2, self.trigger, self.late = store_l2, trigger, late
+        self.store, self.trigger, self.late = store, trigger, late
 
     def embed(self, text: str) -> np.ndarray:
-        if text == self.trigger and self.late not in self.store_l2:
-            self.store_l2.append(self.late)
+        if text == self.trigger and self.late not in self.store.l2:
+            self.store.add(self.late)
         return self.inner.embed(text)
 
 
@@ -412,12 +421,12 @@ def test_insert_dedups_against_entries_appended_while_it_embeds():
     store = MemoryStore()
     first = l2("p.cve-2020-1", "heap overflow in parser")
     late = l2("p.cve-2020-2", "guard the frame copy")
-    store.l2.append(first)
-    store.embedder = CachingEmbedder(AppendingEmbedder(store.l2, first.keys.description, late))
+    store.add(first)
+    store.embedder = CachingEmbedder(AppendingEmbedder(store, first.keys.description, late))
     assert insert(store, l2("p.cve-2020-3", "guard the frame copy")) == InsertOutcome.MERGED
     assert store.l2 == [first, late]
     with store._write_lock:
-        index = store._index("L2")
+        index = store._indexes["L2"]
     assert index.entries == [first, late]
     assert_same_column(stored_column(index, "patch"), fresh_column(store.l2, "patch"))
 
@@ -475,7 +484,7 @@ def test_concurrent_writers_and_readers_end_like_a_serial_rebuild():
             assert insert(serial, entry) == InsertOutcome.INSERTED
         assert serial.tier_entries(tier) == store.tier_entries(tier)
         with store._write_lock:
-            index = store._index(tier)
+            index = store._indexes[tier]
         assert index is store._indexes[tier]
         assert all(a is b for a, b in zip(index.entries, store.tier_entries(tier), strict=True))
         assert index.buckets == TierIndex(store.tier_entries(tier)).buckets
@@ -505,7 +514,7 @@ def test_outage_part_way_through_a_column_leaves_the_index_consistent():
     store = MemoryStore(embedder=CachingEmbedder(flaky))
     descs = [" ".join(random.Random(i).choices(WORDS, k=4)) for i in range(10)]
     for i, desc in enumerate(descs):
-        store.l2.append(l2(f"p.cve-2020-{i}", desc))
+        store.add(l2(f"p.cve-2020-{i}", desc))
 
     flaky.budget = 4  # the query, then three of the ten descriptions
     ranked = retrieve(store, "L2", QUERY)

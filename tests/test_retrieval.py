@@ -210,9 +210,9 @@ def test_l3_refinement_scores_against_failed_patches():
 
 def test_embedding_outage_degrades_to_token_overlap():
     store = MemoryStore(embedder=FailingEmbedder())
-    # Appended directly: insert would need the embedder for its dedup check.
-    store.l1.append(entry("proj.cve-2020-1", desc="overflow copying attacker payload"))
-    store.l1.append(entry("proj.cve-2020-2", desc="unrelated words entirely different"))
+    # Added as they are: insert would need the embedder for its dedup check.
+    store.add(entry("proj.cve-2020-1", desc="overflow copying attacker payload"))
+    store.add(entry("proj.cve-2020-2", desc="unrelated words entirely different"))
     result = retrieve(store, "L1", Query(QUERY_KEYS))
     assert [r.entry.keys.instance_id for r in result] == ["proj.cve-2020-1", "proj.cve-2020-2"]
     assert result[0].similarity > result[1].similarity
@@ -355,7 +355,7 @@ _WORD = st.sampled_from(
 def test_retrieval_invariants_property(rows, k_min):
     store = MemoryStore()
     for i, (proj, year, seq, words) in enumerate(rows):
-        store.l1.append(
+        store.add(
             entry(f"{proj}.cve-{year}-{seq}.{i}", project=proj, desc=" ".join(words))
         )
     query = Query(QUERY_KEYS, k_min=k_min, top_n=6)
