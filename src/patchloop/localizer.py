@@ -6,11 +6,14 @@ queried symbol by proximity to the crash: sites inside crash-stack files
 come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
-One cache maps each path, relative to the indexed root, to the file's stat
-signature, git blob id and parse. Like git's stat cache, it lets the next
-call skip reading a file whose signature has not changed, binaries included.
-A changed file is read and hashed, and parsed only when its blob id changed,
-so a second checkout of the same files parses nothing.
+One cache maps each path, relative to the walked root, to the file's stat
+signature, decoded text and parse. Both :func:`index_repository` and the
+workspace's ``search`` walk through it (:func:`read_tree`): like git's stat
+cache, it lets the next walk skip reading a file whose signature has not
+changed, binaries included. A changed file is read and decoded, and its
+parse is dropped only when its text changed, so a second checkout of the
+same files parses nothing. The index parses a text the first time it needs
+it, so a file a search already read is not read again.
 
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
@@ -20,7 +23,6 @@ lexical matching (all sites flagged as uses).
 from __future__ import annotations
 
 import ast
-import hashlib
 import logging
 import os
 import re
@@ -326,12 +328,15 @@ class SymbolIndex:
 
 
 # rel path -> (stat signature, or None while git's racy-timestamp rule
-# distrusts it; git blob id, or None for a binary; (line count, symbol ->
-# sites), or None for a binary) of every file the last index_repository call
-# found. Each call rebinds it to those files. As the key does not name the
-# root, the signature holds the device as well as the inode.
+# distrusts it; decoded text, or None for a binary; (line count, symbol ->
+# sites), or None until index_repository parses the text) of every file the
+# last walk of each root found. A walk rebinds it, replacing the entries
+# under the root it walked, and never changes it in place, so threads that
+# walk other checkouts read a dict no one is changing. As the key does not
+# name the root, the signature holds the device as well as the inode.
 _Parsed = tuple[int, Mapping[str, tuple[SymbolSite, ...]]]
-_CACHE: dict[str, tuple[bytes | None, str | None, _Parsed | None]] = {}
+_Entry = tuple[bytes | None, str | None, _Parsed | None]
+_CACHE: dict[str, _Entry] = {}
 
 _NS = 1_000_000_000
 
@@ -340,15 +345,15 @@ def _signature(st: os.stat_result) -> bytes:
     return struct.pack("QqqQQ", st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
 
 
-def _blob_id(data: bytes) -> str:
-    """The id git gives `data` as a blob (``git hash-object``)."""
-    digest = hashlib.sha1(b"blob %d\0" % len(data))
-    digest.update(data)
-    return digest.hexdigest()
+def read_text(path: str) -> str | None:
+    """The file's text, decoded as UTF-8 with replacement, or None for a
+    binary (a file holding a NUL byte). Raises OSError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return None if b"\x00" in data else data.decode("utf-8", errors="replace")
 
 
-def _parse(data: bytes, rel: str) -> _Parsed:
-    text = data.decode("utf-8", errors="replace")
+def _parse(text: str, rel: str) -> _Parsed:
     grammar = _grammar_for(rel)
     try:
         sites = grammar(text, rel) if grammar else _extract_lexical_sites(text, rel)
@@ -363,44 +368,61 @@ def _parse(data: bytes, rel: str) -> _Parsed:
     )
 
 
-def index_repository(root: Path) -> SymbolIndex:
-    """Index every readable text file under `root` (skips .git and binaries),
-    reading only the files whose stat changed since the last call and
-    parsing only those whose content at that path the last call did not see."""
+def read_tree(
+    root: str, prefix: str = "", parse: bool = False
+) -> Iterator[tuple[str, str, _Entry | None]]:
+    """Yield ``(path, prefix + relative path, cache entry)`` for each file
+    :func:`walk_files` yields, reading only the files whose stat signature
+    changed since the last walk. A file over ``MAX_INDEXED_BYTES`` is neither
+    read nor cached: its entry is None. With `parse`, every text gets its
+    parse. Once the walk is exhausted, the cache entries under `prefix` are
+    the ones it found."""
     global _CACHE
-    if not Path(root).is_dir():
-        raise IndexFailure(f"not a readable directory: {root}")
+    cache = _CACHE
     # git's racy-timestamp rule: a file written in the second its signature
     # was taken, or the one before on a coarse clock, could change again
     # without changing its signature, so that signature is not kept.
     trusted_before = time.time_ns() // _NS - 1
     found = {}
-    for path, rel in walk_files(os.fspath(root)):
+    for path, rel in walk_files(root, prefix):
         try:
             st = os.stat(path)
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
         if st.st_size > MAX_INDEXED_BYTES:
+            yield path, rel, None
             continue
         signature = _signature(st)
-        entry = _CACHE.get(rel)
+        entry = cache.get(rel)
         if entry is None or entry[0] != signature:
             try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
+                text = read_text(path)
             except OSError as exc:
                 logger.warning("skipping unreadable file %s: %s", path, exc)
                 continue
-            blob = None if b"\x00" in data else _blob_id(data)
-            if entry is None or entry[1] != blob:
-                entry = (None, blob, None if blob is None else _parse(data, rel))
+            if entry is None or entry[1] != text:  # else keep the held copy and its parse
+                entry = (None, text, None)
             trusted = st.st_mtime_ns // _NS < trusted_before
-            entry = (signature if trusted else None, blob, entry[2])
+            entry = (signature if trusted else None, entry[1], entry[2])
+        if parse and entry[2] is None and entry[1] is not None:
+            entry = (entry[0], entry[1], _parse(entry[1], rel))
         found[rel] = entry
+        yield path, rel, entry
+    if prefix:
+        found = {rel: e for rel, e in _CACHE.items() if not rel.startswith(prefix)} | found
     _CACHE = found
-    parsed = {rel: entry[2] for rel, entry in found.items() if entry[2] is not None}
-    return SymbolIndex({rel: p[0] for rel, p in parsed.items()}, [p[1] for p in parsed.values()])
+
+
+def index_repository(root: Path) -> SymbolIndex:
+    """Index every readable text file under `root` (skips .git, binaries and
+    files over ``MAX_INDEXED_BYTES``), reading only the files whose stat
+    changed since the last walk and parsing only the texts no walk parsed."""
+    if not Path(root).is_dir():
+        raise IndexFailure(f"not a readable directory: {root}")
+    parsed = [(rel, entry[2]) for _, rel, entry in read_tree(os.fspath(root), parse=True)
+              if entry is not None and entry[2] is not None]
+    return SymbolIndex({rel: p[0] for rel, p in parsed}, [p[1] for _, p in parsed])
 
 
 # ---------------------------------------------------------------------------

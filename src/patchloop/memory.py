@@ -184,7 +184,10 @@ class TierIndex:
         self.buckets.setdefault((entry.keys.cwe, entry.keys.language), []).append(row)
 
     def field(self, name: str) -> VectorRows:
-        return self.fields.setdefault(name, VectorRows())
+        rows = self.fields.get(name)
+        if rows is None:
+            rows = self.fields[name] = VectorRows()
+        return rows
 
 
 def entry_key(entry: MemoryEntry) -> str:

@@ -54,6 +54,14 @@ def parse_test_results(output: str) -> tuple[set[str], set[str]]:
     return set(_PASS_LINE_RE.findall(output)), set(_FAIL_LINE_RE.findall(output))
 
 
+# The commands a task may give a pass predicate, each with its default.
+_DEFAULT_PREDICATES = {
+    "poc_command": SANITIZER_CLEAN,
+    "regression_command": EXIT_ZERO,
+    "build_command": EXIT_ZERO,
+}
+
+
 @dataclass
 class OracleSpec:
     poc_command: str
@@ -62,19 +70,20 @@ class OracleSpec:
     pass_predicates: dict[str, str] = field(default_factory=dict)
 
     def predicate(self, which: str) -> str:
-        defaults = {
-            "poc_command": SANITIZER_CLEAN,
-            "regression_command": EXIT_ZERO,
-            "build_command": EXIT_ZERO,
-        }
-        return self.pass_predicates.get(which, defaults[which])
+        return self.pass_predicates.get(which, _DEFAULT_PREDICATES[which])
 
     def validate(self) -> None:
         if not isinstance(self.pass_predicates, dict):
             raise ValueError("pass_predicates must be a JSON object")
         if not self.poc_command.strip():
             raise ValueError("poc_command must be non-empty")
-        for which in ("poc_command", "regression_command", "build_command"):
+        unknown = sorted(self.pass_predicates.keys() - _DEFAULT_PREDICATES.keys())
+        if unknown:
+            raise ValueError(
+                f"unknown pass_predicates key(s) {', '.join(map(repr, unknown))}; "
+                f"valid keys: {', '.join(_DEFAULT_PREDICATES)}"
+            )
+        for which in _DEFAULT_PREDICATES:
             predicate_passes(self.predicate(which), 0, "")
 
 

@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import WorkspaceError
-from .localizer import walk_files
+from .localizer import read_text, read_tree
+
+try:
+    from re import _parser as _sre_parse  # Python 3.11+
+except ImportError:  # Python 3.10
+    import sre_parse as _sre_parse
 
 DEFAULT_OUTPUT_CAP = 20_000
 DEFAULT_BASH_TIMEOUT = 300.0
@@ -197,6 +202,18 @@ class PersistentShell:
                 if output.endswith("\n"):
                     output = output[:-1]
                 return code == 0, output, None
+
+
+def _required_literal(compiled: re.Pattern) -> str:
+    """The longest run of literal characters at the top level of the pattern,
+    which every match contains: ``""`` when case is ignored or no run exists."""
+    if compiled.flags & re.IGNORECASE:
+        return ""
+    best = run = ""
+    for op, arg in _sre_parse.parse(compiled.pattern):
+        run = run + chr(arg) if op == _sre_parse.LITERAL else ""
+        best = max(best, run, key=len)
+    return best
 
 
 def _as_viewed(content: str) -> tuple[str, Callable[[int], int]]:
@@ -448,7 +465,10 @@ class Workspace:
         self, pattern: str, search_path: str = ".", limit: int = DEFAULT_SEARCH_LIMIT
     ) -> ToolResult:
         """Regex search with ``SEARCH_CONTEXT`` lines of context around each
-        of the first `limit` matches."""
+        of the first `limit` matches. A directory's texts come from the
+        symbol index's stat-validated cache (:func:`localizer.read_tree`),
+        so only files changed since the last walk are read; only texts that
+        hold the pattern's required literal are split into lines."""
         try:
             compiled = re.compile(pattern)
         except re.error as exc:
@@ -460,23 +480,26 @@ class Workspace:
 
         rel_target = target.relative_to(self.root)
         if target.is_file():
-            files = [(str(target), rel_target.as_posix())]
+            files = [(str(target), rel_target.as_posix(), None)]
         elif ".git" in rel_target.parts:
             files = []
         else:
             prefix = "" if target == self.root else rel_target.as_posix() + "/"
-            files = walk_files(str(target), prefix)
+            files = read_tree(str(target), prefix)
+        required = _required_literal(compiled)
         blocks: list[str] = []
         total = 0
-        for path, rel in files:
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
+        for path, rel, entry in files:
+            if entry is None:  # a single file, or one too large to cache
+                try:
+                    text = read_text(path)
+                except OSError:
+                    continue
+            else:
+                text = entry[1]
+            if text is None or required not in text:
                 continue
-            if b"\x00" in data:
-                continue
-            lines = data.decode("utf-8", errors="replace").splitlines()
+            lines = text.splitlines()
             for lineno, line in enumerate(lines, 1):
                 if not compiled.search(line):
                     continue

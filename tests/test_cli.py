@@ -459,6 +459,20 @@ def test_repair_task_file_of_the_wrong_shape_exit_two(tmp_path, capsys, request,
     assert not marker.exists()  # rejected before the oracle ran anything
 
 
+def test_repair_misspelled_pass_predicate_key_exit_two(demo_repo, tmp_path, capsys):
+    marker = tmp_path / "poc_ran"
+    _, cfg, _ = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    task = on_demo(pass_predicates={"nope": "exit_zero"})(demo_repo, marker)
+    task_file = tmp_path / "task.json"
+    task_file.write_text(json.dumps(task))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "repair", str(task_file),
+                           "--memory", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "'nope'" in err
+    assert all(key in err for key in ("poc_command", "regression_command", "build_command"))
+    assert not marker.exists()
+
+
 def test_repair_without_task_argument_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "repair", "--memory", str(tmp_path / "m.jsonl"))
     assert code == 2

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import tempfile
@@ -382,10 +381,6 @@ def test_absolute_frame_paths_match_relative_sites():
 OLD_MTIME = 1_600_000_000 * 10**9
 
 
-def _blob_id(data: bytes) -> str:
-    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
-
-
 def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     root = init_repo(
         tmp_path / "repo",
@@ -423,12 +418,14 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     first = index_repository(root)
     assert sorted(parsed) == ["src/a.c", "src/b.c", "tool.py"]
     assert sorted(opened) == ["README", "src/a.c", "src/b.c", "tool.o", "tool.py"]
-    # the cache key is git's own blob id, as `git ls-files -s` lists it
-    staged = {
-        (line.split("\t")[1], line.split()[1])
-        for line in git(root, "ls-files", "-s").splitlines()
+    # the cache holds each file's current text, None for a binary
+    assert {rel: text for rel, (_, text, _) in localizer._CACHE.items()} == {
+        "README": "alpha beta gamma\n",
+        "src/a.c": "int alpha(int n) {\n    return n;\n}\n",
+        "src/b.c": "int beta;\n",
+        "tool.o": None,
+        "tool.py": "def gamma(x):\n    return x\n",
     }
-    assert {(rel, blob) for rel, (_, blob, _) in localizer._CACHE.items() if blob} == staged
 
     parsed.clear()
     opened.clear()
@@ -510,14 +507,47 @@ def _same_size_edit(text: str) -> str:
     return re.sub("foo|bar|baz", lambda m: {"foo": "bar", "bar": "baz", "baz": "foo"}[m[0]], text)
 
 
+def _apply(root: Path, files: dict[str, str], step: tuple, look) -> None:
+    """Apply one of `_steps` to the tree at `root` and to `files`, its
+    contents; `look` is called where a same-size edit needs a walk to see
+    the file inside its mtime tick."""
+    op, name, target, text = step
+    if op == "same-size edit" and files:
+        name = min(files) if name not in files else name
+    if name not in files:
+        return
+    if op == "edit":
+        files[name] = text
+        (root / name).write_text(text)
+    elif op == "same-size edit":  # inside the mtime tick a walk saw
+        path = root / name
+        path.write_text(files[name])
+        look()
+        seen = path.stat()
+        files[name] = _same_size_edit(files[name])
+        path.write_text(files[name])
+        os.utime(path, ns=(seen.st_atime_ns, seen.st_mtime_ns))
+    elif op == "rename" and target not in files:
+        (root / target).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).rename(root / target)
+        files[target] = files.pop(name)
+    elif op == "delete":
+        (root / name).unlink()
+        del files[name]
+
+
+def _without_ctime(st: os.stat_result) -> tuple:
+    # As if the ctime could not be trusted (git's core.trustctime=false): a
+    # same-size edit that keeps the mtime then keeps the whole signature, and
+    # only the racy-timestamp rule makes a walk read the file again.
+    return (st.st_size, st.st_mtime_ns, 0, st.st_ino)
+
+
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees, steps=_steps, other=_trees)
 def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
     saved = localizer._CACHE, localizer._signature
-    # As if the ctime could not be trusted (git's core.trustctime=false): a
-    # same-size edit that keeps the mtime then keeps the whole signature, and
-    # only the racy-timestamp rule makes the index read the file again.
-    localizer._signature = lambda st: (st.st_size, st.st_mtime_ns, 0, st.st_ino)
+    localizer._signature = _without_ctime
     try:
         with tempfile.TemporaryDirectory() as tmp:
             root, second = Path(tmp, "one"), Path(tmp, "two")
@@ -526,29 +556,8 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                 os.utime(root / rel, ns=(OLD_MTIME, OLD_MTIME))
             index_repository(root)
             files = dict(tree)
-            for op, name, target, text in steps:
-                if op == "same-size edit" and files:
-                    name = min(files) if name not in files else name
-                if name not in files:
-                    continue
-                if op == "edit":
-                    files[name] = text
-                    (root / name).write_text(text)
-                elif op == "same-size edit":  # inside the mtime tick an index call saw
-                    path = root / name
-                    path.write_text(files[name])
-                    index_repository(root)
-                    seen = path.stat()
-                    files[name] = _same_size_edit(files[name])
-                    path.write_text(files[name])
-                    os.utime(path, ns=(seen.st_atime_ns, seen.st_mtime_ns))
-                elif op == "rename" and target not in files:
-                    (root / target).parent.mkdir(parents=True, exist_ok=True)
-                    (root / name).rename(root / target)
-                    files[target] = files.pop(name)
-                elif op == "delete":
-                    (root / name).unlink()
-                    del files[name]
+            for step in steps:
+                _apply(root, files, step, lambda: index_repository(root))
             warm = _snapshot(index_repository(root))
             localizer._CACHE = {}
             cold = _snapshot(index_repository(root))
@@ -561,8 +570,146 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
 
             _write_tree(second, other)
             index_repository(second)
-            assert {(rel, blob) for rel, (_, blob, _) in localizer._CACHE.items()} == {
-                (rel, _blob_id(text.encode())) for rel, text in other.items()
-            }
+            assert {rel: text for rel, (_, text, _) in localizer._CACHE.items()} == other
     finally:
         localizer._CACHE, localizer._signature = saved
+
+
+_SEARCH_PATTERNS = (
+    "foo", r"foo\(bar", "ba[rz]", "(?i)BAZ", r"^\s*return", "bar|baz", r"def \w+\(", "ELF",
+)
+_LOOKS = ("search", "search d", "index")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=_trees,
+    steps=_steps,
+    looks=st.lists(st.tuples(st.sampled_from(_LOOKS), st.sampled_from(_SEARCH_PATTERNS)),
+                   min_size=1, max_size=4),
+)
+def test_cached_search_and_index_equal_ones_made_from_scratch(tree, steps, looks):
+    from patchloop.workspace import Workspace
+
+    saved = localizer._CACHE, localizer._signature
+    localizer._signature = _without_ctime
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp, "repo")
+            _write_tree(root, tree)
+            (root / "d").mkdir(exist_ok=True)
+            (root / "d" / "tool.o").write_bytes(b"\x7fELF\x00foo bar\n")  # a binary
+            (root / "d" / "link.c").symlink_to("../a.c")  # in the root, dangling without a.c
+            for rel in tree:
+                os.utime(root / rel, ns=(OLD_MTIME, OLD_MTIME))
+            git(root, "init", "-q")
+            ws = Workspace(root, bash_timeout=10)
+            try:
+                def run(look: str, pattern: str):
+                    if look == "index":
+                        return _snapshot(index_repository(root))
+                    return ws.search(pattern, "d" if look == "search d" else ".", limit=3).output
+
+                def check() -> None:
+                    for look, pattern in looks:
+                        warm = run(look, pattern)
+                        cache, localizer._CACHE = localizer._CACHE, {}
+                        assert run(look, pattern) == warm, (look, pattern)
+                        localizer._CACHE = cache
+
+                check()
+                files = dict(tree)
+                for step in steps:
+                    _apply(root, files, step, check)
+                    check()
+            finally:
+                ws.close()
+    finally:
+        localizer._CACHE, localizer._signature = saved
+
+
+def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
+    from patchloop.workspace import Workspace
+
+    root = init_repo(
+        tmp_path / "repo",
+        {
+            "d/a.c": "int alpha(int n) {\n    return n;\n}\n",
+            "d/b.c": "int beta;\n",
+            "tool.py": "def gamma(x):\n    return x\n",
+            "README": "alpha beta gamma\n",
+        },
+    )
+    (root / "tool.o").write_bytes(b"\x7fELF\x00alpha")
+    for path in root.rglob("*"):
+        if ".git" not in path.parts and path.is_file():
+            os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
+    parsed, opened = [], []
+    real_parse = localizer._parse
+
+    def counting_parse(text, rel):
+        parsed.append(rel)
+        return real_parse(text, rel)
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).relative_to(root).as_posix())
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(localizer, "_parse", counting_parse)
+    monkeypatch.setattr(localizer, "open", counting_open, raising=False)
+    monkeypatch.setattr(localizer, "_CACHE", {})
+    ws = Workspace(root, bash_timeout=10)
+    try:
+        first = ws.search("alpha", limit=100).output
+        assert opened == ["README", "d/a.c", "d/b.c", "tool.o", "tool.py"]
+        assert parsed == []
+        opened.clear()
+        assert ws.search("alpha", limit=100).output == first
+        assert opened == []
+
+        ws.search("beta", "d")
+        opened.clear()
+        index_repository(root)
+        assert opened == []
+        assert sorted(parsed) == ["README", "d/a.c", "d/b.c", "tool.py"]
+
+        # a search replaces only the entries under the directory it walked
+        before = localizer._CACHE
+        parsed.clear()
+        assert "== d/b.c:1 ==" in ws.search("beta", "d").output
+        assert {rel: e for rel, e in localizer._CACHE.items() if not rel.startswith("d/")} == {
+            rel: e for rel, e in before.items() if not rel.startswith("d/")
+        }
+        assert all(localizer._CACHE[rel] is before[rel] for rel in ("README", "tool.o", "tool.py"))
+        assert set(localizer._CACHE) == set(before)
+        index_repository(root)
+        assert (parsed, opened) == ([], [])
+
+        # a new signature with the same text keeps the parse
+        os.utime(root / "d" / "a.c", ns=(OLD_MTIME + 10**9, OLD_MTIME + 10**9))
+        index = index_repository(root)
+        assert (parsed, opened) == ([], ["d/a.c"])
+        assert [(s.file, s.line, s.kind) for s in index.sites("alpha")] == [
+            ("README", 1, USE), ("d/a.c", 1, DEFINITION),
+        ]
+    finally:
+        ws.close()
+
+
+def test_a_file_over_the_index_limit_is_searched_but_not_indexed_or_cached(tmp_path):
+    from patchloop.workspace import Workspace
+
+    root = init_repo(tmp_path / "repo", {"a.c": "int needle;\n"})
+    filler = localizer.MAX_INDEXED_BYTES // len("filler\n") + 1
+    (root / "big.txt").write_text("needle = 1\n" + "filler\n" * filler + "last needle\n")
+    ws = Workspace(root, bash_timeout=10)
+    try:
+        out = ws.search("needle", limit=100).output
+        assert [line for line in out.splitlines() if line.startswith("==")] == [
+            "== a.c:1 ==", "== big.txt:1 ==", f"== big.txt:{filler + 2} ==",
+        ]
+        assert "big.txt" not in localizer._CACHE
+        assert "big.txt:1" in ws.search("needle", "big.txt").output
+    finally:
+        ws.close()
+    assert list(index_repository(root).files) == ["a.c"]

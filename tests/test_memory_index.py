@@ -325,6 +325,24 @@ def test_the_tier_index_is_the_only_holder_of_its_entries(tmp_path):
     assert store._indexes["L2"] is not index and store._indexes["L2"].entries == [kept]
 
 
+def test_a_second_field_lookup_constructs_nothing(monkeypatch):
+    import patchloop.memory as memory
+
+    built = []
+
+    class CountingRows(memory.VectorRows):
+        def __init__(self) -> None:
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(memory, "VectorRows", CountingRows)
+    index = TierIndex()
+    first = index.field("description")
+    assert len(built) == 1
+    assert index.field("description") is first
+    assert len(built) == 1
+
+
 def test_row_stamps_are_taken_once_the_entry_has_its_sequence_number():
     store = MemoryStore()
     for i, desc in enumerate(["heap overflow in parser", "frame length copy", "tag size bound"]):

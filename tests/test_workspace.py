@@ -786,7 +786,7 @@ def test_all_file_tools_confined_to_workspace(ws):
         assert ws.search("x", escape).error_kind == "OutsideWorkspace"
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -799,3 +799,45 @@ def test_cap_output_bound_property(text, cap):
     else:
         assert len(capped) <= cap
         assert "output truncated" in capped
+
+
+_PATTERN_ATOMS = st.sampled_from(
+    ["a", "b", "A", " ", "(", r"\.", r"\(", ".", "[ab]", "[^a]", r"\w", r"\s", "^", "$", r"\b"]
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map("|".join),
+        inner.map("({})".format),
+        inner.map("(?:{})".format),
+        inner.map("(?i:{})".format),
+        st.tuples(inner.map("(?:{})".format), st.sampled_from(["?", "*", "+", "{0}", "{1,2}"]))
+        .map("".join),
+    )
+
+
+_patterns = st.tuples(
+    st.sampled_from(["", "(?i)", "(?x)"]), st.recursive(_PATTERN_ATOMS, _compound, max_leaves=8)
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=_patterns, lines=st.lists(st.text(alphabet="abAB .(_", max_size=12), max_size=8))
+@example(pattern="ab(?i:c)d", lines=["abCd", "abcd"])
+@example(pattern="(?x) a b", lines=["ab", "a b"])
+@example(pattern="a|ab", lines=["b", "ab"])
+def test_every_match_holds_the_required_literal(pattern, lines):
+    from patchloop.workspace import _required_literal
+
+    try:
+        compiled = re.compile(pattern)
+    except re.error:
+        return
+    literal = _required_literal(compiled)
+    if compiled.flags & re.IGNORECASE:
+        assert literal == ""
+    for line in lines:
+        for match in compiled.finditer(line):
+            assert literal in match.group(), (pattern, line, literal)
