@@ -27,6 +27,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Texts a CachingEmbedder keeps, least recently used evicted first.
 CACHE_SIZE = 256
 
+# Distinct tokens whose (bucket, sign) DeterministicEmbedder keeps, least
+# recently used evicted first.
+TOKEN_MEMO_SIZE = 1 << 14
+
 DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
 
 
@@ -64,6 +68,10 @@ class VectorRows:
         held = rows < len(self.stored)
         held[held] = self.stored[rows[held]]
         return rows[~held].tolist()
+
+    def holds_first(self, n: int) -> bool:
+        """Whether rows ``0 .. n-1`` all hold a vector."""
+        return len(self.stored) >= n and bool(self.stored[:n].all())
 
     def put(self, rows, vecs: list[np.ndarray]) -> None:
         """Store each vector at its row; a row already stored keeps its own."""
@@ -118,18 +126,28 @@ class DeterministicEmbedder:
     Each token is hashed with SHA-256; the first four digest bytes pick a
     bucket and the fifth byte's parity picks the sign. The vector is the
     signed token-count histogram (unnormalized; cosine is scale-invariant).
+    A token's bucket and sign are memoized process-wide for the
+    :data:`TOKEN_MEMO_SIZE` most recently used distinct tokens, so a
+    repeated token is hashed once; every slot adds exactly +-1.0, so the
+    vector is the same integer histogram, bit for bit.
     """
 
     dim = 64
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        vec = [0.0] * self.dim
         for token in tokenize(text):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dim
-            sign = 1.0 if digest[4] % 2 == 0 else -1.0
+            bucket, sign = _token_slot(token)
             vec[bucket] += sign
-        return vec
+        return np.array(vec)
+
+
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _token_slot(token: str) -> tuple[int, float]:
+    """The bucket and sign :class:`DeterministicEmbedder` gives `token`."""
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    bucket = int.from_bytes(digest[:4], "big") % DeterministicEmbedder.dim
+    return bucket, 1.0 if digest[4] % 2 == 0 else -1.0
 
 
 class RemoteEmbedder:

@@ -159,8 +159,12 @@ def field_text(field: str, entry: MemoryEntry) -> str:
 
 class TierIndex:
     """One tier's entries in store order, each one's :func:`entry_timestamp`,
-    their rows by ``(cwe, language)``, and the raw embedding rows of each
-    text field.
+    their rows by ``(cwe, language)`` and then by project, and the raw
+    embedding rows of each text field.
+
+    ``buckets[(cwe, language)][project]`` lists that project's rows in store
+    order. Rows are only ever appended to these lists, so a reader that
+    recorded a list's length may slice it later without the writer lock.
 
     Row ``i`` of ``stamps`` and of every field belongs to ``entries[i]``; a
     stamp is taken once, when its entry is added. A field's rows are
@@ -172,7 +176,7 @@ class TierIndex:
     def __init__(self, entries: Iterable[MemoryEntry] = ()) -> None:
         self.entries: list[MemoryEntry] = []
         self.stamps: list[tuple[float, float, float]] = []
-        self.buckets: dict[tuple[str, str], list[int]] = {}
+        self.buckets: dict[tuple[str, str], dict[str, list[int]]] = {}
         self.fields: dict[str, VectorRows] = {}
         for entry in entries:
             self.add(entry)
@@ -181,7 +185,8 @@ class TierIndex:
         row = len(self.entries)
         self.entries.append(entry)
         self.stamps.append(entry_timestamp(entry))
-        self.buckets.setdefault((entry.keys.cwe, entry.keys.language), []).append(row)
+        keys = entry.keys
+        self.buckets.setdefault((keys.cwe, keys.language), {}).setdefault(keys.project, []).append(row)
 
     def field(self, name: str) -> VectorRows:
         rows = self.fields.get(name)
@@ -276,13 +281,22 @@ class MemoryStore:
         self._ingest_seq += 1
         return seq
 
-    def bucket(self, tier: str, cwe: str, language: str) -> tuple[TierIndex, list[int]]:
-        """The tier's index and its rows for ``(cwe, language)`` in store
-        order. These rows never change: later writes append after them or go
-        to a new index."""
+    def bucket(
+        self, tier: str, cwe: str, language: str, project: str
+    ) -> tuple[TierIndex, list[int], list[tuple[list[int], int]]]:
+        """One consistent view of the tier's ``(cwe, language)`` bucket: the
+        index, a copy of `project`'s rows, and each other project's row list
+        with its current length, all in store order.
+
+        The other projects' rows are ``rows[:length]``: later writes only
+        append to those lists or go to a new index, so the view is cut in
+        O(projects) however many rows it holds.
+        """
         with self._write_lock:
             index = self._indexes[tier]
-            return index, list(index.buckets.get((cwe, language), ()))
+            by_project = index.buckets.get((cwe, language), {})
+            others = [(rows, len(rows)) for name, rows in by_project.items() if name != project]
+            return index, list(by_project.get(project, ())), others
 
     def embed_rows(self, index: TierIndex, field: str, rows) -> None:
         """Store in `index` the vectors of `field` its `rows` lack.
@@ -327,13 +341,13 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     while True:
         with store._write_lock:
             index = store._indexes[entry.tier]
-            rows = np.arange(len(index.entries))
-            if not (index.field("description").missing(rows) or index.field("patch").missing(rows)):
+            n = len(index.entries)
+            if index.field("description").holds_first(n) and index.field("patch").holds_first(n):
                 return _merge_or_append(store, index, entry, desc_vec, patch_vec)
         # Embed what the tier lacks outside the lock, then look again: other
         # writers may have appended meanwhile.
-        store.embed_rows(index, "description", rows)
-        store.embed_rows(index, "patch", rows)
+        store.embed_rows(index, "description", range(n))
+        store.embed_rows(index, "patch", range(n))
 
 
 def _merge_or_append(
@@ -530,7 +544,11 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
     state = _state_path(path)
     if state.exists():
         try:
-            store.completed_tasks = int(json.loads(state.read_text())["completed_tasks"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            rec = json.loads(state.read_text(encoding="utf-8"))
+        except ValueError as exc:
             raise CorruptMemoryFile(f"{state}: bad state file ({exc})") from exc
+        done = rec.get("completed_tasks") if isinstance(rec, dict) else None
+        if type(done) is not int:
+            raise CorruptMemoryFile(f"{state}: completed_tasks is not an integer: {rec!r:.80}")
+        store.completed_tasks = done
     return store

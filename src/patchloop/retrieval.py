@@ -4,15 +4,20 @@ Candidate pools are built in two priority tiers: P1 draws from the same
 project (same CWE and language, and strictly older than the query), and P2
 widens to other projects (same CWE and language) only when P1 is sparse.
 Candidates are scored by embedding cosine similarity on descriptions, with
-a lexical token-overlap fallback when the embedding backend is down. Only
-the query's ``(cwe, language)`` bucket of the tier index is filtered, and
-each pool is scored with one mat-vec; only the pools' rows are embedded.
+a lexical token-overlap fallback when the embedding backend is down.
+
+A retrieval costs what its pools hold. The tier index keeps each
+``(cwe, language)`` bucket's rows by project, so P1 is filtered from the
+query project's rows alone, and the other projects' rows are read only
+when P2 joins. Each pool is scored with one mat-vec, and only the pools'
+rows are embedded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 
 from .embedding import (
     cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
@@ -79,22 +84,17 @@ def retrieve(
     q = query.keys
     q_ts = query_timestamp(q)
 
-    index, bucket = store.bucket(tier, q.cwe, q.language)
+    index, mine, others = store.bucket(tier, q.cwe, q.language, q.project)
     entries, stamps = index.entries, index.stamps
-    p1: list[int] = []
-    p2: list[int] = []
-    for row in bucket:
-        keys = entries[row].keys
-        if keys.instance_id == q.instance_id:
-            continue
-        if keys.project == q.project:
-            if stamps[row] < q_ts:
-                p1.append(row)
-        else:
-            p2.append(row)
-
+    p1 = [
+        row for row in mine
+        if stamps[row] < q_ts and entries[row].keys.instance_id != q.instance_id
+    ]
     pools = [(Priority.P1, p1)]
     if len(p1) < query.k_min:
+        # The other projects' rows, merged back into store order.
+        theirs = chain.from_iterable(rows[:n] for rows, n in others)
+        p2 = [row for row in sorted(theirs) if entries[row].keys.instance_id != q.instance_id]
         pools.append((Priority.P2, p2))
 
     query_text = query_text_override if query_text_override is not None else q.description

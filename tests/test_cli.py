@@ -320,6 +320,15 @@ def test_memory_commands_on_a_corrupt_record_exit_two(tmp_path, capsys, command)
     assert "entry record is not an object" in err
 
 
+def test_memory_inspect_on_a_state_file_of_the_wrong_shape_exits_two(tmp_path, capsys):
+    mem = tmp_path / "m.jsonl"
+    mem.write_text("")
+    (tmp_path / "m.jsonl.state.json").write_text('{"completed_tasks": null}')
+    code, out, err = run_cli(capsys, "memory", "inspect", "--memory", str(mem))
+    assert (code, out) == (2, "")
+    assert "completed_tasks is not an integer" in err and "Traceback" not in err
+
+
 def test_memory_inspect_empty_file(tmp_path, capsys):
     mem = tmp_path / "m.jsonl"
     mem.write_text("")

@@ -412,6 +412,22 @@ def test_load_rejects_corrupt_file(tmp_path):
             load_store(path)
 
 
+@pytest.mark.parametrize(
+    "state",
+    ["[1]", "null", '{"completed_tasks": null}', '{"completed_tasks": 2.7}',
+     '{"completed_tasks": true}', '{"completed_tasks": "5"}'],
+)
+def test_load_rejects_a_state_file_of_the_wrong_shape(tmp_path, state):
+    path = tmp_path / "memory.jsonl"
+    path.write_text("")
+    sidecar = tmp_path / "memory.jsonl.state.json"
+    sidecar.write_text(state)
+    with pytest.raises(memory.CorruptMemoryFile, match="completed_tasks is not an integer"):
+        load_store(path)
+    sidecar.write_text('{"completed_tasks": 3}')
+    assert load_store(path).completed_tasks == 3
+
+
 # One entry per tier: a fallback_seq, two last_retrieved stamps, an escaped
 # non-ASCII character and a task counter in the sidecar.
 GOLDEN_MEMORY = r'''{"cwe": "CWE-787", "description": "heap overflow copying the frame \u2013 past cap", "fix_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  memcpy(dst, src, min(n, cap));\n", "instance_id": "libio.cve-2021-3141", "language": "c", "last_retrieved": 5, "project": "libio", "tier": "L1"}

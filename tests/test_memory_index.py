@@ -387,6 +387,38 @@ def test_reads_embed_only_the_rows_they_score():
     )
 
 
+class ReadRecordingList(list):
+    """A list that records every index it is read at."""
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_a_full_p1_reads_no_other_project():
+    counting = CountingEmbedder()
+    store = MemoryStore(embedder=CachingEmbedder(counting))
+    for i in range(4):
+        store.add(l2(f"q.cve-2020-{i}", f"use after free {i}", "q"))
+        store.add(l2(f"p.cve-2020-{i}", f"heap overflow number {i}"))
+        store.add(l2(f"r.cve-2020-{i}", f"double free {i}", "r"))
+    index = store._indexes["L2"]
+    index.entries = ReadRecordingList(index.entries)
+    index.stamps = ReadRecordingList(index.stamps)
+    mine = {row for row, e in enumerate(store.l2) if e.keys.project == "p"}
+
+    ranked = retrieve(store, "L2", Query(QUERY.keys, k_min=4, top_n=10))
+    assert [r.priority_tier for r in ranked] == [Priority.P1] * 4
+    assert counting.texts == [QUERY.keys.description] + [e.keys.description for e in store.l2
+                                                         if e.keys.project == "p"]
+    assert index.entries.read <= mine and index.stamps.read <= mine
+    assert index.fields["description"].missing(range(12)) == sorted(set(range(12)) - mine)
+
+
 class LockWatchingEmbedder:
     """Fails the test when it is called while its store's writer lock is held."""
 

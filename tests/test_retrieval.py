@@ -6,10 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchloop.embedding import (
+    TOKEN_MEMO_SIZE,
     CachingEmbedder,
     DeterministicEmbedder,
+    _token_slot,
     cosine,
     default_embedder,
     jaccard_similarity,
@@ -22,6 +26,7 @@ from patchloop.memory import (
     RetrievalKeys,
     entry_timestamp,
     insert,
+    parse_timestamp,
     query_timestamp,
 )
 from patchloop.retrieval import Priority, Query, retrieve
@@ -76,6 +81,26 @@ def test_embedder_matches_reference_implementation():
     emb = DeterministicEmbedder()
     for text in FIXTURE_STRINGS:
         assert emb.embed(text).tolist() == reference_embed(text)
+
+
+_TOKENS = st.sampled_from(["heap", "overflow", "CWE", "787", "x1", "ÄßΩ", "İ", "名前", "", " ", "\n", "-"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.lists(_TOKENS, max_size=30).map(" ".join)))
+def test_embedder_matches_reference_for_any_text(text):
+    want = reference_embed(text)
+    assert DeterministicEmbedder().embed(text).tolist() == want
+    assert DeterministicEmbedder().embed(text).tolist() == want  # every slot memoized
+    _token_slot.cache_clear()
+    assert DeterministicEmbedder().embed(text).tolist() == want
+
+
+def test_token_memo_is_bounded():
+    assert _token_slot.cache_info().maxsize == TOKEN_MEMO_SIZE
+    _token_slot.cache_clear()
+    DeterministicEmbedder().embed(" ".join(f"t{i}" for i in range(TOKEN_MEMO_SIZE + 10)))
+    assert _token_slot.cache_info().currsize == TOKEN_MEMO_SIZE
 
 
 def test_caching_embedder_caches_by_content():
@@ -285,7 +310,7 @@ def brute_force_reference(store, tier, query, override=None):
         dot = sum(x * y for x, y in zip(qv, ev))
         na = math.sqrt(sum(x * x for x in qv))
         nb = math.sqrt(sum(x * x for x in ev))
-        return 0.0 if na == 0 or nb == 0 else dot / (na * nb)
+        return 0.0 if na == 0 or nb == 0 else min(1.0, max(-1.0, dot / (na * nb)))
 
     ranked = sorted(
         ((p, sim(e), e) for p, e in pool),
@@ -296,7 +321,11 @@ def brute_force_reference(store, tier, query, override=None):
             t[2].keys.instance_id,
         ),
     )
-    return [(e.keys.instance_id, p) for p, _, e in ranked[: query.top_n]]
+    return [(e.keys.instance_id, p, s) for p, s, e in ranked[: query.top_n]]
+
+
+def ids_pools_sims(ranked) -> list[tuple[str, int, float]]:
+    return [(r.entry.keys.instance_id, int(r.priority_tier), r.similarity) for r in ranked]
 
 
 def test_full_ranking_matches_brute_force():
@@ -315,7 +344,7 @@ def test_full_ranking_matches_brute_force():
         insert(store, entry(iid, project=proj, desc=desc))
     for k_min, top_n in [(1, 4), (2, 4), (3, 8), (2, 2)]:
         query = Query(QUERY_KEYS, k_min=k_min, top_n=top_n)
-        got = [(r.entry.keys.instance_id, int(r.priority_tier)) for r in retrieve(store, "L1", query)]
+        got = ids_pools_sims(retrieve(store, "L1", query))
         assert got == brute_force_reference(store, "L1", query), (k_min, top_n)
 
 
@@ -330,9 +359,6 @@ def test_similarity_is_description_cosine():
     )
     assert result[0].similarity == pytest.approx(expected, abs=1e-12)
 
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 _WORD = st.sampled_from(
     "overflow heap copy length buffer payload parser frame tag size write".split()
@@ -384,3 +410,53 @@ def test_retrieval_invariants_property(rows, k_min):
     has_p2 = any(r.priority_tier == Priority.P2 for r in result)
     if has_p2:
         assert p1_count < k_min
+
+
+# ---------------------------------------------------------------------------
+# retrieve against the brute-force reference on random stores
+# ---------------------------------------------------------------------------
+
+_PROJECTS = ["proj", "alpha", "beta", "gamma"]
+# One id in two projects; ids without a CVE segment take fallback stamps.
+_IDS = st.one_of(
+    st.builds("{}.cve-{}-{}".format, st.sampled_from(_PROJECTS), st.integers(2019, 2024),
+              st.integers(1, 9)),
+    st.builds("{}-local-{}".format, st.sampled_from(_PROJECTS), st.integers(1, 4)),
+    st.just("shared.cve-2021-77"),
+)
+_DESC = st.lists(_WORD, min_size=0, max_size=6).map(" ".join)
+_ROW = st.tuples(
+    st.sampled_from(["L1", "L3"]), st.sampled_from(_PROJECTS), st.sampled_from(["CWE-787", "CWE-416"]),
+    st.sampled_from(["c", "go"]), _IDS, st.one_of(st.none(), st.integers(0, 5)), _DESC, _DESC,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(_ROW, max_size=30),
+    query_keys=st.tuples(st.sampled_from(_PROJECTS), st.sampled_from(["CWE-787", "CWE-416"]),
+                         st.sampled_from(["c", "go"]), _IDS, _DESC),
+    override=_DESC.map(make_patch),
+)
+def test_retrieval_matches_brute_force_on_random_stores(rows, query_keys, override):
+    store = MemoryStore()
+    for tier, project, cwe, language, iid, seq, desc, fail in rows:
+        if iid == "shared.cve-2021-77":
+            project = project if project in ("alpha", "beta") else "alpha"
+        keys = RetrievalKeys(project, cwe, language, iid, desc)
+        fallback = seq if parse_timestamp(iid) is None else None
+        if tier == "L1":
+            store.add(L1Entry(keys=keys, fix_patch=make_patch(desc), fallback_seq=fallback))
+        else:
+            store.add(L3Entry(keys=keys, fail_patch=make_patch(fail), correction_delta=make_patch("d"),
+                              transition_insight="t", fallback_seq=fallback))
+    keys = RetrievalKeys(*query_keys)
+    for k_min in range(1, 6):
+        for top_n in range(k_min, 7):
+            query = Query(keys, k_min=k_min, top_n=top_n)
+            assert ids_pools_sims(retrieve(store, "L1", query)) == brute_force_reference(
+                store, "L1", query
+            ), (k_min, top_n)
+            assert ids_pools_sims(retrieve(store, "L3", query, override)) == brute_force_reference(
+                store, "L3", query, override
+            ), (k_min, top_n)
