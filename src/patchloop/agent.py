@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from . import diffutil, memory, retrieval
+from .config import EngineConfig
 from .errors import (
     GatewayExhausted,
     LocalizationFailure,
@@ -34,7 +35,7 @@ from .errors import (
     NoMatch,
     OracleTimeout,
 )
-from .gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, render_prompt
+from .gateway import ChatTurn, render_prompt
 from .localizer import (
     CrashReport,
     LocalizationObject,
@@ -47,7 +48,6 @@ from .memory import MemoryStore, RetrievalKeys
 from .oracle import OracleRunner, VerificationVerdict
 from .session import Attempt, Outcome, RepairSession
 from .workspace import (
-    DEFAULT_LOG_BUDGET,
     ToolCall,
     ToolResult,
     Workspace,
@@ -57,8 +57,6 @@ from .workspace import (
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_ATTEMPT_CAP = 3
 
 LOCATOR_TOOLS = ("iter_grep", "view", "search")
 PATCHER_TOOLS = ("view", "search", "create", "str_replace", "bash")
@@ -111,18 +109,6 @@ class RepairTask:
     oracle: OracleRunner
     keys: RetrievalKeys
     ground_truth_files: list[str] | None = None
-
-
-@dataclass
-class EngineLimits:
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP
-    max_turns: int = 30
-    prompt_budget: int = DEFAULT_PROMPT_BUDGET
-    log_budget: int = DEFAULT_LOG_BUDGET
-    k_min: int = retrieval.DEFAULT_K_MIN
-    top_n: int = retrieval.DEFAULT_TOP_N
-    prompt_price_per_1k: float = 0.0
-    completion_price_per_1k: float = 0.0
 
 
 @dataclass
@@ -180,12 +166,12 @@ class SessionRunner:
         task: RepairTask,
         store: MemoryStore,
         gateway,
-        limits: EngineLimits | None = None,
+        cfg: EngineConfig | None = None,
     ) -> None:
         self.task = task
         self.store = store
         self.gateway = gateway
-        self.limits = limits or EngineLimits()
+        self.cfg = cfg or EngineConfig()
         self.session = RepairSession(keys=task.keys)
         self.trajectory: list[dict] = []
         self.prompt_tokens = 0
@@ -211,7 +197,9 @@ class SessionRunner:
         self.trajectory.append({"type": "tool", **tool_log_record(call, result)})
 
     def _dispatch(self, call: ToolCall, tools: tuple[str, ...]) -> ToolResult:
-        """Run `call` if its phase offers that tool; any other name is unknown."""
+        """Run `call` if its phase offers that tool; any other name is unknown.
+        Bad arguments and operating-system errors come back as failed
+        results, so the model sees them and the phase goes on."""
         if call.name not in tools:
             return ToolResult(False, f"unknown tool: {call.name}", "UnknownTool")
         ws = self.task.workspace
@@ -243,6 +231,10 @@ class SessionRunner:
             return ToolResult(True, json.dumps([o.to_json() for o in objs], indent=1))
         except (ValueError, TypeError) as exc:
             return ToolResult(False, f"bad arguments for {call.name}: {exc}", "BadArguments")
+        except OSError as exc:
+            where = args.get("path", "")  # not the absolute path the error names
+            message = f"{call.name} failed on {where}: {exc.strerror or exc}"
+            return ToolResult(False, message, "OSError")
 
     def _drive_phase(
         self, phase: str, task_text: str, memories: list, compressed, tools: tuple[str, ...]
@@ -251,14 +243,14 @@ class SessionRunner:
         session included; returns the final plain turn, or None when the
         phase runs out of turns."""
         system, user = render_prompt(
-            phase, task_text, memories, compressed, budget=self.limits.prompt_budget
+            phase, task_text, memories, compressed, budget=self.cfg.gateway.prompt_budget
         )
         self.gateway.set_context(phase, self.session.failed_attempts + 1)
         history = [system, user]
         self._log_turn(system)
         self._log_turn(user)
         schemas = tool_schemas(tools)
-        for _ in range(self.limits.max_turns):
+        for _ in range(self.cfg.gateway.max_turns):
             self.prompt_tokens += sum(len(t.content) for t in history) // 4
             try:
                 reply = self.gateway.complete(history, schemas)
@@ -281,7 +273,7 @@ class SessionRunner:
 
     def _retrieve(self, tier: str, override: str | None = None):
         query = retrieval.Query(
-            keys=self.task.keys, k_min=self.limits.k_min, top_n=self.limits.top_n
+            keys=self.task.keys, k_min=self.cfg.retrieval.k_min, top_n=self.cfg.retrieval.top_n
         )
         ranked = retrieval.retrieve(self.store, tier, query, query_text_override=override)
         self.store.touch([r.entry for r in ranked])
@@ -331,7 +323,7 @@ class SessionRunner:
         if self._evidence is None:
             _, output = self.task.oracle.pristine_poc
             self._crash = crash = parse_crash_report(output)
-            cap = self.limits.prompt_budget // 2
+            cap = self.cfg.gateway.prompt_budget // 2
             if crash is None:
                 body = output[-2000:] or "(no output)"
             elif len(output) <= cap:
@@ -444,9 +436,9 @@ class SessionRunner:
                     break
 
                 session.failed_attempts += 1
-                if session.failed_attempts >= self.limits.attempt_cap:
+                if session.failed_attempts >= self.cfg.limits.attempt_cap:
                     session.outcome = Outcome.EXHAUSTED
-                    reason = f"attempt cap of {self.limits.attempt_cap} failed patches reached"
+                    reason = f"attempt cap of {self.cfg.limits.attempt_cap} failed patches reached"
                     ws.rollback(self.pristine_id)
                     break
 
@@ -454,7 +446,7 @@ class SessionRunner:
                     verdict.logs,
                     visited=list(self._visited),
                     applied_hunks=diffutil.hunk_texts(candidate),
-                    budget=self.limits.log_budget,
+                    budget=self.cfg.limits.log_budget,
                 )
                 self._visited = []
                 ws.rollback(self.pristine_id)
@@ -476,10 +468,10 @@ class SessionRunner:
 
     def _report(self, reason: str) -> SessionReport:
         session = self.session
-        limits = self.limits
+        prices = self.cfg.gateway
         cost = (
-            self.prompt_tokens / 1000.0 * limits.prompt_price_per_1k
-            + self.completion_tokens / 1000.0 * limits.completion_price_per_1k
+            self.prompt_tokens / 1000.0 * prices.prompt_price_per_1k
+            + self.completion_tokens / 1000.0 * prices.completion_price_per_1k
         )
         return SessionReport(
             outcome=session.outcome.value if session.outcome else "unknown",

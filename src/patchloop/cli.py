@@ -180,8 +180,8 @@ def repair_one(
     # Opened last: everything above can fail without a shell to clean up.
     workspace = Workspace(
         Path(task_data["repo"]),
-        bash_timeout=cfg.bash_timeout,
-        output_cap=cfg.tool_output_cap,
+        bash_timeout=cfg.limits.bash_timeout,
+        output_cap=cfg.limits.tool_output_cap,
     )
     try:
         oracle = OracleRunner(
@@ -195,7 +195,7 @@ def repair_one(
             keys=keys,
             ground_truth_files=task_data.get("ground_truth_files"),
         )
-        runner = SessionRunner(task, store, gateway, cfg.limits)
+        runner = SessionRunner(task, store, gateway, cfg)
         report = runner.run()
     finally:
         workspace.close()

@@ -1,10 +1,11 @@
 """Run configuration: one key/value file with [gateway], [retrieval],
 [oracle], [limits], and [ingest] sections.
 
-Values may be quoted TOML-style; quotes are stripped on load so the same
-file works for either habit. A ``;`` after whitespace starts a comment. A key
-that no field reads in [gateway], [retrieval], [oracle] or [limits] is
-logged as a warning and otherwise ignored.
+Each of the first four sections loads into one dataclass, whose fields are
+the keys it accepts. Values may be quoted TOML-style; quotes are stripped on
+load so the same file works for either habit. A ``;`` after whitespace
+starts a comment. A key that is not a field of its section is logged as a
+warning and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -12,16 +13,18 @@ from __future__ import annotations
 import configparser
 import logging
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agent import EngineLimits
 from .embedding import DEFAULT_REMOTE_TIMEOUT, CachingEmbedder, RemoteEmbedder, default_embedder
 from .gateway import GatewayConfig
 from .oracle import DEFAULT_COMMAND_TIMEOUT, DEFAULT_TOTAL_BUDGET
-from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_OUTPUT_CAP
+from .retrieval import DEFAULT_K_MIN, DEFAULT_TOP_N
+from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_LOG_BUDGET, DEFAULT_OUTPUT_CAP
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_ATTEMPT_CAP = 3
 
 
 @dataclass
@@ -31,6 +34,8 @@ class RetrievalConfig:
     model_name: str = ""
     api_key_env: str = ""
     timeout: float = DEFAULT_REMOTE_TIMEOUT
+    k_min: int = DEFAULT_K_MIN
+    top_n: int = DEFAULT_TOP_N
 
 
 @dataclass
@@ -40,13 +45,19 @@ class OracleConfig:
 
 
 @dataclass
+class LimitsConfig:
+    attempt_cap: int = DEFAULT_ATTEMPT_CAP
+    log_budget: int = DEFAULT_LOG_BUDGET
+    bash_timeout: float = DEFAULT_BASH_TIMEOUT
+    tool_output_cap: int = DEFAULT_OUTPUT_CAP
+
+
+@dataclass
 class EngineConfig:
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
-    limits: EngineLimits = field(default_factory=EngineLimits)
-    bash_timeout: float = DEFAULT_BASH_TIMEOUT
-    tool_output_cap: int = DEFAULT_OUTPUT_CAP
+    limits: LimitsConfig = field(default_factory=LimitsConfig)
     ingest_column_map: dict[str, str] = field(default_factory=dict)
 
 
@@ -57,16 +68,13 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _apply(section: configparser.SectionProxy, targets: list[tuple[object, tuple | None]]) -> None:
-    """Set each key of `section` on the first target that names it (None
-    names every field), cast to that field's declared type; warn about a key
-    no target reads, such as a misspelt one."""
+def _apply(section: configparser.SectionProxy, target) -> None:
+    """Set each key of `section` that names a field of `target`, cast to the
+    field's declared type; warn about any other key, such as a misspelt one."""
+    hints = typing.get_type_hints(type(target))  # every field and its type
     for key, raw in section.items():
-        for target, names in targets:
-            if key in (names or [f.name for f in fields(target)]):
-                cast = typing.get_type_hints(type(target))[key]
-                setattr(target, key, cast(_unquote(raw)))
-                break
+        if key in hints:
+            setattr(target, key, hints[key](_unquote(raw)))
         else:
             logger.warning("config section [%s]: ignoring unknown key %r", section.name, key)
 
@@ -80,27 +88,13 @@ def load_config(path: Path | None) -> EngineConfig:
     with Path(path).open("r", encoding="utf-8") as fh:
         parser.read_file(fh)
 
-    # Some [gateway] and [retrieval] keys are engine limits: they load into cfg.limits.
-    sections = {
-        "gateway": [
-            (cfg.gateway, None),
-            (cfg.limits, ("max_turns", "prompt_budget",
-                          "prompt_price_per_1k", "completion_price_per_1k")),
-        ],
-        "retrieval": [(cfg.retrieval, None), (cfg.limits, ("k_min", "top_n"))],
-        "oracle": [(cfg.oracle, None)],
-        "limits": [
-            (cfg, ("bash_timeout", "tool_output_cap")),
-            (cfg.limits, ("attempt_cap", "log_budget")),
-        ],
-    }
-    for name, targets in sections.items():
+    for name in ("gateway", "retrieval", "oracle", "limits"):
         if parser.has_section(name):
-            _apply(parser[name], targets)
-    if not 1 <= cfg.limits.k_min <= cfg.limits.top_n:
+            _apply(parser[name], getattr(cfg, name))
+    if not 1 <= cfg.retrieval.k_min <= cfg.retrieval.top_n:
         raise ValueError(
-            f"[retrieval] needs 1 <= k_min <= top_n, got k_min = {cfg.limits.k_min}, "
-            f"top_n = {cfg.limits.top_n}"
+            f"[retrieval] needs 1 <= k_min <= top_n, got k_min = {cfg.retrieval.k_min}, "
+            f"top_n = {cfg.retrieval.top_n}"
         )
     if parser.has_section("ingest"):
         cfg.ingest_column_map = {

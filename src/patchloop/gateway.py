@@ -9,6 +9,7 @@ Prompt assembly is a pure function so rendered prompts are stable too.
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 import urllib.error
@@ -50,6 +51,10 @@ class GatewayConfig:
     backend: str = "scripted"
     transcript: str = ""
     timeout: float = 60.0
+    max_turns: int = 30
+    prompt_budget: int = DEFAULT_PROMPT_BUDGET
+    prompt_price_per_1k: float = 0.0
+    completion_price_per_1k: float = 0.0
 
 
 def _decode_tool_calls(raw) -> list[ToolCall]:
@@ -153,8 +158,6 @@ class HttpGateway:
         return payload
 
     def complete(self, history: list[ChatTurn], available_tools: list[dict]) -> ChatTurn:
-        import os
-
         body = json.dumps(self._payload(history, available_tools)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.config.api_key_env, "") if self.config.api_key_env else ""
@@ -270,20 +273,20 @@ def render_prompt(
     """Assemble the system and user turns for a phase.
 
     Deterministic: identical inputs yield identical turns. Memories render
-    in rank order; when the result exceeds the budget, the lowest-ranked
-    memories are dropped from the tail until it fits.
+    in rank order; the turns keep the longest prefix of them that fits the
+    budget, or none when not even the first fits. Each part renders once.
     """
     system = ChatTurn(role="system", content=_base_prompt(phase))
-    kept = list(memories)
-    while True:
-        parts = [task_text]
-        if kept:
-            parts.append("# Retrieved repair experience")
-            parts.extend(_render_memory(i + 1, r) for i, r in enumerate(kept))
-        if compressed is not None:
-            parts.append("# Previous attempt summary")
-            parts.append(compressed.render())
-        user = ChatTurn(role="user", content="\n\n".join(parts))
-        if len(system.content) + len(user.content) <= budget or not kept:
-            return system, user
-        kept.pop()
+    tail = [] if compressed is None else ["# Previous attempt summary", compressed.render()]
+    room = budget - len(system.content) - len("\n\n".join([task_text, *tail]))
+    heading = "# Retrieved repair experience"
+    used = len(heading) + 2  # the heading and its separator come with the first memory
+    kept: list[str] = []
+    for i, r in enumerate(memories):
+        text = _render_memory(i + 1, r)
+        used += len(text) + 2
+        if used > room:
+            break
+        kept.append(text)
+    parts = [task_text, heading, *kept] if kept else [task_text]
+    return system, ChatTurn(role="user", content="\n\n".join(parts + tail))

@@ -149,7 +149,6 @@ class OracleRunner:
         self.command_timeout = command_timeout
         self.total_budget = total_budget
         self.elapsed = 0.0
-        self.check_vul_calls = 0
         self.baseline_passing: set[str] | None = None
         self.baseline_predicate_ok: bool | None = None
         # (exit code, output) of the PoC on the pristine tree, kept by
@@ -198,7 +197,6 @@ class OracleRunner:
 
     def check_vul(self) -> VerificationVerdict:
         """Run build, PoC, and regression suite against the current tree."""
-        self.check_vul_calls += 1
         logs: list[str] = []
         if self.spec.build_command:
             code, out = self._run(self.spec.build_command)

@@ -150,11 +150,10 @@ class PersistentShell:
                 pass
         proc.wait()
 
-    def run(self, command: str, timeout: float | None = None) -> tuple[bool, str, str | None]:
+    def run(self, command: str) -> tuple[bool, str, str | None]:
         """Returns (ok, output, error_kind). Timeout kills and respawns the shell."""
         if not self.alive:
             return False, "shell session is not running", SESSION_DEAD
-        timeout = self.timeout if timeout is None else timeout
         marker = f"__DONE_{uuid.uuid4().hex}__"
         # The command reads /dev/null, not this pipe, so it cannot swallow
         # the marker line; a { } group runs in this shell, so cd and export
@@ -169,7 +168,7 @@ class PersistentShell:
             self.close()
             return False, "shell session died", SESSION_DEAD
 
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self.timeout
         marker_b = marker.encode()
         buf = bytearray()
         fd = self._proc.stdout.fileno()
@@ -177,7 +176,7 @@ class PersistentShell:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.restart()
-                return False, _ended(buf, f"command timed out after {timeout:g}s"), TIMEOUT
+                return False, _ended(buf, f"command timed out after {self.timeout:g}s"), TIMEOUT
             ready, _, _ = select.select([fd], [], [], min(remaining, 0.2))
             if not ready:
                 if self._proc.poll() is not None:
@@ -449,16 +448,20 @@ class Workspace:
         return ToolResult(True, cap_output(numbered, self.output_cap))
 
     def _list_dir(self, target: Path) -> str:
+        """Two levels of names. A symlink is listed by its name and never
+        followed, so no listing shows what lies outside the root."""
         rows = []
         for child in sorted(target.iterdir()):
             if child.name == ".git":
                 continue
-            rows.append(child.name + ("/" if child.is_dir() else ""))
-            if child.is_dir():
+            descend = not child.is_symlink() and child.is_dir()
+            rows.append(child.name + ("/" if descend else ""))
+            if descend:
                 for grand in sorted(child.iterdir()):
                     if grand.name == ".git":
                         continue
-                    rows.append("  " + grand.name + ("/" if grand.is_dir() else ""))
+                    real_dir = not grand.is_symlink() and grand.is_dir()
+                    rows.append("  " + grand.name + ("/" if real_dir else ""))
         return "\n".join(rows)
 
     def search(
@@ -548,10 +551,10 @@ class Workspace:
         target.write_bytes(edited.encode("utf-8", errors="surrogateescape"))
         return ToolResult(True, f"replaced 1 occurrence in {path}")
 
-    def bash(self, command: str, restart: bool = False, timeout: float | None = None) -> ToolResult:
+    def bash(self, command: str, restart: bool = False) -> ToolResult:
         if restart:
             self._shell.restart()
-        ok, output, error_kind = self._shell.run(command, timeout=timeout)
+        ok, output, error_kind = self._shell.run(command)
         output = cap_output(output, self.output_cap)
         if error_kind is not None:
             return ToolResult(False, output, error_kind)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from patchloop.memory import RetrievalKeys
+from patchloop.oracle import OracleRunner
 
 # ---------------------------------------------------------------------------
 # git helpers
@@ -199,6 +200,16 @@ def demo_task_json(repo: Path, extra: dict | None = None) -> dict:
     }
     task.update(extra or {})
     return task
+
+
+class CountingOracle(OracleRunner):
+    """An oracle that counts how many candidates it judged."""
+
+    check_vul_calls = 0
+
+    def check_vul(self):
+        self.check_vul_calls += 1
+        return super().check_vul()
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from patchloop.memory import (
     RetrievalKeys,
     insert,
 )
-from patchloop.oracle import OracleRunner, OracleSpec, VerificationVerdict
+from patchloop.oracle import OracleSpec, VerificationVerdict
 from patchloop.retrieval import Query, retrieve
 from patchloop.workspace import Workspace, log_compress
 
@@ -269,7 +269,7 @@ def scripted_session(repo, transcript_path, builder, store):
         pass_predicates={"poc_command": "sanitizer_clean", "regression_command": "exit_zero"},
     )
     workspace = Workspace(repo)
-    oracle = OracleRunner(repo, spec, command_timeout=60, total_budget=600)
+    oracle = fx.CountingOracle(repo, spec, command_timeout=60, total_budget=600)
     task = RepairTask(workspace=workspace, oracle=oracle, keys=fx.DEMO_KEYS,
                       ground_truth_files=["app/buffer.py"])
     runner = SessionRunner(task, store, ScriptedGateway.from_file(transcript_path))

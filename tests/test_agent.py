@@ -8,7 +8,6 @@ import pytest
 import conftest as fx
 from patchloop import diffutil
 from patchloop.agent import (
-    EngineLimits,
     RepairTask,
     SessionRunner,
     Transition,
@@ -16,7 +15,8 @@ from patchloop.agent import (
     extract_localization,
 )
 from patchloop.errors import BuildToolMissing, WorkspaceError
-from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, ScriptedGateway
+from patchloop.config import EngineConfig
+from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, GatewayConfig, ScriptedGateway
 from patchloop.memory import (
     L3Entry,
     MemoryStore,
@@ -40,7 +40,7 @@ DEMO_SPEC = OracleSpec(
 
 def make_task(repo, spec: OracleSpec = DEMO_SPEC) -> RepairTask:
     workspace = Workspace(repo, bash_timeout=30)
-    oracle = OracleRunner(repo, spec, command_timeout=60, total_budget=600)
+    oracle = fx.CountingOracle(repo, spec, command_timeout=60, total_budget=600)
     return RepairTask(
         workspace=workspace,
         oracle=oracle,
@@ -449,9 +449,8 @@ def test_every_tool_path_reports_its_error_kind_in_the_trajectory(demo_repo, tmp
     ]
     transcript = fx.write_transcript(tmp_path / "tools.jsonl", records)
     task = make_task(demo_repo)
-    runner = SessionRunner(
-        task, MemoryStore(), ScriptedGateway.from_file(transcript), EngineLimits(max_turns=3)
-    )
+    cfg = EngineConfig(gateway=GatewayConfig(max_turns=3))
+    runner = SessionRunner(task, MemoryStore(), ScriptedGateway.from_file(transcript), cfg)
     try:
         report = runner.run()
     finally:
@@ -510,12 +509,12 @@ def test_live_verifier_turns_are_logged_and_counted(demo_repo, tmp_path):
             return super().complete(history, available_tools)
 
     transcript = fx.transcript_success(tmp_path / "t.jsonl")
-    limits = EngineLimits(prompt_price_per_1k=0.5, completion_price_per_1k=2.0)
+    cfg = EngineConfig(gateway=GatewayConfig(prompt_price_per_1k=0.5, completion_price_per_1k=2.0))
     runs = []
     for gateway, repo in ((ScriptedGateway, demo_repo),
                           (LiveGateway, fx.init_repo(tmp_path / "live", dict(fx.DEMO_FILES)))):
         task = make_task(repo)
-        runner = SessionRunner(task, MemoryStore(), gateway.from_file(transcript), limits)
+        runner = SessionRunner(task, MemoryStore(), gateway.from_file(transcript), cfg)
         try:
             runs.append((runner.run(), runner.trajectory))
         finally:
@@ -549,8 +548,8 @@ def test_memory_recency_touched_by_session(demo_repo, tmp_path):
 def test_cost_accounting_uses_price_table(demo_repo, tmp_path):
     transcript = fx.transcript_success(tmp_path / "t.jsonl")
     task = make_task(demo_repo)
-    limits = EngineLimits(prompt_price_per_1k=0.5, completion_price_per_1k=2.0)
-    runner = SessionRunner(task, MemoryStore(), ScriptedGateway.from_file(transcript), limits)
+    cfg = EngineConfig(gateway=GatewayConfig(prompt_price_per_1k=0.5, completion_price_per_1k=2.0))
+    runner = SessionRunner(task, MemoryStore(), ScriptedGateway.from_file(transcript), cfg)
     try:
         report = runner.run()
     finally:

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import configparser
 import json
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import conftest as fx
 import pytest
 
 from patchloop import cli
-from patchloop.config import load_config
+from patchloop.config import EngineConfig, load_config
 from patchloop.embedding import CachingEmbedder, DeterministicEmbedder
 from patchloop.memory import load_store
 from patchloop.workspace import Workspace
@@ -29,8 +31,8 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg.gateway.temperature == 0.0
-    assert cfg.limits.k_min == 2
-    assert cfg.limits.top_n == 4
+    assert cfg.retrieval.k_min == 2
+    assert cfg.retrieval.top_n == 4
     assert cfg.limits.attempt_cap == 3
     assert cfg.oracle.command_timeout == 600.0
 
@@ -68,27 +70,38 @@ cwe = cwe_id
     assert cfg.gateway.backend == "scripted"
     assert cfg.gateway.transcript == "/tmp/t.jsonl"
     assert cfg.gateway.model_name == "test-model"
-    assert cfg.limits.max_turns == 12
-    assert cfg.limits.prompt_budget == 9000
-    assert cfg.limits.prompt_price_per_1k == 0.5
-    assert cfg.limits.k_min == 3 and cfg.limits.top_n == 6
+    assert cfg.gateway.max_turns == 12
+    assert cfg.gateway.prompt_budget == 9000
+    assert cfg.gateway.prompt_price_per_1k == 0.5
+    assert cfg.retrieval.k_min == 3 and cfg.retrieval.top_n == 6
     assert cfg.oracle.command_timeout == 45.0
     assert cfg.limits.attempt_cap == 2
     assert cfg.limits.log_budget == 1234
     assert cfg.ingest_column_map == {"cwe": "cwe_id"}
 
 
-def test_readme_configuration_block_loads_without_warnings(tmp_path, caplog):
+def readme_configuration_block() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Configuration\n\n```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split("## Configuration\n\n```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_configuration_block_loads_without_warnings(tmp_path, caplog):
     path = tmp_path / "run.cfg"
-    path.write_text(block, encoding="utf-8")
+    path.write_text(readme_configuration_block(), encoding="utf-8")
     with caplog.at_level("WARNING", logger="patchloop.config"):
         cfg = load_config(path)
     assert caplog.records == []
     assert cfg.gateway.backend == "scripted"  # the trailing "; or: http" is a comment
-    assert cfg.limits.k_min == 2 and cfg.limits.attempt_cap == 3
-    assert cfg.tool_output_cap == 20_000
+    assert cfg.retrieval.k_min == 2 and cfg.limits.attempt_cap == 3
+    assert cfg.limits.tool_output_cap == 20_000
+
+
+def test_readme_configuration_block_lists_every_key_of_each_section():
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(readme_configuration_block())
+    cfg = EngineConfig()
+    for name in ("gateway", "retrieval", "oracle", "limits"):
+        assert set(parser[name]) == {f.name for f in fields(getattr(cfg, name))}, name
 
 
 @pytest.mark.parametrize("values", ["k_min = 0", "k_min = 3\ntop_n = 2"])
@@ -398,6 +411,33 @@ def test_repair_success_exit_zero(demo_repo, tmp_path, capsys):
     assert (out_dir / "task.trajectory.jsonl").exists()
     # memory file now carries the consolidated experience
     assert len(load_store(tmp_path / "m.jsonl").l2) == 1
+
+
+def test_repair_tool_call_raising_os_error_is_a_failed_result(demo_repo, tmp_path, capsys):
+    def transcript(path):
+        records = fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)
+        # a file as a parent directory, then a name longer than any file system allows
+        records[2]["turn"]["tool_calls"][:0] = [
+            {"name": "create", "args": {"path": "app/buffer.py/oops.py", "text": "x\n"}},
+            {"name": "create", "args": {"path": "a" * 300, "text": "x\n"}},
+        ]
+        return fx.write_transcript(path, records)
+
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, transcript)
+    code, _, err = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", str(task), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    assert (code, err) == (0, "")
+    assert json.loads((out_dir / "task.report.json").read_text())["outcome"] == "success"
+    with (out_dir / "task.trajectory.jsonl").open() as fh:
+        tools = [r for r in map(json.loads, fh) if r["type"] == "tool"]
+    results = [(t["call"]["name"], t["result"]["ok"], t["result"].get("error_kind")) for t in tools]
+    assert results[1:] == [
+        ("create", False, "OSError"), ("create", False, "OSError"), ("str_replace", True, None)
+    ]
+    assert tools[1]["result"]["output"] == "create failed on app/buffer.py/oops.py: File exists"
 
 
 def test_repair_exhausted_exit_one(demo_repo, tmp_path, capsys):

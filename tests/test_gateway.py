@@ -6,15 +6,21 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_transcript
 from patchloop.embedding import RemoteEmbedder
 from patchloop.errors import EmbeddingUnavailable, GatewayExhausted, MalformedToolCall
 from patchloop.gateway import (
+    DEFAULT_PROMPT_BUDGET,
+    PHASES,
     ChatTurn,
     GatewayConfig,
     HttpGateway,
     ScriptedGateway,
+    _base_prompt,
+    _render_memory,
     build_gateway,
     render_prompt,
 )
@@ -213,6 +219,56 @@ def test_render_prompt_budget_drop_is_strictly_from_tail():
         _, user = render_prompt("patcher", "task", memories, budget=budget)
         present = [n for n in range(1, 5) if f"proj.cve-2020-{n}" in user.content]
         assert present == list(range(1, len(present) + 1))
+
+
+def reference_render_prompt(
+    phase, task_text, memories, compressed=None, budget=DEFAULT_PROMPT_BUDGET
+):
+    """The drop loop ``render_prompt`` replaced: render everything, drop the
+    lowest-ranked memory, render everything again, until the turns fit."""
+    system = ChatTurn(role="system", content=_base_prompt(phase))
+    kept = list(memories)
+    while True:
+        parts = [task_text]
+        if kept:
+            parts.append("# Retrieved repair experience")
+            parts.extend(_render_memory(i + 1, r) for i, r in enumerate(kept))
+        if compressed is not None:
+            parts.append("# Previous attempt summary")
+            parts.append(compressed.render())
+        user = ChatTurn(role="user", content="\n\n".join(parts))
+        if len(system.content) + len(user.content) <= budget or not kept:
+            return system, user
+        kept.pop()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phase=st.sampled_from(PHASES),
+    task_text=st.text(max_size=300),
+    specs=st.lists(
+        st.tuples(st.sampled_from(["L1", "L2", "L3"]), st.integers(0, 99), st.integers(0, 400)),
+        max_size=8,
+    ),
+    failure_log=st.none() | st.text(max_size=300),
+    data=st.data(),
+)
+def test_render_prompt_matches_the_drop_loop(phase, task_text, specs, failure_log, data):
+    memories = [ranked(tier, n, size) for tier, n, size in specs]
+    compressed = None if failure_log is None else CompressedContext(
+        visited=[("f.c", (1, 5))], failure_log=failure_log
+    )
+    # the length with each count of memories kept, one either side, or any
+    # budget up to the full length
+    edges = []
+    for k in range(len(memories) + 1):
+        turns = reference_render_prompt(phase, task_text, memories[:k], compressed, 10**9)
+        edges.append(sum(len(t.content) for t in turns))
+    near = sorted({max(0, e + d) for e in edges for d in (-1, 0, 1)})
+    budget = data.draw(st.integers(0, edges[-1]) | st.sampled_from(near), label="budget")
+    got = render_prompt(phase, task_text, memories, compressed, budget=budget)
+    want = reference_render_prompt(phase, task_text, memories, compressed, budget=budget)
+    assert (got[0].content, got[1].content) == (want[0].content, want[1].content)
 
 
 def test_render_prompt_rejects_unknown_phase():

@@ -228,6 +228,23 @@ def test_search_and_index_skip_links_that_leave_the_root(tmp_path):
     assert list(index_repository(repo).files) == inside
 
 
+def test_view_lists_a_directory_link_by_name_and_never_follows_it(tmp_path):
+    outside = tmp_path / "outside"
+    (outside / "secretdir").mkdir(parents=True)
+    (outside / "secret.txt").write_text("TOPSECRET\n")
+    repo = init_repo(tmp_path / "repo", {"a/x.c": "int x;\n"})
+    (repo / "link").symlink_to(outside, target_is_directory=True)
+    (repo / "a" / "up").symlink_to("..", target_is_directory=True)
+
+    ws = Workspace(repo, bash_timeout=10)
+    try:
+        assert ws.view(".").output.splitlines() == ["a/", "  up", "  x.c", "link"]
+        assert ws.view("a").output.splitlines() == ["up", "x.c"]
+        assert ws.view("link").error_kind == "OutsideWorkspace"
+    finally:
+        ws.close()
+
+
 # ---------------------------------------------------------------------------
 # create / str_replace
 # ---------------------------------------------------------------------------
@@ -353,19 +370,23 @@ def test_bash_restart_resets_to_workspace_root(ws):
     assert result.output.strip() == str(ws.root)
 
 
-def test_bash_timeout_restarts_session(ws):
-    result = ws.bash("sleep 30", timeout=1)
-    assert result.error_kind == "Timeout"
-    # session is usable again and back at the root
-    assert ws.bash("pwd").output.strip() == str(ws.root)
+def test_bash_timeout_restarts_session(tmp_path):
+    ws = Workspace(init_repo(tmp_path / "repo", {"a.txt": "a\n"}), bash_timeout=1)
+    try:
+        result = ws.bash("sleep 30")
+        assert result.error_kind == "Timeout"
+        # session is usable again and back at the root
+        assert ws.bash("pwd").output.strip() == str(ws.root)
+    finally:
+        ws.close()
 
 
 def test_bash_timeout_kills_the_commands_children(tmp_path):
     repo = init_repo(tmp_path / "repo", {"a.txt": "a\n"})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ws = Workspace(repo, bash_timeout=10)
-        result = ws.bash("sh -c 'sleep 1; touch orphan_from_bash'", timeout=0.3)
+        ws = Workspace(repo, bash_timeout=0.3)
+        result = ws.bash("sh -c 'sleep 1; touch orphan_from_bash'")
         ws.close()
         del ws
         gc.collect()
@@ -391,11 +412,15 @@ def test_bash_keeps_what_a_dying_command_printed(ws):
     assert result.output == "partial-output\nshell session died"
 
 
-def test_bash_timeout_keeps_what_the_command_printed(ws):
-    result = ws.bash("printf before-hang; sleep 30", timeout=0.5)
-    assert result.error_kind == "Timeout"
-    assert result.output == "before-hang\ncommand timed out after 0.5s"
-    assert ws.bash("echo again").output.strip() == "again"
+def test_bash_timeout_keeps_what_the_command_printed(tmp_path):
+    ws = Workspace(init_repo(tmp_path / "repo", {"a.txt": "a\n"}), bash_timeout=0.5)
+    try:
+        result = ws.bash("printf before-hang; sleep 30")
+        assert result.error_kind == "Timeout"
+        assert result.output == "before-hang\ncommand timed out after 0.5s"
+        assert ws.bash("echo again").output.strip() == "again"
+    finally:
+        ws.close()
 
 
 def test_bash_commands_read_dev_null_not_the_shell_input(ws):
