@@ -46,8 +46,8 @@ from .localizer import (
 )
 from .memory import MemoryStore, RetrievalKeys
 from .oracle import OracleRunner, VerificationVerdict
-from .session import Attempt, Outcome, RepairSession
 from .workspace import (
+    CompressedContext,
     ToolCall,
     ToolResult,
     Workspace,
@@ -101,6 +101,19 @@ def decide_transition(verdict: VerificationVerdict) -> Transition:
     if not verdict.vuln_mitigated:
         return Transition.RELOCATE
     return Transition.REGENERATE
+
+
+class Outcome(str, Enum):
+    SUCCESS = "success"
+    EXHAUSTED = "exhausted"
+
+
+@dataclass
+class Attempt:
+    patch: str
+    verdict: VerificationVerdict
+    tree: str  # git tree id of the candidate's working tree
+    localization: LocalizationObject | None = None
 
 
 @dataclass
@@ -159,7 +172,8 @@ def extract_localization(text: str) -> LocalizationObject | None:
 
 
 class SessionRunner:
-    """Drives one repair session to Success or Exhausted."""
+    """Drives one repair session to Success or Exhausted, and holds its
+    state: the attempts, the outcome and the summary of the last failure."""
 
     def __init__(
         self,
@@ -172,7 +186,9 @@ class SessionRunner:
         self.store = store
         self.gateway = gateway
         self.cfg = cfg or EngineConfig()
-        self.session = RepairSession(keys=task.keys)
+        self.attempts: list[Attempt] = []
+        self.outcome: Outcome | None = None
+        self.compressed: CompressedContext | None = None
         self.trajectory: list[dict] = []
         self.prompt_tokens = 0
         self.completion_tokens = 0
@@ -183,6 +199,17 @@ class SessionRunner:
         self._visited: list[tuple[str, tuple[int, int]]] = []
 
     # -- plumbing -----------------------------------------------------------
+
+    @property
+    def failed_attempts(self) -> int:
+        """The loop stops at the first success, so every attempt before an
+        accepted last one failed."""
+        return len(self.attempts) - (self.outcome == Outcome.SUCCESS)
+
+    def _last_failed(self) -> Attempt | None:
+        """The newest failed candidate with a non-empty diff, if any."""
+        failed = self.attempts[:self.failed_attempts]
+        return next((a for a in reversed(failed) if a.patch.strip()), None)
 
     @property
     def index(self) -> SymbolIndex:
@@ -245,7 +272,7 @@ class SessionRunner:
         system, user = render_prompt(
             phase, task_text, memories, compressed, budget=self.cfg.gateway.prompt_budget
         )
-        self.gateway.set_context(phase, self.session.failed_attempts + 1)
+        self.gateway.set_context(phase, self.failed_attempts + 1)
         history = [system, user]
         self._log_turn(system)
         self._log_turn(user)
@@ -298,12 +325,12 @@ class SessionRunner:
             return fallback
         return (reply.content.strip() if reply else "") or fallback
 
-    def _live_rationale(self, session) -> str:
+    def _live_rationale(self, accepted: Attempt) -> str:
         question = (
-            f"# Accepted patch\n{session.final_patch}\n"
-            f"# Verification log\n{session.attempts[-1].verdict.logs[-2000:]}"
+            f"# Accepted patch\n{accepted.patch}\n"
+            f"# Verification log\n{accepted.verdict.logs[-2000:]}"
         )
-        return self._ask_verifier(question, memory.default_rationale(session))
+        return self._ask_verifier(question, memory.default_rationale(accepted))
 
     def _live_insight(self, fail_patch: str, accepted: str) -> str:
         question = (
@@ -340,12 +367,12 @@ class SessionRunner:
         evidence = self._runtime_evidence()
         memories = self._retrieve("L1") + self._retrieve("L2")
         final = self._drive_phase(
-            "locator", self._task_text(evidence), memories, self.session.compressed, LOCATOR_TOOLS
+            "locator", self._task_text(evidence), memories, self.compressed, LOCATOR_TOOLS
         )
         loc = extract_localization(final.content) if final else None
         if loc is None:
             raise LocalizationFailure(
-                f"no parseable location after locator attempt {self.session.failed_attempts + 1}"
+                f"no parseable location after locator attempt {self.failed_attempts + 1}"
             )
         self._visited.append((loc.file, loc.line_range))
         return loc
@@ -353,7 +380,7 @@ class SessionRunner:
     def patch(self, loc: LocalizationObject) -> tuple[str, str]:
         """Drive the patcher; returns the candidate's tree id and its diff
         against the pristine snapshot."""
-        failed = self.session.last_failed
+        failed = self._last_failed()
         failed_patch = failed.patch if failed else None
         memories = self._retrieve("L1") + self._retrieve("L2")
         if failed_patch:
@@ -365,7 +392,7 @@ class SessionRunner:
         if failed_patch:
             target += f"\n# Previous failed candidate\n{failed_patch}"
         self._drive_phase(
-            "patcher", self._task_text(target), memories, self.session.compressed, PATCHER_TOOLS
+            "patcher", self._task_text(target), memories, self.compressed, PATCHER_TOOLS
         )
         return self.task.workspace.submit(self.pristine_id)
 
@@ -405,7 +432,6 @@ class SessionRunner:
         """Run attempts until Success or Exhausted; returns the stop reason.
         The expected ways a session ends roll back here; anything else
         propagates to ``run``."""
-        session = self.session
         ws = self.task.workspace
         reason = ""
         relocate = True
@@ -415,34 +441,34 @@ class SessionRunner:
                     loc = self.locate()
                 tree, candidate = self.patch(loc)
                 verdict, transition = self.verify(candidate)
-                session.attempts.append(
+                self.attempts.append(
                     Attempt(patch=candidate, verdict=verdict, tree=tree, localization=loc)
                 )
                 logger.info(
                     "attempt %d verdict mitigated=%s preserved=%s -> %s",
-                    len(session.attempts), verdict.vuln_mitigated,
+                    len(self.attempts), verdict.vuln_mitigated,
                     verdict.functionality_preserved, transition.value,
                 )
                 if transition == Transition.SUCCESS:
-                    session.outcome = Outcome.SUCCESS
+                    self.outcome = Outcome.SUCCESS
                     # Deterministic backends use templated consolidation
                     # text; a live model is asked to explain the fix instead.
                     live = not getattr(self.gateway, "deterministic", True)
                     memory.consolidate_success(
-                        self.store, session, ws.diff,
+                        self.store, self.task.keys, self.attempts[-1], self._last_failed(),
+                        ws.diff,
                         self._live_rationale if live else None,
                         self._live_insight if live else None,
                     )
                     break
 
-                session.failed_attempts += 1
-                if session.failed_attempts >= self.cfg.limits.attempt_cap:
-                    session.outcome = Outcome.EXHAUSTED
+                if self.failed_attempts >= self.cfg.limits.attempt_cap:
+                    self.outcome = Outcome.EXHAUSTED
                     reason = f"attempt cap of {self.cfg.limits.attempt_cap} failed patches reached"
                     ws.rollback(self.pristine_id)
                     break
 
-                session.compressed = log_compress(
+                self.compressed = log_compress(
                     verdict.logs,
                     visited=list(self._visited),
                     applied_hunks=diffutil.hunk_texts(candidate),
@@ -452,40 +478,38 @@ class SessionRunner:
                 ws.rollback(self.pristine_id)
                 relocate = transition == Transition.RELOCATE
         except (OracleTimeout, GatewayExhausted, LocalizationFailure) as exc:
-            session.outcome = Outcome.EXHAUSTED
+            self.outcome = Outcome.EXHAUSTED
             reason = f"{type(exc).__name__}: {exc}"
             ws.rollback(self.pristine_id)
         finally:
             self.store.complete_task()
         return reason
 
-    def _localization_correct(self) -> bool | str:
-        truth = self.task.ground_truth_files
-        if not truth or self.session.outcome != Outcome.SUCCESS:
-            return "unknown"
-        touched = set(diffutil.changed_files(self.session.final_patch))
-        return set(truth) <= touched
-
     def _report(self, reason: str) -> SessionReport:
-        session = self.session
+        success = self.outcome == Outcome.SUCCESS
+        final_patch = self.attempts[-1].patch if success else ""
+        truth = self.task.ground_truth_files
+        localization_correct: bool | str = "unknown"
+        if truth and success:
+            localization_correct = set(truth) <= set(diffutil.changed_files(final_patch))
         prices = self.cfg.gateway
         cost = (
             self.prompt_tokens / 1000.0 * prices.prompt_price_per_1k
             + self.completion_tokens / 1000.0 * prices.completion_price_per_1k
         )
         return SessionReport(
-            outcome=session.outcome.value if session.outcome else "unknown",
-            failed_attempts=session.failed_attempts,
-            final_diff=session.final_patch,
+            outcome=self.outcome.value,
+            failed_attempts=self.failed_attempts,
+            final_diff=final_patch,
             attempts=[
                 {
                     "patch": a.patch,
                     "verdict": a.verdict.to_json(),
                     "localization": a.localization.to_json() if a.localization else None,
                 }
-                for a in session.attempts
+                for a in self.attempts
             ],
-            localization_correct=self._localization_correct(),
+            localization_correct=localization_correct,
             prompt_tokens=self.prompt_tokens,
             completion_tokens=self.completion_tokens,
             cost_usd=cost,

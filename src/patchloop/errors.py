@@ -9,10 +9,6 @@ class InvariantViolation(PatchloopError):
     """A domain object failed its structural invariants."""
 
 
-class InvalidSession(PatchloopError):
-    """A repair session is in the wrong state for the requested operation."""
-
-
 class CorruptMemoryFile(PatchloopError):
     """The persisted memory file could not be parsed."""
 

@@ -76,6 +76,24 @@ def _decode_tool_calls(raw) -> list[ToolCall]:
     return calls
 
 
+def _record_problem(rec) -> str:
+    """What is wrong with one transcript record, or "" when nothing is."""
+    if not isinstance(rec, dict):
+        return f"record is a JSON {type(rec).__name__}, not an object"
+    if rec.get("phase") not in PHASES:
+        return f"phase is not one of {', '.join(PHASES)}: {rec.get('phase')!r}"
+    attempt = rec.get("attempt")
+    if type(attempt) is not int or attempt < 1:
+        return f"attempt is not an integer of at least 1: {attempt!r}"
+    turn = rec.get("turn")
+    if not isinstance(turn, dict):
+        return f"turn is a {type(turn).__name__}, not an object"
+    for name in ("role", "content"):
+        if name in turn and not isinstance(turn[name], str):
+            return f"turn {name} is a {type(turn[name]).__name__}, not a string"
+    return ""
+
+
 class ScriptedGateway:
     """Replays a recorded transcript; per-session, no shared state."""
 
@@ -87,14 +105,21 @@ class ScriptedGateway:
 
     @classmethod
     def from_file(cls, path: Path) -> "ScriptedGateway":
+        """Load a transcript; a record of the wrong shape is a ValueError
+        naming its line."""
         queues: dict[tuple[str, int], list[dict]] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 if not raw.strip():
                     continue
-                rec = json.loads(raw)
-                key = (rec["phase"], int(rec["attempt"]))
-                queues.setdefault(key, []).append(rec["turn"])
+                try:
+                    rec = json.loads(raw)
+                    problem = _record_problem(rec)
+                except json.JSONDecodeError as exc:
+                    problem = f"not JSON: {exc}"
+                if problem:
+                    raise ValueError(f"{path}:{lineno}: {problem}")
+                queues.setdefault((rec["phase"], rec["attempt"]), []).append(rec["turn"])
         return cls(queues)
 
     def set_context(self, phase: str, attempt: int) -> None:
@@ -194,7 +219,9 @@ class HttpGateway:
 
         try:
             message = reply["choices"][0]["message"]
-            content, raw_calls = message.get("content") or "", message.get("tool_calls")
+            content, raw_calls = message.get("content"), message.get("tool_calls")
+            if not isinstance(content, (str, type(None))):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise GatewayExhausted(f"malformed completion response: {exc}") from exc
         tool_calls = None
@@ -202,7 +229,7 @@ class HttpGateway:
             if isinstance(raw_calls, list):
                 raw_calls = [_function_call(tc) for tc in raw_calls]
             tool_calls = _decode_tool_calls(raw_calls)
-        return ChatTurn(role="assistant", content=content, tool_calls=tool_calls)
+        return ChatTurn(role="assistant", content=content or "", tool_calls=tool_calls)
 
 
 def _function_call(raw) -> dict:

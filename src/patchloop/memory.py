@@ -38,7 +38,7 @@ from .embedding import (
     cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
     default_embedder,
 )
-from .errors import CorruptMemoryFile, InvalidSession, InvariantViolation
+from .errors import CorruptMemoryFile, InvariantViolation
 
 DEDUP_THRESHOLD = 0.95
 
@@ -399,8 +399,8 @@ def prune(store: MemoryStore, window: float) -> int:
     return removed
 
 
-def default_rationale(session) -> str:
-    summary = diffutil.hunk_summary(session.final_patch)
+def default_rationale(accepted) -> str:
+    summary = diffutil.hunk_summary(accepted.patch)
     return (
         f"patch {summary} removed the reproduction failure while keeping "
         f"the regression suite green"
@@ -416,36 +416,34 @@ def default_insight(fail_patch: str, accepted_patch: str) -> str:
 
 def consolidate_success(
     store: MemoryStore,
-    session,
+    keys: RetrievalKeys,
+    accepted,
+    failed,
     diff_trees: Callable[[str, str], str],
     rationale_fn: Callable[..., str] | None = None,
     insight_fn: Callable[..., str] | None = None,
 ) -> tuple[L2Entry, L3Entry | None]:
-    """Harvest a finished successful session into L2 (and L3 if it failed first).
+    """Harvest a successful session's failure-to-success pair into L2 and L3.
 
-    The L2 entry records the accepted patch with a rationale. When at least
-    one verification failed before success, an L3 entry additionally records
-    the last failed candidate, the delta that corrected it
-    (``diff_trees(failed_tree, accepted_tree)``, a diff between the two
-    candidates' git trees), and a transition insight. A failed candidate
-    whose tree equals the accepted one (a flaky oracle) corrected nothing, so
-    only L2 is written. Both entries go through :func:`insert`.
+    `accepted` and `failed` are candidates, each with a ``patch`` (its diff
+    against the pristine tree) and a git ``tree``; `failed` is the last
+    rejected candidate with a non-empty diff, or None. The L2 entry records
+    the accepted patch with a rationale (``rationale_fn(accepted)``). Given a
+    failed candidate, an L3 entry additionally records it, the delta that
+    corrected it (``diff_trees(failed.tree, accepted.tree)``), and a
+    transition insight. A failed candidate whose tree equals the accepted
+    one (a flaky oracle) corrected nothing, so only L2 is written. Both
+    entries go through :func:`insert`.
     """
-    from .session import Outcome  # local import: session depends on memory types
-
-    if session.outcome != Outcome.SUCCESS:
-        raise InvalidSession("consolidation requires a successful session")
-    accepted = session.attempts[-1]
-    rationale = (rationale_fn or default_rationale)(session)
-    l2 = L2Entry(keys=session.keys, fix_patch=accepted.patch, rationale=rationale)
+    rationale = (rationale_fn or default_rationale)(accepted)
+    l2 = L2Entry(keys=keys, fix_patch=accepted.patch, rationale=rationale)
     insert(store, l2)
 
-    failed = session.last_failed
-    if session.failed_attempts < 1 or failed is None or failed.tree == accepted.tree:
+    if failed is None or failed.tree == accepted.tree:
         return l2, None
     insight = (insight_fn or default_insight)(failed.patch, accepted.patch)
     l3 = L3Entry(
-        keys=session.keys,
+        keys=keys,
         fail_patch=failed.patch,
         correction_delta=diff_trees(failed.tree, accepted.tree),
         transition_insight=insight,

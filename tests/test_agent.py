@@ -8,6 +8,7 @@ import pytest
 import conftest as fx
 from patchloop import diffutil
 from patchloop.agent import (
+    Outcome,
     RepairTask,
     SessionRunner,
     Transition,
@@ -24,7 +25,6 @@ from patchloop.memory import (
     insert,
 )
 from patchloop.oracle import OracleRunner, OracleSpec, VerificationVerdict
-from patchloop.session import Outcome
 from patchloop.workspace import Workspace
 
 
@@ -181,8 +181,8 @@ def test_relocate_reruns_locator_regenerate_does_not(demo_repo, tmp_path):
     _, runner, _ = run_scripted(demo_repo, tmp_path, fx.transcript_regenerate_then_success)
     # transcript only contains locator attempt 1; a second locator run would
     # exhaust the script, so finishing successfully proves regenerate skipped it
-    assert runner.session.outcome == Outcome.SUCCESS
-    assert runner.session.failed_attempts == 1
+    assert runner.outcome == Outcome.SUCCESS
+    assert runner.failed_attempts == 1
 
 
 def test_attempt_one_prompt_never_contains_l3(demo_repo, tmp_path):
@@ -375,6 +375,46 @@ def test_empty_patch_counts_as_failure_with_regenerate(demo_repo, tmp_path):
     assert verdict["vuln_mitigated"] is False and verdict["build_ok"] is True
     # no refinement entry: there is no failed patch text to learn from
     assert store.l3 == []
+
+
+def test_two_failures_record_the_last_failed_candidate(demo_repo, tmp_path):
+    def transcript(path):
+        return fx.write_transcript(
+            path,
+            fx.locator_turns(1) + fx.patcher_turns(1, fx.BAD_NEW_NOT_FIXED)
+            + fx.locator_turns(2) + fx.patcher_turns(2, fx.BAD_NEW_REGRESSION)
+            + fx.patcher_turns(3, fx.GOOD_NEW),
+        )
+
+    report, runner, store = run_scripted(demo_repo, tmp_path, transcript)
+    assert report.outcome == "success"
+    assert runner.failed_attempts == 2
+    first, second, accepted = (a["patch"] for a in report.attempts)
+    assert first != second
+    assert [e.fail_patch for e in store.l3] == [second]
+    assert store.l2[0].fix_patch == accepted
+
+
+def test_empty_candidate_after_a_failure_keeps_the_earlier_diff(demo_repo, tmp_path):
+    def transcript(path):
+        empty = {"phase": "patcher", "attempt": 2,
+                 "turn": {"role": "assistant", "content": "PATCH READY"}}
+        return fx.write_transcript(
+            path,
+            fx.locator_turns(1) + fx.patcher_turns(1, fx.BAD_NEW_REGRESSION)
+            + [empty] + fx.patcher_turns(3, fx.GOOD_NEW),
+        )
+
+    report, runner, store = run_scripted(demo_repo, tmp_path, transcript)
+    assert report.outcome == "success"
+    assert report.failed_attempts == 2
+    assert report.attempts[1]["patch"] == ""
+    assert [e.fail_patch for e in store.l3] == [report.attempts[0]["patch"]]
+    # the third patcher turn was shown the real failure, not the empty one
+    prompts = [t["content"] for t in runner.trajectory
+               if t["type"] == "turn" and "# Previous failed candidate" in t.get("content", "")]
+    assert len(prompts) == 2
+    assert all(report.attempts[0]["patch"] in p for p in prompts)
 
 
 def test_locator_without_parseable_object_exhausts_session(demo_repo, tmp_path):

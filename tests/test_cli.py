@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import re
 import threading
 import time
 from dataclasses import fields
@@ -102,6 +103,15 @@ def test_readme_configuration_block_lists_every_key_of_each_section():
     cfg = EngineConfig()
     for name in ("gateway", "retrieval", "oracle", "limits"):
         assert set(parser[name]) == {f.name for f in fields(getattr(cfg, name))}, name
+
+
+def test_readme_layout_block_lists_every_module():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
+    modules = {p.name for p in (root / "src" / "patchloop").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
 
 
 @pytest.mark.parametrize("values", ["k_min = 0", "k_min = 3\ntop_n = 2"])
@@ -438,6 +448,40 @@ def test_repair_tool_call_raising_os_error_is_a_failed_result(demo_repo, tmp_pat
         ("create", False, "OSError"), ("create", False, "OSError"), ("str_replace", True, None)
     ]
     assert tools[1]["result"]["output"] == "create failed on app/buffer.py/oops.py: File exists"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"phase": "locator", "attempt": 1, "turn": "hello"},
+        ["locator", 1],
+        {"phase": "locator", "attempt": [1], "turn": {"content": "x"}},
+        {"phase": "locator", "attempt": "1", "turn": {"content": "x"}},
+        {"phase": "locator", "attempt": 0, "turn": {"content": "x"}},
+        {"phase": "locator", "attempt": True, "turn": {"content": "x"}},
+        {"phase": "patchr", "attempt": 1, "turn": {"content": "x"}},
+        {"attempt": 1, "turn": {"content": "x"}},
+        {"phase": "locator", "attempt": 1, "turn": {"content": ["x"]}},
+        {"phase": "locator", "attempt": 1, "turn": {"role": 1, "content": "x"}},
+    ],
+    ids=["turn a string", "a list", "attempt a list", "attempt a string", "attempt 0",
+         "attempt true", "unknown phase", "no phase", "content a list", "role a number"],
+)
+def test_repair_transcript_record_of_the_wrong_shape_exit_two(demo_repo, tmp_path, capsys, bad):
+    def transcript(path):
+        records = fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)
+        records.insert(2, bad)
+        return fx.write_transcript(path, records)
+
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, transcript)
+    code, _, err = run_cli(
+        capsys,
+        "--config", str(cfg),
+        "repair", str(task), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    assert code == 2
+    assert f"{tmp_path / 'transcript.jsonl'}:3: " in err
+    assert not (out_dir / "task.report.json").exists()
 
 
 def test_repair_exhausted_exit_one(demo_repo, tmp_path, capsys):

@@ -452,6 +452,19 @@ def test_http_gateway_reply_of_the_wrong_shape_exhausts(loopback, reply):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [[{"type": "text", "text": "hi"}], {"text": "hi"}, 7, False],
+    ids=["a list of parts", "an object", "a number", "false"],
+)
+def test_http_gateway_content_that_is_not_a_string_exhausts(loopback, content):
+    url, replies, _ = loopback
+    replies["/v1/chat/completions"] = {"choices": [{"message": {"content": content}}]}
+    gw = HttpGateway(GatewayConfig(backend="http", endpoint=url, timeout=5))
+    with pytest.raises(GatewayExhausted, match=r"malformed completion response: content is \w+"):
+        gw.complete([ChatTurn("user", "hi")], [])
+
+
+@pytest.mark.parametrize(
     "call",
     [{"id": "c0", "type": "function"}, {"function": {"name": "view"}}, {"function": None}, "view"],
     ids=["no function", "no arguments", "function null", "a string"],

@@ -494,7 +494,7 @@ import subprocess  # noqa: E402
 from conftest import init_repo  # noqa: E402
 from patchloop.memory import consolidate_success  # noqa: E402
 from patchloop.oracle import VerificationVerdict  # noqa: E402
-from patchloop.session import Attempt, Outcome, RepairSession  # noqa: E402
+from patchloop.agent import Attempt  # noqa: E402
 from patchloop.workspace import Workspace  # noqa: E402
 
 PATH = "app/buffer.py"
@@ -507,9 +507,8 @@ BAD = (
     "def safe_copy(buf, src, length):\n    if length > buf.capacity * 8:\n"
     "        raise ValueError('too big')\n    i = 0\n    return buf\n"
 )
-OTHER_BAD = PRISTINE.replace("i = 0", "i = 1")
 # Stand-in for git trees: a tree name maps to the content of PATH.
-TREES = {"pristine": PRISTINE, "good": GOOD, "bad": BAD, "other_bad": OTHER_BAD}
+TREES = {"pristine": PRISTINE, "good": GOOD, "bad": BAD}
 
 
 def diff_trees(old_tree: str, new_tree: str) -> str:
@@ -536,22 +535,12 @@ def bad(verdict: VerificationVerdict = NOT_FIXED) -> Attempt:
     return Attempt(BAD_PATCH, verdict, "bad")
 
 
-def session_with(attempts: list[Attempt], outcome=Outcome.SUCCESS) -> RepairSession:
-    failed = sum(
-        1 for a in attempts if not (a.verdict.vuln_mitigated and a.verdict.functionality_preserved)
-    )
-    return RepairSession(
-        keys=keys("p.cve-2024-77", desc="overflow in copy helper"),
-        failed_attempts=failed,
-        attempts=attempts,
-        outcome=outcome,
-    )
+TASK_KEYS = keys("p.cve-2024-77", desc="overflow in copy helper")
 
 
 def test_consolidate_first_try_success_writes_l2_only():
     store = MemoryStore()
-    session = session_with([good()])
-    l2_entry, l3_entry = consolidate_success(store, session, diff_trees)
+    l2_entry, l3_entry = consolidate_success(store, TASK_KEYS, good(), None, diff_trees)
     assert l3_entry is None
     assert store.l2 == [l2_entry]
     assert store.l3 == []
@@ -561,8 +550,7 @@ def test_consolidate_first_try_success_writes_l2_only():
 
 def test_consolidate_fail_then_success_writes_l2_and_l3():
     store = MemoryStore()
-    session = session_with([bad(), good()])
-    l2_entry, l3_entry = consolidate_success(store, session, diff_trees)
+    l2_entry, l3_entry = consolidate_success(store, TASK_KEYS, good(), bad(), diff_trees)
     assert l3_entry is not None
     assert l3_entry.fail_patch == BAD_PATCH
     assert l3_entry.correction_delta == diff_trees("bad", "good")
@@ -583,7 +571,7 @@ def test_consolidated_delta_turns_failed_checkout_into_accepted(tmp_path):
             tree, patch = ws.submit(pristine)
             attempts.append(Attempt(patch, verdict, tree))
             ws.rollback(pristine)
-        _, l3_entry = consolidate_success(MemoryStore(), session_with(attempts), ws.diff)
+        _, l3_entry = consolidate_success(MemoryStore(), TASK_KEYS, attempts[1], attempts[0], ws.diff)
     finally:
         ws.close()
     assert l3_entry.fail_patch == attempts[0].patch
@@ -597,28 +585,13 @@ def test_consolidated_delta_turns_failed_checkout_into_accepted(tmp_path):
     assert target.read_text() == GOOD
 
 
-def test_consolidate_two_failures_records_last_failed_candidate():
-    store = MemoryStore()
-    other_bad = Attempt(diff_trees("pristine", "other_bad"), NOT_FIXED, "other_bad")
-    session = session_with([other_bad, bad(), good()])
-    _, l3_entry = consolidate_success(store, session, diff_trees)
-    assert l3_entry.fail_patch == BAD_PATCH
-
-
-def test_consolidate_requires_success():
-    store = MemoryStore()
-    session = session_with([bad()], outcome=Outcome.EXHAUSTED)
-    with pytest.raises(memory.InvalidSession):
-        consolidate_success(store, session, diff_trees)
-
-
 def test_consolidate_emits_l3_exactly_when_failures_precede_success():
-    cases = [([bad()] * n + [good()], n >= 1) for n in range(0, 3)]
+    cases = [(good(), None, False), (good(), bad(), True)]
     # a flaky oracle: the same tree fails, then passes; nothing was corrected
-    cases.append(([bad(), bad(OK)], False))
-    for attempts, want_l3 in cases:
+    cases.append((bad(OK), bad(), False))
+    for accepted, failed, want_l3 in cases:
         store = MemoryStore()
-        _, l3_entry = consolidate_success(store, session_with(attempts), diff_trees)
+        _, l3_entry = consolidate_success(store, TASK_KEYS, accepted, failed, diff_trees)
         assert (l3_entry is not None) == want_l3
         assert len(store.l2) == 1 and len(store.l3) == int(want_l3)
 
