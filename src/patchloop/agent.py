@@ -14,8 +14,9 @@ the next iteration's prompts, and the workspace is rolled back to pristine
 so each candidate diff stands alone. Because every locate therefore sees
 the pristine tree, its crash evidence is the PoC run the oracle made while
 validating the pristine checkout, parsed and bounded once per session. The
-loop stops after a fixed number of failed attempts.
-Whatever ends a session, the checkout is left as the session found it.
+loop stops after a fixed number of failed attempts. A success leaves the
+accepted candidate in the checkout; any other ending, an error included,
+restores the tree the session found.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from enum import Enum
 from . import diffutil, memory, retrieval
 from .config import EngineConfig
 from .errors import (
+    EmbeddingUnavailable,
     GatewayExhausted,
     LocalizationFailure,
     MalformedToolCall,
@@ -195,7 +197,7 @@ class SessionRunner:
         self.pristine_id: str | None = None
         self._index: SymbolIndex | None = None
         self._crash: CrashReport | None = None
-        self._evidence: str | None = None
+        self._evidence = ""
         self._visited: list[tuple[str, tuple[int, int]]] = []
 
     # -- plumbing -----------------------------------------------------------
@@ -341,33 +343,28 @@ class SessionRunner:
 
     # -- phases ---------------------------------------------------------------
 
-    def _runtime_evidence(self) -> str:
-        """The PoC run ``validate_pristine`` kept, rendered once per session:
-        every locate runs on the pristine tree, so that run stands for all
-        of them. A crash report longer than half the prompt budget becomes
-        its parsed frames followed by a head/tail excerpt of the output, so
-        the frames survive the cut."""
-        if self._evidence is None:
-            _, output = self.task.oracle.pristine_poc
-            self._crash = crash = parse_crash_report(output)
-            cap = self.cfg.gateway.prompt_budget // 2
-            if crash is None:
-                body = output[-2000:] or "(no output)"
-            elif len(output) <= cap:
-                body = output
-            else:
-                frames = cap_output("\n".join(
-                    f"#{i} in {f.function} {f.file}:{f.line}" for i, f in enumerate(crash.frames)
-                ), cap // 2)
-                body = f"{frames}\n{cap_output(output, cap - len(frames) - 1)}"
-            self._evidence = "# Runtime evidence\n" + body
-        return self._evidence
+    def _runtime_evidence(self, output: str) -> str:
+        """The pristine PoC `output` as every locate shows it: every locate
+        runs on the pristine tree, so that run stands for all of them. A
+        crash report longer than half the prompt budget becomes its parsed
+        frames followed by a head/tail excerpt of the output, so the frames
+        survive the cut."""
+        cap = self.cfg.gateway.prompt_budget // 2
+        if self._crash is None:
+            body = output[-2000:] or "(no output)"
+        elif len(output) <= cap:
+            body = output
+        else:
+            frames = cap_output("\n".join(
+                f"#{i} in {f.function} {f.file}:{f.line}" for i, f in enumerate(self._crash.frames)
+            ), cap // 2)
+            body = f"{frames}\n{cap_output(output, cap - len(frames) - 1)}"
+        return "# Runtime evidence\n" + body
 
     def locate(self) -> LocalizationObject:
-        evidence = self._runtime_evidence()
         memories = self._retrieve("L1") + self._retrieve("L2")
         final = self._drive_phase(
-            "locator", self._task_text(evidence), memories, self.compressed, LOCATOR_TOOLS
+            "locator", self._task_text(self._evidence), memories, self.compressed, LOCATOR_TOOLS
         )
         loc = extract_localization(final.content) if final else None
         if loc is None:
@@ -413,27 +410,33 @@ class SessionRunner:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SessionReport:
+        """A success leaves the accepted candidate in the tree; any other
+        ending restores the pristine tree, and a restore that fails raises."""
         ws = self.task.workspace
         self.pristine_id = ws.snapshot()
         try:
             self.task.oracle.validate_pristine()
+            _, output = self.task.oracle.pristine_poc
+            self._crash = parse_crash_report(output)
+            self._evidence = self._runtime_evidence(output)
             reason = self._loop()
         except BaseException:
             # Leave the checkout as found, then let the caller see the
-            # original error: a failing rollback is logged, never raised.
+            # original error: a failing rollback here is logged, not raised.
             try:
                 ws.rollback(self.pristine_id)
             except Exception:
                 logger.exception("could not restore snapshot %s", self.pristine_id)
             raise
+        if self.outcome != Outcome.SUCCESS:
+            ws.rollback(self.pristine_id)
         return self._report(reason)
 
     def _loop(self) -> str:
         """Run attempts until Success or Exhausted; returns the stop reason.
-        The expected ways a session ends roll back here; anything else
-        propagates to ``run``."""
+        The tree is rolled back between attempts; the expected ways a
+        session ends return, and anything else propagates to ``run``."""
         ws = self.task.workspace
-        reason = ""
         relocate = True
         try:
             while True:
@@ -454,19 +457,21 @@ class SessionRunner:
                     # Deterministic backends use templated consolidation
                     # text; a live model is asked to explain the fix instead.
                     live = not getattr(self.gateway, "deterministic", True)
-                    memory.consolidate_success(
-                        self.store, self.task.keys, self.attempts[-1], self._last_failed(),
-                        ws.diff,
-                        self._live_rationale if live else None,
-                        self._live_insight if live else None,
-                    )
-                    break
+                    try:
+                        memory.consolidate_success(
+                            self.store, self.task.keys, self.attempts[-1], self._last_failed(),
+                            ws.diff,
+                            self._live_rationale if live else None,
+                            self._live_insight if live else None,
+                        )
+                    except EmbeddingUnavailable as exc:  # the fix stands without it
+                        logger.warning("accepted patch not consolidated into memory: %s", exc)
+                        return f"memory consolidation skipped: {exc}"
+                    return ""
 
                 if self.failed_attempts >= self.cfg.limits.attempt_cap:
                     self.outcome = Outcome.EXHAUSTED
-                    reason = f"attempt cap of {self.cfg.limits.attempt_cap} failed patches reached"
-                    ws.rollback(self.pristine_id)
-                    break
+                    return f"attempt cap of {self.cfg.limits.attempt_cap} failed patches reached"
 
                 self.compressed = log_compress(
                     verdict.logs,
@@ -479,11 +484,9 @@ class SessionRunner:
                 relocate = transition == Transition.RELOCATE
         except (OracleTimeout, GatewayExhausted, LocalizationFailure) as exc:
             self.outcome = Outcome.EXHAUSTED
-            reason = f"{type(exc).__name__}: {exc}"
-            ws.rollback(self.pristine_id)
+            return f"{type(exc).__name__}: {exc}"
         finally:
             self.store.complete_task()
-        return reason
 
     def _report(self, reason: str) -> SessionReport:
         success = self.outcome == Outcome.SUCCESS

@@ -77,7 +77,6 @@ class CrashFrame:
 class CrashReport:
     frames: list[CrashFrame]
     fault_kind: str
-    raw: str
 
 
 @dataclass
@@ -126,7 +125,6 @@ def parse_crash_report(text: str) -> CrashReport | None:
     return CrashReport(
         frames=frames,
         fault_kind=fault.group(1) if fault else "unknown",
-        raw=text,
     )
 
 

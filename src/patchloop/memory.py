@@ -24,6 +24,7 @@ import json
 import math
 import re
 import threading
+import uuid
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -507,13 +508,21 @@ def _state_path(path: Path) -> Path:
 
 
 def save_store(store: MemoryStore, path: Path) -> None:
+    """Write the store to `path` through a temp file of this call's own in
+    the same directory, so a concurrent save never writes into or renames
+    away this one's; the last rename wins."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for tier in TIERS:
-            for entry in store.tier_entries(tier):
-                fh.write(json.dumps(_entry_to_record(entry, store), sort_keys=True) + "\n")
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = tmp.open("x", encoding="utf-8")  # created as open() does, under the umask
+    try:
+        with fh:
+            for tier in TIERS:
+                for entry in store.tier_entries(tier):
+                    fh.write(json.dumps(_entry_to_record(entry, store), sort_keys=True) + "\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     if store.completed_tasks:
         _state_path(path).write_text(
             json.dumps({"completed_tasks": store.completed_tasks}), encoding="utf-8"

@@ -10,10 +10,11 @@ Snapshots are git tree objects written through a private index that each
 workspace owns; the checkout's own index is never touched. The private index
 starts as a copy of the checkout's, so git's stat cache lets the first
 snapshot re-hash only the files whose stat changed, and tracked files that
-match an ignore rule are in every snapshot. Rollback is a
-``read-tree --reset -u`` plus ``clean`` on that index, so git restores the
-working tree byte-identically, removals included, and never touches ignored
-files.
+match an ignore rule are in every snapshot. The files the checkout ignores
+when the workspace opens stay out of every snapshot, whatever ignore rules a
+candidate writes. Rollback is a ``read-tree --reset -u`` plus ``clean`` on
+that index, so git restores the working tree byte-identically, removals
+included, and never touches ignored files.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ AMBIGUOUS_MATCH = "AmbiguousMatch"
 BAD_PATTERN = "BadPattern"
 TIMEOUT = "Timeout"
 SESSION_DEAD = "SessionDead"
-SNAPSHOT_MISSING = "SnapshotMissing"
 
 
 @dataclass
@@ -339,10 +339,15 @@ class Workspace:
             raise WorkspaceError(f"workspace root is not a git checkout: {self.root}")
         self.output_cap = output_cap
         self._index_dir = tempfile.mkdtemp(prefix="pl-index-")
-        index = os.path.join(self._index_dir, "index")
-        self._git_env = {**os.environ, "GIT_INDEX_FILE": index}
-        self._seed_index(index)
-        self._shell = PersistentShell(self.root, bash_timeout)
+        try:
+            index = os.path.join(self._index_dir, "index")
+            self._git_env = {**os.environ, "GIT_INDEX_FILE": index}
+            self._seed_index(index)
+            self._pathspec = self._exclude_ignored()
+            self._shell = PersistentShell(self.root, bash_timeout)
+        except BaseException:
+            shutil.rmtree(self._index_dir, ignore_errors=True)
+            raise
 
     def _seed_index(self, index: str) -> None:
         """Start the private index as a copy of the checkout's own, so git's
@@ -363,6 +368,20 @@ class Workspace:
         if tags is None or any(entry[:2] != "H " for entry in tags.split("\0") if entry):
             Path(index).unlink(missing_ok=True)
 
+    def _exclude_ignored(self) -> str:
+        """Write the pathspec file every ``add -A`` reads: the whole tree but
+        the paths ignored now. Ignored files that a candidate un-ignores, by
+        editing ``.gitignore`` or adding a ``!`` rule, then never enter a
+        snapshot, where a diff would show them and a rollback delete them.
+        The names stay bytes, so a name that is not UTF-8 round-trips."""
+        listed = self._git_run(
+            (0,), "ls-files", "-o", "-i", "--exclude-standard", "--directory", "-z"
+        )
+        excludes = b"".join(b":(exclude,literal)%s\0" % n for n in listed.split(b"\0") if n)
+        path = os.path.join(self._index_dir, "pathspec")
+        Path(path).write_bytes(b".\0" + excludes)
+        return path
+
     def close(self) -> None:
         self._shell.close()
         shutil.rmtree(self._index_dir, ignore_errors=True)
@@ -379,37 +398,46 @@ class Workspace:
 
     # -- git plumbing ---------------------------------------------------------
 
-    def _git(self, *args: str) -> str:
-        """Run git on the workspace's private index. A split index is written
-        whole, so git adds no shared index file to the checkout's ``.git``."""
+    def _git_run(self, ok: tuple[int, ...], *args: str) -> bytes:
+        """Run git on the workspace's private index and return its output;
+        an exit status not in `ok` raises WorkspaceError. A split index is
+        written whole, so git adds no shared index file to the checkout's
+        ``.git``."""
         proc = subprocess.run(
             [_GIT, "-C", str(self.root), "-c", "core.splitIndex=false", *args],
             env=self._git_env,
             capture_output=True,
-            encoding="utf-8",
-            errors="replace",  # a diff of non-UTF-8 file content must not raise
             close_fds=False,  # with no cwd either, subprocess can use posix_spawn
         )
-        if proc.returncode != 0:
-            raise WorkspaceError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
+        if proc.returncode not in ok:
+            stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+            raise WorkspaceError(f"git {' '.join(args)} failed: {stderr}")
         return proc.stdout
 
+    def _git(self, *args: str) -> str:
+        """Git's output as a text-mode pipe reads it: a byte that is not
+        UTF-8 becomes U+FFFD, so a diff of such content does not raise, and
+        each line ends in a bare newline."""
+        text = self._git_run((0,), *args).decode("utf-8", errors="replace")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
     def snapshot(self) -> str:
-        """Capture the working tree (tracked and untracked, not ignored) as a git tree."""
-        self._git("add", "-A")
+        """Capture the working tree (tracked and untracked, not ignored) as a
+        git tree. ``add`` exits 1 when a path it was told to leave out is
+        still ignored, after staging the rest; its fatal errors exit 128."""
+        self._git_run((0, 1), "add", "-A", f"--pathspec-from-file={self._pathspec}",
+                      "--pathspec-file-nul")
         return self._git("write-tree").strip()
 
     def rollback(self, snapshot_id: str) -> ToolResult:
-        """Restore the working tree byte-identically to a prior snapshot.
+        """Restore the working tree byte-identically to a prior snapshot;
+        raises WorkspaceError when git cannot.
 
         ``read-tree`` rewrites changed and deleted files, removes the files
         the index gained since, and restores ``.gitignore`` before ``clean``
         removes the files the index never saw; ignored files stay.
         """
-        try:
-            self._git("read-tree", "--reset", "-u", snapshot_id)
-        except WorkspaceError:
-            return ToolResult(False, f"unknown snapshot {snapshot_id}", SNAPSHOT_MISSING)
+        self._git("read-tree", "--reset", "-u", snapshot_id)
         self._git("clean", "-fdq")
         return ToolResult(True, f"restored snapshot {snapshot_id[:12]}")
 

@@ -11,6 +11,7 @@ import pytest
 
 from patchloop.memory import RetrievalKeys
 from patchloop.oracle import OracleRunner
+from patchloop.workspace import Workspace
 
 # ---------------------------------------------------------------------------
 # git helpers
@@ -200,6 +201,21 @@ def demo_task_json(repo: Path, extra: dict | None = None) -> dict:
     }
     task.update(extra or {})
     return task
+
+
+def fail_next_read_tree(monkeypatch) -> None:
+    """Make the next ``read-tree`` of any workspace fail in git itself, as a
+    full disk would, by naming a tree git does not have; later ones run as
+    usual."""
+    run = Workspace._git
+
+    def failing_once(self, *args):
+        if args[0] == "read-tree":
+            monkeypatch.setattr(Workspace, "_git", run)
+            args = (*args[:-1], "0" * 40)
+        return run(self, *args)
+
+    monkeypatch.setattr(Workspace, "_git", failing_once)
 
 
 class CountingOracle(OracleRunner):

@@ -335,6 +335,69 @@ def test_failing_rollback_does_not_mask_the_original_error(demo_repo, tmp_path, 
         run_scripted(demo_repo, tmp_path, fx.transcript_success, task=task)
 
 
+def test_a_rollback_that_fails_between_attempts_raises(demo_repo, tmp_path, monkeypatch):
+    fx.fail_next_read_tree(monkeypatch)
+    with pytest.raises(WorkspaceError, match="git read-tree --reset -u"):
+        run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    # run's own restore ran once git could again
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+
+
+def test_a_success_leaves_the_accepted_patch_in_the_checkout(demo_repo, tmp_path):
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_success)
+    assert report.outcome == "success"
+    assert fx.git(demo_repo, "diff") == report.final_diff
+
+
+NO_LOCATION = {"phase": "locator", "attempt": 2, "turn": {"role": "assistant", "content": "?"}}
+SLOW_ONCE_FIXED = "if grep -q 'exceeds capacity' app/buffer.py; then sleep 5; fi; python3 poc.py"
+
+
+@pytest.mark.parametrize(
+    "records, poc_command, reason",
+    [
+        (
+            fx.locator_turns(1) + fx.patcher_turns(1, fx.BAD_NEW_NOT_FIXED)
+            + fx.locator_turns(2) + fx.patcher_turns(2, fx.BAD_NEW_NOT_FIXED)
+            + fx.locator_turns(3) + fx.patcher_turns(3, fx.BAD_NEW_NOT_FIXED),
+            "python3 poc.py",
+            "attempt cap of 3",
+        ),
+        (  # the edit is made, then the script ends
+            fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)[:1],
+            "python3 poc.py",
+            "GatewayExhausted",
+        ),
+        (
+            fx.locator_turns(1) + fx.patcher_turns(1, fx.BAD_NEW_NOT_FIXED) + [NO_LOCATION],
+            "python3 poc.py",
+            "LocalizationFailure",
+        ),
+        (fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW), SLOW_ONCE_FIXED, "OracleTimeout"),
+    ],
+    ids=["attempt cap", "gateway exhausted", "localization failure", "oracle timeout"],
+)
+def test_every_other_ending_leaves_the_checkout_as_found(
+    demo_repo, tmp_path, records, poc_command, reason
+):
+    for rel, data in {"keep.pyc": b"\x00kept\xff", "app/__pycache__/old.pyc": b"old"}.items():
+        (demo_repo / rel).parent.mkdir(exist_ok=True)
+        (demo_repo / rel).write_bytes(data)
+    listed = fx.git(demo_repo, "ls-files", "-o", "-i", "--exclude-standard").split()
+    ignored = {rel: (demo_repo / rel).read_bytes() for rel in listed}
+    assert sorted(ignored) == ["app/__pycache__/old.pyc", "keep.pyc"]
+    spec = OracleSpec(poc_command=poc_command, regression_command="python3 tests.py",
+                      pass_predicates=DEMO_SPEC.pass_predicates)
+    task = make_task(demo_repo, spec)
+    task.oracle.command_timeout = 2
+    report, _, _ = run_scripted(
+        demo_repo, tmp_path, lambda path: fx.write_transcript(path, records), task=task
+    )
+    assert report.outcome == "exhausted" and reason in report.reason
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+    assert {rel: (demo_repo / rel).read_bytes() for rel in ignored} == ignored
+
+
 def test_attempt_diffs_are_against_pristine(demo_repo, tmp_path):
     report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
     pristine = fx.init_repo(tmp_path / "pristine", dict(fx.DEMO_FILES))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import configparser
 import json
 import re
+import socket
 import threading
 import time
 from dataclasses import fields
@@ -494,6 +495,48 @@ def test_repair_exhausted_exit_one(demo_repo, tmp_path, capsys):
     assert code == 1
     report = json.loads((out_dir / "task.report.json").read_text())
     assert report["failed_attempts"] == 3
+
+
+def test_repair_whose_rollback_fails_exits_two_naming_the_git_step(
+    demo_repo, tmp_path, capsys, monkeypatch
+):
+    fx.fail_next_read_tree(monkeypatch)
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_relocate_then_success)
+    code, _, err = run_cli(
+        capsys,
+        "--config", str(cfg),
+        "repair", str(task), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "configuration error: git read-tree --reset -u" in err
+    assert not (out_dir / "task.report.json").exists()
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+
+
+def test_repair_keeps_a_verified_fix_when_memory_cannot_embed(demo_repo, tmp_path, capsys, caplog):
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    mem = tmp_path / "m.jsonl"
+    run_cli(capsys, "ingest", str(write_jsonl(tmp_path / "c.jsonl", [corpus_row("old.1", "kept")])),
+            "--memory", str(mem))
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    with cfg.open("a") as fh:
+        fh.write(f"[retrieval]\nembedder = remote\nendpoint = http://127.0.0.1:{port}\n"
+                 "model_name = m\ntimeout = 5\n")
+    code, out, _ = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", str(task), "--memory", str(mem), "--out", str(out_dir),
+    )
+    assert code == 0 and json.loads(out)["exit"] == 0
+    report = json.loads((out_dir / "task.report.json").read_text())
+    assert report["outcome"] == "success"
+    assert report["reason"].startswith("memory consolidation skipped: embedding request failed")
+    assert fx.git(demo_repo, "diff") == report["final_diff"] != ""
+    assert "not consolidated into memory" in caplog.text
+    store = load_store(mem)
+    assert [e.keys.instance_id for e in store.l1] == ["old.1"] and store.l2 == []
 
 
 def test_repair_missing_task_file_exit_two(tmp_path, capsys):

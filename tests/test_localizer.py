@@ -302,7 +302,6 @@ def test_ranking_matches_brute_force_comparator():
             CrashFrame("c.c", 88, "outer"),
         ],
         fault_kind="heap-buffer-overflow",
-        raw="",
     )
     index = SymbolIndex(
         files={f: 300 for f in ("a.c", "b.c", "c.c", "d.c")},
@@ -358,7 +357,7 @@ def test_crash_file_sites_outrank_outside_sites():
         SymbolSite("hot.c", 400, USE, "sym"),
     ]
     index = SymbolIndex(files={"cold.c": 500, "hot.c": 500}, groups=[{"sym": sites}])
-    report = CrashReport([CrashFrame("hot.c", 10, "f")], "heap-buffer-overflow", "")
+    report = CrashReport([CrashFrame("hot.c", 10, "f")], "heap-buffer-overflow")
     result = iter_grep(index, "sym", report)
     assert result[0].file == "hot.c"
 
@@ -368,7 +367,7 @@ def test_absolute_frame_paths_match_relative_sites():
         files={"src/mod.c": 100},
         groups=[{"sym": [SymbolSite("src/mod.c", 10, USE, "sym")]}],
     )
-    report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv", "")
+    report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv")
     result = iter_grep(index, "sym", report)
     assert "crash frame #0" in result[0].reason
 

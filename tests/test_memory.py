@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -387,6 +388,64 @@ def test_saved_file_is_jsonl_with_tier_tags(tmp_path):
     assert all(
         set(("project", "cwe", "language", "instance_id", "description")) <= set(l) for l in lines
     )
+
+
+class PausingStore(MemoryStore):
+    """Its save stops after the L1 lines until `resume` is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.paused, self.resume = threading.Event(), threading.Event()
+
+    def tier_entries(self, tier):
+        if tier == "L2":
+            self.paused.set()
+            assert self.resume.wait(10)
+        return super().tier_entries(tier)
+
+
+def test_a_save_midway_survives_another_save_to_the_same_path(tmp_path):
+    path = tmp_path / "memory.jsonl"
+    slow, fast = PausingStore(), MemoryStore()
+    insert(slow, l1("p.cve-2020-1", desc="written by the slow save"))
+    insert(fast, l1("p.cve-2020-2", desc="written by the fast save"))
+    errors: list[BaseException] = []
+
+    def save_slowly():
+        try:
+            save_store(slow, path)
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=save_slowly)
+    thread.start()
+    try:
+        assert slow.paused.wait(10)
+        save_store(fast, path)
+        assert entries_as_tuples(load_store(path)) == entries_as_tuples(fast)
+    finally:
+        slow.resume.set()
+        thread.join(10)
+    assert not thread.is_alive() and errors == []
+    assert entries_as_tuples(load_store(path)) == entries_as_tuples(slow)  # the last save wins
+    assert [p.name for p in tmp_path.iterdir()] == ["memory.jsonl"]
+
+
+def test_a_save_that_fails_leaves_the_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "memory.jsonl"
+    store = MemoryStore()
+    insert(store, l1("p.cve-2020-1"))
+    save_store(store, path)
+    before = path.read_bytes()
+
+    class FailingStore(MemoryStore):
+        def tier_entries(self, tier):
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        save_store(FailingStore(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memory.jsonl"]
 
 
 def test_load_rejects_corrupt_file(tmp_path):

@@ -491,8 +491,8 @@ def test_rollback_to_first_of_two_snapshots_undoes_both_edits(ws):
 
 
 def test_rollback_unknown_snapshot(ws):
-    result = ws.rollback("0" * 40)
-    assert result.error_kind == "SnapshotMissing"
+    with pytest.raises(WorkspaceError, match="read-tree"):
+        ws.rollback("0" * 40)
 
 
 def test_rollback_keeps_ignored_files_and_user_index(tmp_path):
@@ -612,6 +612,59 @@ def test_tracked_file_matching_an_ignore_rule_is_snapshotted(tmp_path):
     assert (repo / "keep.o").read_text() == "original\n"
     assert (repo / "other.o").read_text() == "ignored\n"
     assert git(repo, "status", "--porcelain") == ""
+
+
+IGNORED_AT_OPEN = {
+    "build.log": b"precious\n",
+    "sub/secret.env": b"KEY=1\n",
+    os.fsdecode(b"caf\xe9.log"): b"not a UTF-8 name\n",
+}
+
+
+def _repo_with_ignored_files(tmp_path) -> Path:
+    repo = init_repo(
+        tmp_path / "ignored",
+        {".gitignore": "*.log\n", "sub/.gitignore": "secret.env\n", "a.txt": "a\n"},
+    )
+    for rel, data in IGNORED_AT_OPEN.items():
+        (repo / rel).write_bytes(data)
+    return repo
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [(".gitignore", ""), (".gitignore", "*.log\n!build.log\n"), ("sub/.gitignore", "")],
+    ids=["emptied", "negated", "nested emptied"],
+)
+def test_files_ignored_at_open_stay_out_of_snapshots_whatever_a_candidate_ignores(
+    tmp_path, path, text
+):
+    repo = _repo_with_ignored_files(tmp_path)
+    workspace = Workspace(repo)
+    try:
+        base = workspace.snapshot()
+        (repo / path).write_text(text)
+        _, diff = workspace.submit(base)
+        # the edited rules file is the only file in the diff
+        assert re.findall(r"^\+\+\+ (.*)$", diff, re.M) == [f"b/{path}"]
+        assert workspace.rollback(base).ok
+    finally:
+        workspace.close()
+    for rel, data in IGNORED_AT_OPEN.items():
+        assert (repo / rel).read_bytes() == data
+    assert git(repo, "status", "--porcelain") == ""
+
+
+def test_a_lock_in_the_private_index_directory_still_fails_the_snapshot(tmp_path):
+    # build.log is ignored, so the add exits 1 whenever it succeeds
+    workspace = Workspace(_repo_with_ignored_files(tmp_path))
+    try:
+        workspace.snapshot()
+        (Path(workspace._index_dir) / "index.lock").touch()
+        with pytest.raises(WorkspaceError, match=r"^git add -A .*index\.lock"):
+            workspace.snapshot()
+    finally:
+        workspace.close()
 
 
 def test_rollback_to_snapshot_of_another_workspace(ws):
