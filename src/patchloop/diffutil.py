@@ -38,8 +38,22 @@ class FilePatch:
 
 
 def looks_like_unified_diff(text: str) -> bool:
-    """Structural check: a ---/+++ header pair followed by a hunk."""
-    return any(fp.hunks for fp in parse_patch(text))
+    """Structural check: a ---/+++ header pair followed by a hunk.
+
+    The answer of ``any(fp.hunks for fp in parse_patch(text))``, read the
+    way :func:`parse_patch` reads the lines (its ``diff --git`` and
+    ``index`` lines match none of the three patterns), but it stops at the
+    first hunk header that follows a header pair and builds nothing.
+    """
+    pending_old = in_file = False
+    for line in text.splitlines():
+        if _FILE_OLD_RE.match(line):
+            pending_old = True
+        elif pending_old and _FILE_NEW_RE.match(line):
+            pending_old, in_file = False, True
+        elif in_file and _HUNK_RE.match(line):
+            return True
+    return False
 
 
 def parse_patch(text: str) -> list[FilePatch]:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
-import re
+import string
 import urllib.error
 import urllib.request
 
@@ -22,12 +23,13 @@ import numpy as np
 
 from .errors import EmbeddingUnavailable
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Every byte but an ASCII lowercase letter or digit becomes a space.
+_SEPARATE = bytes(b if chr(b) in string.ascii_lowercase + string.digits else 32 for b in range(256))
 
 # Texts a CachingEmbedder keeps, least recently used evicted first.
 CACHE_SIZE = 256
 
-# Distinct tokens whose (bucket, sign) DeterministicEmbedder keeps, least
+# Distinct tokens whose slot DeterministicEmbedder keeps, least
 # recently used evicted first.
 TOKEN_MEMO_SIZE = 1 << 14
 
@@ -35,7 +37,11 @@ DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of ``[a-z0-9]`` in the lowercased text, as
+    ``re.findall(r"[a-z0-9]+", text.lower())`` finds them. Every other
+    character separates: encoding replaces a non-ASCII one with ``?``, and
+    one byte-table translation turns each separator into a space."""
+    return text.lower().encode("ascii", "replace").translate(_SEPARATE).decode("ascii").split()
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -45,6 +51,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D real vector by its own operations, the
+    square root of ``vec.dot(vec)``, without its argument handling."""
+    return math.sqrt(vec.dot(vec))
 
 
 class VectorRows:
@@ -80,7 +92,7 @@ class VectorRows:
                 self._grow(row + 1, len(vec))
             if not self.stored[row]:
                 self.vectors[row] = vec
-                self.norms[row] = np.linalg.norm(vec)
+                self.norms[row] = _norm(vec)
                 self.stored[row] = True
 
     def _grow(self, size: int, dim: int) -> None:
@@ -105,7 +117,7 @@ class VectorRows:
         """
         norms = self.norms[rows]
         out = np.zeros(len(norms))
-        norm = float(np.linalg.norm(vec))
+        norm = _norm(vec)
         if self.vectors is None or norm == 0.0:
             return out
         np.divide(self.vectors[rows] @ vec, norm * norms, out=out, where=norms != 0.0)
@@ -126,28 +138,32 @@ class DeterministicEmbedder:
     Each token is hashed with SHA-256; the first four digest bytes pick a
     bucket and the fifth byte's parity picks the sign. The vector is the
     signed token-count histogram (unnormalized; cosine is scale-invariant).
-    A token's bucket and sign are memoized process-wide for the
+    A token's slot (its bucket and sign) is memoized process-wide for the
     :data:`TOKEN_MEMO_SIZE` most recently used distinct tokens, so a
-    repeated token is hashed once; every slot adds exactly +-1.0, so the
-    vector is the same integer histogram, bit for bit.
+    repeated token is hashed once. One ``np.bincount`` counts a text's slots
+    and each bucket is its positive count minus its negative one: integers,
+    so the vector is the same histogram bit for bit as adding +-1.0 per
+    token, and a bucket whose signs cancel holds +0.0.
     """
 
     dim = 64
 
     def embed(self, text: str) -> np.ndarray:
-        vec = [0.0] * self.dim
-        for token in tokenize(text):
-            bucket, sign = _token_slot(token)
-            vec[bucket] += sign
-        return np.array(vec)
+        # An explicit dtype: an empty list would otherwise become float64,
+        # which np.bincount rejects on older numpy.
+        slots = np.array(list(map(_token_slot, tokenize(text))), dtype=np.intp)
+        counts = np.bincount(slots, minlength=2 * self.dim)
+        return (counts[: self.dim] - counts[self.dim :]).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _token_slot(token: str) -> tuple[int, float]:
-    """The bucket and sign :class:`DeterministicEmbedder` gives `token`."""
+def _token_slot(token: str) -> int:
+    """The slot :class:`DeterministicEmbedder` counts `token` in: its bucket,
+    plus ``dim`` when its sign is negative."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()
-    bucket = int.from_bytes(digest[:4], "big") % DeterministicEmbedder.dim
-    return bucket, 1.0 if digest[4] % 2 == 0 else -1.0
+    dim = DeterministicEmbedder.dim
+    bucket = int.from_bytes(digest[:4], "big") % dim
+    return bucket if digest[4] % 2 == 0 else bucket + dim
 
 
 class RemoteEmbedder:

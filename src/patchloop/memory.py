@@ -12,9 +12,11 @@ subject to recency pruning; L1 is treated as a curated corpus and never
 pruned. Writes are serialized through a single writer lock.
 
 Each tier is held by one :class:`TierIndex`: its entries, their rows by
-(CWE, language) and one embedding matrix per text field, so dedup and
-retrieval each score a whole tier or a pool with one mat-vec. Every index
-update happens under the writer lock; the embedder never runs under it.
+(CWE, language) and one embedding matrix per text field. Dedup scores the
+whole tier's descriptions with one mat-vec and the patches only at the rows
+whose description is a near-duplicate; a read scores its pools with one
+mat-vec. Every index update happens under the writer lock; the embedder
+never runs under it.
 """
 
 from __future__ import annotations
@@ -159,16 +161,17 @@ def field_text(field: str, entry: MemoryEntry) -> str:
 
 
 class TierIndex:
-    """One tier's entries in store order, each one's :func:`entry_timestamp`,
-    their rows by ``(cwe, language)`` and then by project, and the raw
-    embedding rows of each text field.
+    """One tier's entries in store order, each one's :func:`entry_timestamp`
+    and retrieval tie-break, their rows by ``(cwe, language)`` and then by
+    project, and the raw embedding rows of each text field.
 
     ``buckets[(cwe, language)][project]`` lists that project's rows in store
     order. Rows are only ever appended to these lists, so a reader that
     recorded a list's length may slice it later without the writer lock.
 
-    Row ``i`` of ``stamps`` and of every field belongs to ``entries[i]``; a
-    stamp is taken once, when its entry is added. A field's rows are
+    Row ``i`` of ``stamps``, ``ties`` and every field belongs to
+    ``entries[i]``; a stamp is taken once, when its entry is added, and its
+    tie-break ``(-stamp..., instance_id, i)`` with it. A field's rows are
     embedded when first needed, each on its own: a read embeds only the
     rows it scores, and an embedding outage part-way leaves the rows
     stored so far.
@@ -177,6 +180,7 @@ class TierIndex:
     def __init__(self, entries: Iterable[MemoryEntry] = ()) -> None:
         self.entries: list[MemoryEntry] = []
         self.stamps: list[tuple[float, float, float]] = []
+        self.ties: list[tuple[float, float, float, str, int]] = []
         self.buckets: dict[tuple[str, str], dict[str, list[int]]] = {}
         self.fields: dict[str, VectorRows] = {}
         for entry in entries:
@@ -185,8 +189,10 @@ class TierIndex:
     def add(self, entry: MemoryEntry) -> None:
         row = len(self.entries)
         self.entries.append(entry)
-        self.stamps.append(entry_timestamp(entry))
+        stamp = entry_timestamp(entry)
         keys = entry.keys
+        self.stamps.append(stamp)
+        self.ties.append((-stamp[0], -stamp[1], -stamp[2], keys.instance_id, row))
         self.buckets.setdefault((keys.cwe, keys.language), {}).setdefault(keys.project, []).append(row)
 
     def field(self, name: str) -> VectorRows:
@@ -300,14 +306,18 @@ class MemoryStore:
             return index, list(by_project.get(project, ())), others
 
     def embed_rows(self, index: TierIndex, field: str, rows) -> None:
-        """Store in `index` the vectors of `field` its `rows` lack.
+        """Store in `index` the vectors of `field` its `rows` lack; nothing
+        to look up when the field holds every row of the index.
 
         The embedder runs outside the writer lock, so a slow backend holds
         up no other reader or writer; the vectors are stored under it, those
         embedded before an outage included.
         """
         with self._write_lock:
-            todo = index.field(field).missing(rows)
+            vectors = index.field(field)
+            if vectors.holds_first(len(index.entries)):
+                return
+            todo = vectors.missing(rows)
             texts = [field_text(field, index.entries[row]) for row in todo]
         vecs: list[np.ndarray] = []
         try:
@@ -320,11 +330,17 @@ class MemoryStore:
     def cosines(
         self, index: TierIndex, field: str, vec: np.ndarray, pools: list[list[int]]
     ) -> list[list[float]]:
-        """Cosine of `vec` against each pool's rows of `field` in `index`."""
-        self.embed_rows(index, field, [row for pool in pools for row in pool])
+        """Cosine of `vec` against each pool's rows of `field` in `index`,
+        all pools scored with one mat-vec."""
+        rows = np.array([row for pool in pools for row in pool], dtype=np.intp)
+        self.embed_rows(index, field, rows)
         with self._write_lock:
-            vectors = index.field(field)
-            return [vectors.cosine(vec, pool).tolist() for pool in pools]
+            sims = index.field(field).cosine(vec, rows).tolist()
+        out, start = [], 0
+        for pool in pools:
+            out.append(sims[start : start + len(pool)])
+            start += len(pool)
+        return out
 
 
 def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
@@ -334,7 +350,10 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     description and the patch text have cosine similarity strictly above
     ``DEDUP_THRESHOLD``; of several, the first in store order does. The
     older entry is kept (stable identity) and its recency is refreshed.
-    Both similarities come from one mat-vec each over the tier index.
+    One mat-vec scores the new description against the whole tier; the
+    patch is scored only against the rows whose description is above the
+    threshold, so an insert with no near-duplicate description reads no
+    stored patch vector.
     """
     entry.validate()
     desc_vec = store.embedder.embed(entry.keys.description)
@@ -356,14 +375,12 @@ def _merge_or_append(
 ) -> InsertOutcome:
     """The dedup decision of :func:`insert`, on the tier's index whose rows
     are all embedded; needs the writer lock."""
-    every = slice(0, len(index.entries))
     descs, patches = index.fields["description"], index.fields["patch"]
-    hits = np.flatnonzero(
-        (descs.cosine(desc_vec, every) > DEDUP_THRESHOLD)
-        & (patches.cosine(patch_vec, every) > DEDUP_THRESHOLD)
-    )
-    if hits.size:
-        existing = index.entries[hits[0]]
+    near = np.flatnonzero(descs.cosine(desc_vec, slice(0, len(index.entries))) > DEDUP_THRESHOLD)
+    if near.size:
+        near = near[patches.cosine(patch_vec, near) > DEDUP_THRESHOLD]
+    if near.size:
+        existing = index.entries[near[0]]
         store.retrieval_log[entry_key(existing)] = store.completed_tasks
         return InsertOutcome.MERGED
     if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:

@@ -9,8 +9,9 @@ a lexical token-overlap fallback when the embedding backend is down.
 A retrieval costs what its pools hold. The tier index keeps each
 ``(cwe, language)`` bucket's rows by project, so P1 is filtered from the
 query project's rows alone, and the other projects' rows are read only
-when P2 joins. Each pool is scored with one mat-vec, and only the pools'
-rows are embedded.
+when P2 joins. Both pools are scored together with one mat-vec, only the
+pools' rows are embedded, and each row's tie-break is built once, when the
+index adds it.
 """
 
 from __future__ import annotations
@@ -85,16 +86,15 @@ def retrieve(
     q_ts = query_timestamp(q)
 
     index, mine, others = store.bucket(tier, q.cwe, q.language, q.project)
-    entries, stamps = index.entries, index.stamps
-    p1 = [
-        row for row in mine
-        if stamps[row] < q_ts and entries[row].keys.instance_id != q.instance_id
-    ]
+    entries, stamps, ties = index.entries, index.stamps, index.ties
+    # A row's instance id is also in its tie-break, which the ranking below
+    # reads anyway: ``ties[row][3]``.
+    p1 = [row for row in mine if stamps[row] < q_ts and ties[row][3] != q.instance_id]
     pools = [(Priority.P1, p1)]
     if len(p1) < query.k_min:
         # The other projects' rows, merged back into store order.
         theirs = chain.from_iterable(rows[:n] for rows, n in others)
-        p2 = [row for row in sorted(theirs) if entries[row].keys.instance_id != q.instance_id]
+        p2 = [row for row in sorted(theirs) if ties[row][3] != q.instance_id]
         pools.append((Priority.P2, p2))
 
     query_text = query_text_override if query_text_override is not None else q.description
@@ -109,14 +109,15 @@ def retrieve(
             [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
             for rows in pool_rows
         ]
-    # Higher similarity first, then the newer timestamp, then the instance
-    # id; the row number last keeps full ties in store order.
+    # Higher similarity first, then the row's tie-break: the newer
+    # timestamp, then the instance id, then the row number, which keeps full
+    # ties in store order.
     scored = sorted(
-        (priority, -sim, *(-t for t in stamps[row]), entries[row].keys.instance_id, row)
+        (priority, -sim, ties[row])
         for (priority, rows), pool_sims in zip(pools, sims)
         for row, sim in zip(rows, pool_sims)
     )
     return [
-        RankedEntry(entries[row], -neg_sim, priority)
-        for priority, neg_sim, *_, row in scored[: query.top_n]
+        RankedEntry(entries[tie[-1]], -neg_sim, priority)
+        for priority, neg_sim, tie in scored[: query.top_n]
     ]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from patchloop import diffutil
 
 SIMPLE = """--- a/app/buffer.py
@@ -54,3 +57,21 @@ def test_hunk_summary_and_texts():
     assert len(hunks) == 1
     assert hunks[0].startswith("--- app/buffer.py")
     assert diffutil.hunk_summary("") == "(no hunks)"
+
+
+# Header, hunk and body lines, near misses of each included.
+_DIFF_LINES = st.sampled_from([
+    "diff --git a/x b/x", "index 1..2 100644", "index", "--- a/x", "--- x", "--- /dev/null",
+    "---", "--- ", "---- a/x", "+++ b/x", "+++ y", "+++ /dev/null", "+++", "++++ b/x",
+    "@@ -1 +1 @@", "@@ -1,2 +1,3 @@ def f():", "@@ -1 @@", "@@", " context", "-old", "+new",
+    "\\ No newline at end of file", "", "prose", "--- a/x\r+++ b/x", "@@ -1 +1 @@\x0b",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DIFF_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+def test_looks_like_unified_diff_agrees_with_the_parser(lines, newline, trailing):
+    text = newline.join(lines) + (newline if trailing else "")
+    want = any(fp.hunks for fp in diffutil.parse_patch(text))
+    assert diffutil.looks_like_unified_diff(text) == want

@@ -237,6 +237,62 @@ def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
     assert store.l1 == [first, second, on_edge]
 
 
+def test_a_row_near_on_one_text_only_never_absorbs_an_insert():
+    store = MemoryStore(embedder=CachingEmbedder(TableEmbedder()))
+    desc_only = make_entry(("L1", "p", "CWE-787", "p.cve-2020-1", "v0", "v7", ""))
+    patch_only = make_entry(("L1", "p", "CWE-787", "p.cve-2020-2", "v7", "v0", ""))
+    store.add(desc_only)
+    store.add(patch_only)
+    new = make_entry(("L1", "p", "CWE-787", "p.cve-2020-3", "v2", "v2", ""))
+    assert insert(store, new) == InsertOutcome.INSERTED
+    assert store.l1 == [desc_only, patch_only, new]
+
+
+def test_of_several_rows_near_on_both_texts_the_first_in_store_order_absorbs():
+    store = MemoryStore(embedder=CachingEmbedder(TableEmbedder()))
+    specs = [("v0", "v7"), ("v7", "v0"), ("v2", "v2"), ("v0", "v2"), ("v0", "v0")]
+    rows = [make_entry(("L1", "p", "CWE-787", f"p.cve-2020-{i}", d, p, ""))
+            for i, (d, p) in enumerate(specs)]
+    for entry in rows:
+        store.add(entry)
+    store.completed_tasks = 7
+    new = make_entry(("L1", "p", "CWE-787", "p.cve-2020-9", "v0", "v0", ""))
+    assert insert(store, new) == InsertOutcome.MERGED
+    assert store.retrieval_log == {entry_key(rows[2]): 7}
+    assert store.l1 == rows
+
+
+def test_dedup_scores_patches_only_at_the_description_hits(monkeypatch):
+    import patchloop.memory as memory
+
+    scored: list[tuple[object, list[int]]] = []
+    original = memory.VectorRows.cosine
+
+    def spy(self, vec, rows):
+        got = original(self, vec, rows)
+        scored.append((self, list(range(len(got))) if isinstance(rows, slice) else list(rows)))
+        return got
+
+    monkeypatch.setattr(memory.VectorRows, "cosine", spy)
+    store = MemoryStore(embedder=CachingEmbedder(TableEmbedder()))
+    for i, (d, p) in enumerate([("v7", "v0"), ("v0", "v7"), ("v4", "v0"), ("v2", "v7")]):
+        store.add(make_entry(("L1", "p", "CWE-787", f"p.cve-2020-{i}", d, p, "")))
+
+    def patch_rows() -> list[list[int]]:
+        patches = store._indexes["L1"].fields["patch"]
+        return [rows for column, rows in scored if column is patches]
+
+    assert insert(store, make_entry(("L1", "p", "CWE-787", "p.cve-2021-1", "v6", "v0", ""))) == (
+        InsertOutcome.INSERTED  # no stored description is near v6, v4 only just not
+    )
+    assert patch_rows() == []
+    scored.clear()
+    assert insert(store, make_entry(("L1", "p", "CWE-787", "p.cve-2021-2", "v0", "v0", ""))) == (
+        InsertOutcome.INSERTED  # v0 and v2 are near, but neither row's patch is
+    )
+    assert patch_rows() == [[1, 3]]
+
+
 # ---------------------------------------------------------------------------
 # Coherence of the tier index
 # ---------------------------------------------------------------------------
@@ -351,6 +407,9 @@ def test_row_stamps_are_taken_once_the_entry_has_its_sequence_number():
     assert [e.fallback_seq for e in store.l2] == [0, 1, 2, None]
     index = store._indexes["L2"]
     assert index.stamps == [entry_timestamp(e) for e in store.l2]
+    assert index.ties == [
+        (*(-t for t in entry_timestamp(e)), e.keys.instance_id, row) for row, e in enumerate(store.l2)
+    ]
     # An id without a CVE segment sorts after every numbered entry, so all
     # four are older than the query and share its project: all are P1.
     query = Query(replace(QUERY.keys, instance_id="p-local-query"), k_min=1, top_n=10)
@@ -376,7 +435,7 @@ def test_reads_embed_only_the_rows_they_score():
     retrieve(store, "L2", Query(QUERY.keys, k_min=5, top_n=10))  # P1 is sparse: P2 joins
     assert counting.texts == [e.keys.description for e in theirs]
 
-    # Dedup scores the whole tier: every description and patch, each once.
+    # Dedup embeds the whole tier: every description and patch, each once.
     counting.texts.clear()
     new = l2("p.cve-2020-9", "heap overflow number 9")
     assert insert(store, new) == InsertOutcome.INSERTED

@@ -17,6 +17,7 @@ from patchloop.embedding import (
     cosine,
     default_embedder,
     jaccard_similarity,
+    tokenize,
 )
 from patchloop.errors import EmbeddingUnavailable, InvariantViolation
 from patchloop.memory import (
@@ -77,10 +78,41 @@ def reference_embed(text: str, dim: int = 64) -> list[float]:
     return vec
 
 
+def same_bits(got: np.ndarray, want: list[float]) -> bool:
+    """Equal as stored: dtype, length and every bit, the sign of a zero too."""
+    return got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
 def test_embedder_matches_reference_implementation():
     emb = DeterministicEmbedder()
     for text in FIXTURE_STRINGS:
-        assert emb.embed(text).tolist() == reference_embed(text)
+        assert same_bits(emb.embed(text), reference_embed(text))
+
+
+def test_a_bucket_whose_signs_cancel_holds_positive_zero():
+    slots = {}
+    for i in range(1000):
+        digest = hashlib.sha256(f"t{i}".encode()).digest()
+        slot = (int.from_bytes(digest[:4], "big") % 64, digest[4] % 2)
+        if (slot[0], 1 - slot[1]) in slots:
+            pair, bucket = [slots[(slot[0], 1 - slot[1])], f"t{i}"], slot[0]
+            break
+        slots[slot] = f"t{i}"
+    text = " ".join(pair)
+    vec = DeterministicEmbedder().embed(text)
+    assert vec[bucket] == 0.0 and not np.signbit(vec[bucket])
+    assert same_bits(vec, reference_embed(text))
+
+
+@pytest.mark.parametrize("text", ["", "!!! ... --- ???"])
+def test_a_text_without_tokens_embeds_as_64_positive_zeros(text):
+    assert same_bits(DeterministicEmbedder().embed(text), [0.0] * 64)
+
+
+def test_a_text_with_more_distinct_tokens_than_the_memo_holds():
+    text = " ".join(f"w{i}" for i in range(TOKEN_MEMO_SIZE + 100)) + " w0 w1"
+    _token_slot.cache_clear()
+    assert same_bits(DeterministicEmbedder().embed(text), reference_embed(text))
 
 
 _TOKENS = st.sampled_from(["heap", "overflow", "CWE", "787", "x1", "ÄßΩ", "İ", "名前", "", " ", "\n", "-"])
@@ -90,10 +122,22 @@ _TOKENS = st.sampled_from(["heap", "overflow", "CWE", "787", "x1", "ÄßΩ", "İ
 @given(st.one_of(st.text(), st.lists(_TOKENS, max_size=30).map(" ".join)))
 def test_embedder_matches_reference_for_any_text(text):
     want = reference_embed(text)
-    assert DeterministicEmbedder().embed(text).tolist() == want
-    assert DeterministicEmbedder().embed(text).tolist() == want  # every slot memoized
+    assert same_bits(DeterministicEmbedder().embed(text), want)
+    assert same_bits(DeterministicEmbedder().embed(text), want)  # every slot memoized
     _token_slot.cache_clear()
-    assert DeterministicEmbedder().embed(text).tolist() == want
+    assert same_bits(DeterministicEmbedder().embed(text), want)
+
+
+# Characters whose lowercase is ASCII (the Kelvin sign, dotted capital I),
+# other non-ASCII letters and digits, Unicode line breaks and a lone surrogate.
+_ODD_CHARS = st.sampled_from(["\u212a", "\u0130", "\u1e9e", "\u00df", "\uff21", "\u0663",
+                              "\x85", "\u2028", "\x1c", "\ud800", "?", "_", "Z", "9"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.characters(), _ODD_CHARS), max_size=40).map("".join))
+def test_tokenize_finds_the_runs_of_lowercase_ascii_letters_and_digits(text):
+    assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
 
 
 def test_token_memo_is_bounded():
