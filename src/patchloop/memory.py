@@ -9,7 +9,8 @@ All tiers share the same retrieval keys (project, CWE, language, instance
 id, description). Entries are persisted as line-delimited JSON, one entry
 per line with a ``tier`` tag. L2/L3 grow at runtime and are therefore
 subject to recency pruning; L1 is treated as a curated corpus and never
-pruned. Writes are serialized through a single writer lock.
+pruned. Writes are serialized through a single writer lock; they include
+an entry's ``last_retrieved``, the one field that changes once it is stored.
 
 Each tier is held by one :class:`TierIndex`: its entries, their rows by
 (CWE, language) and one embedding matrix per text field. Dedup scores the
@@ -21,7 +22,6 @@ never runs under it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -85,11 +85,14 @@ class RetrievalKeys:
 @dataclass
 class _Entry:
     """What every tier's entry has: its retrieval keys, the ingestion
-    sequence number that orders an id without a CVE timestamp, and the
-    unified-diff fields named in ``DIFFS``. Each tier adds its own fields."""
+    sequence number that orders an id without a CVE timestamp, the task
+    counter at its last retrieval or insertion (which reads change, so
+    equality leaves it out), and the unified-diff fields named in ``DIFFS``.
+    Each tier adds its own fields."""
 
     keys: RetrievalKeys
     fallback_seq: int | None = field(default=None, kw_only=True)
+    last_retrieved: int | None = field(default=None, kw_only=True, compare=False)
 
     DIFFS: ClassVar[tuple[str, ...]] = ()
 
@@ -184,12 +187,12 @@ class TierIndex:
         self.buckets: dict[tuple[str, str], dict[str, list[int]]] = {}
         self.fields: dict[str, VectorRows] = {}
         for entry in entries:
-            self.add(entry)
+            self.add(entry, entry_timestamp(entry))
 
-    def add(self, entry: MemoryEntry) -> None:
+    def add(self, entry: MemoryEntry, stamp: tuple[float, float, float]) -> None:
+        """Append `entry`, whose :func:`entry_timestamp` is `stamp`."""
         row = len(self.entries)
         self.entries.append(entry)
-        stamp = entry_timestamp(entry)
         keys = entry.keys
         self.stamps.append(stamp)
         self.ties.append((-stamp[0], -stamp[1], -stamp[2], keys.instance_id, row))
@@ -202,12 +205,6 @@ class TierIndex:
         return rows
 
 
-def entry_key(entry: MemoryEntry) -> str:
-    """Stable identifier used by the retrieval log, survives persistence."""
-    payload = f"{entry.keys.description}\x1f{entry.patch_text}".encode("utf-8")
-    return f"{entry.tier}:{entry.keys.instance_id}:{hashlib.sha1(payload).hexdigest()[:12]}"
-
-
 def entry_timestamp(entry: MemoryEntry) -> tuple[float, float, float]:
     """Total-order sort key: real CVE timestamps precede all fallbacks.
 
@@ -215,10 +212,13 @@ def entry_timestamp(entry: MemoryEntry) -> tuple[float, float, float]:
     number, namespaced after every real timestamp so the temporal filter
     stays a total order; without one they sort after everything.
     """
-    ts = parse_timestamp(entry.keys.instance_id)
+    return _stamp(parse_timestamp(entry.keys.instance_id), entry.fallback_seq)
+
+
+def _stamp(ts: CveTimestamp | None, fallback_seq: int | None) -> tuple[float, float, float]:
     if ts is not None:
         return (0.0, float(ts.year), float(ts.sequence))
-    return (1.0, math.inf if entry.fallback_seq is None else float(entry.fallback_seq), 0.0)
+    return (1.0, math.inf if fallback_seq is None else float(fallback_seq), 0.0)
 
 
 def query_timestamp(keys: RetrievalKeys) -> tuple[float, float, float]:
@@ -233,23 +233,22 @@ class InsertOutcome(str, Enum):
 
 
 class MemoryStore:
-    """Holds the three tiers plus retrieval recency bookkeeping.
+    """Holds the three tiers and the completed-task counter.
 
     Single-writer, multi-reader: mutating operations take the writer lock;
     retrieval takes it only to read a tier's bucket, to store the vectors
-    it embedded and to score. ``retrieval_log`` maps
-    :func:`entry_key` to the completed-task counter at the entry's last
-    retrieval (or insertion).
+    it embedded and to score.
 
     Each tier's :class:`TierIndex` is the only holder of its entries. A row
     enters through :func:`insert`, :meth:`add` or :func:`load_store` and
     leaves only through :func:`prune`, which builds the tier a new index;
     ``tier_entries`` and ``l1``/``l2``/``l3`` return copies. Entries are not
-    to be edited in place once stored.
+    to be edited in place once stored, except for ``last_retrieved``, which
+    :meth:`touch`, :func:`insert` and :func:`prune` set and read under the
+    writer lock.
     """
 
     def __init__(self, embedder: CachingEmbedder | None = None) -> None:
-        self.retrieval_log: dict[str, int] = {}
         self.completed_tasks: int = 0
         self.embedder = default_embedder() if embedder is None else embedder
         self._write_lock = threading.Lock()
@@ -271,13 +270,13 @@ class MemoryStore:
     def add(self, entry: MemoryEntry) -> None:
         """Append `entry` to its tier as it is, without dedup."""
         with self._write_lock:
-            self._indexes[entry.tier].add(entry)
+            self._indexes[entry.tier].add(entry, entry_timestamp(entry))
 
     def touch(self, entries: list[MemoryEntry]) -> None:
         """Record that `entries` were retrieved for the current task."""
         with self._write_lock:
             for entry in entries:
-                self.retrieval_log[entry_key(entry)] = self.completed_tasks
+                entry.last_retrieved = self.completed_tasks
 
     def complete_task(self) -> None:
         with self._write_lock:
@@ -380,16 +379,16 @@ def _merge_or_append(
     if near.size:
         near = near[patches.cosine(patch_vec, near) > DEDUP_THRESHOLD]
     if near.size:
-        existing = index.entries[near[0]]
-        store.retrieval_log[entry_key(existing)] = store.completed_tasks
+        index.entries[near[0]].last_retrieved = store.completed_tasks
         return InsertOutcome.MERGED
-    if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
+    ts = parse_timestamp(entry.keys.instance_id)
+    if ts is None and entry.fallback_seq is None:
         entry.fallback_seq = store.next_fallback_seq()
     row = len(index.entries)
-    index.add(entry)
+    index.add(entry, _stamp(ts, entry.fallback_seq))
     descs.put([row], [desc_vec])
     patches.put([row], [patch_vec])
-    store.retrieval_log[entry_key(entry)] = store.completed_tasks
+    entry.last_retrieved = store.completed_tasks
     return InsertOutcome.INSERTED
 
 
@@ -397,23 +396,21 @@ def prune(store: MemoryStore, window: float) -> int:
     """Drop L2/L3 entries not retrieved within the last `window` tasks.
 
     An entry is stale when ``completed_tasks - last_retrieved > window``
-    (entries missing from the log count as last touched at task 0). L1 is
-    a curated corpus and is never pruned. Returns the number removed.
+    (an entry never retrieved counts as last touched at task 0). L1 is a
+    curated corpus and is never pruned. Returns the number removed.
     """
     if window < 1:
         raise InvariantViolation("prune window must be >= 1")
     removed = 0
     with store._write_lock:
         for tier in ("L2", "L3"):
-            kept = []
-            for entry in store._indexes[tier].entries:
-                last = store.retrieval_log.get(entry_key(entry), 0)
-                if store.completed_tasks - last > window:
-                    store.retrieval_log.pop(entry_key(entry), None)
+            index, kept = store._indexes[tier], TierIndex()
+            for entry, stamp in zip(index.entries, index.stamps):
+                if store.completed_tasks - (entry.last_retrieved or 0) > window:
                     removed += 1
                 else:
-                    kept.append(entry)
-            store._indexes[tier] = TierIndex(kept)
+                    kept.add(entry, stamp)
+            store._indexes[tier] = kept
     return removed
 
 
@@ -475,24 +472,24 @@ def consolidate_success(
 # ---------------------------------------------------------------------------
 
 _KEY_FIELDS = [f.name for f in fields(RetrievalKeys)]
+# Every entry's bookkeeping: optional integers, written only when set.
+_BOOKKEEPING = ("fallback_seq", "last_retrieved")
 # Each tier's own fields, in declaration order.
 _TIER_FIELDS = {
-    tier: [f.name for f in fields(cls) if f.name not in ("keys", "fallback_seq")]
+    tier: [f.name for f in fields(cls) if f.name not in ("keys", *_BOOKKEEPING)]
     for tier, cls in ENTRY_TYPES.items()
 }
 
 
-def _entry_to_record(entry: MemoryEntry, store: MemoryStore) -> dict:
+def _entry_to_record(entry: MemoryEntry) -> dict:
     rec: dict = {"tier": entry.tier}
     for name in _KEY_FIELDS:
         rec[name] = getattr(entry.keys, name)
     for name in _TIER_FIELDS[entry.tier]:
         rec[name] = getattr(entry, name)
-    if entry.fallback_seq is not None:
-        rec["fallback_seq"] = entry.fallback_seq
-    last = store.retrieval_log.get(entry_key(entry))
-    if last is not None:
-        rec["last_retrieved"] = last
+    for name in _BOOKKEEPING:
+        if (value := getattr(entry, name)) is not None:
+            rec[name] = value
     return rec
 
 
@@ -510,40 +507,42 @@ def _record_to_entry(rec) -> MemoryEntry:
     for name, value in texts.items():
         if not isinstance(value, str):
             raise CorruptMemoryFile(f"entry field {name} is not a string: {value!r:.80}")
-    seq = rec.get("fallback_seq")
-    if seq is not None and type(seq) is not int:
-        raise CorruptMemoryFile(f"fallback_seq is not an integer: {seq!r:.80}")
-    last = rec.get("last_retrieved", 0)
-    if type(last) is not int:
-        raise CorruptMemoryFile(f"last_retrieved is not an integer: {last!r:.80}")
+    bookkeeping = {name: rec.get(name) for name in _BOOKKEEPING}
+    for name, value in bookkeeping.items():
+        if value is not None and type(value) is not int:
+            raise CorruptMemoryFile(f"{name} is not an integer: {value!r:.80}")
     keys = RetrievalKeys(*(texts.pop(name) for name in _KEY_FIELDS))
-    return cls(keys, fallback_seq=seq, **texts)
+    return cls(keys, **bookkeeping, **texts)
 
 
 def _state_path(path: Path) -> Path:
     return path.with_name(path.name + ".state.json")
 
 
-def save_store(store: MemoryStore, path: Path) -> None:
-    """Write the store to `path` through a temp file of this call's own in
+def _replace(path: Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path` through a temp file of this call's own in
     the same directory, so a concurrent save never writes into or renames
-    away this one's; the last rename wins."""
-    path = Path(path)
+    away this one's and a save cut short leaves the old file whole; the
+    last rename wins."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     fh = tmp.open("x", encoding="utf-8")  # created as open() does, under the umask
     try:
         with fh:
-            for tier in TIERS:
-                for entry in store.tier_entries(tier):
-                    fh.write(json.dumps(_entry_to_record(entry, store), sort_keys=True) + "\n")
+            fh.writelines(chunks)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_store(store: MemoryStore, path: Path) -> None:
+    """Write the store to `path`, then the completed-task counter to its
+    sidecar, each through :func:`_replace`."""
+    path = Path(path)
+    entries = (entry for tier in TIERS for entry in store.tier_entries(tier))
+    _replace(path, (json.dumps(_entry_to_record(e), sort_keys=True) + "\n" for e in entries))
     if store.completed_tasks:
-        _state_path(path).write_text(
-            json.dumps({"completed_tasks": store.completed_tasks}), encoding="utf-8"
-        )
+        _replace(_state_path(path), [json.dumps({"completed_tasks": store.completed_tasks})])
 
 
 def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemoryStore:
@@ -561,8 +560,6 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
                 raise CorruptMemoryFile(f"{path}:{lineno}: bad JSON ({exc})") from exc
             entry = _record_to_entry(rec)
             store.add(entry)
-            if "last_retrieved" in rec:
-                store.retrieval_log[entry_key(entry)] = rec["last_retrieved"]
             if entry.fallback_seq is not None:
                 store._ingest_seq = max(store._ingest_seq, entry.fallback_seq + 1)
     state = _state_path(path)

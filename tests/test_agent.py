@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import subprocess
+from dataclasses import replace
 
 import pytest
 
 import conftest as fx
-from patchloop import diffutil
+from patchloop import diffutil, retrieval
 from patchloop.agent import (
     Outcome,
     RepairTask,
@@ -639,13 +640,28 @@ def test_live_verifier_turns_are_logged_and_counted(demo_repo, tmp_path):
     assert live.cost_usd > scripted.cost_usd
 
 
-def test_memory_recency_touched_by_session(demo_repo, tmp_path):
+def test_memory_recency_touched_by_session(demo_repo, tmp_path, monkeypatch):
     store = MemoryStore()
-    insert(store, seeded_l3_entry())
-    before = dict(store.retrieval_log)
-    run_scripted(demo_repo, tmp_path, fx.transcript_regenerate_then_success, store=store)
-    assert store.completed_tasks == 1
-    assert store.retrieval_log != before or store.completed_tasks == 1
+    pooled = replace(seeded_l3_entry(), last_retrieved=1)
+    # Another language: in neither pool of any of the session's queries.
+    outside = replace(pooled, keys=replace(pooled.keys, language="c"))
+    store.add(pooled)
+    store.add(outside)
+    store.completed_tasks = 3
+    retrieved = []
+    real_retrieve = retrieval.retrieve
+
+    def spy(*args, **kwargs):
+        ranked = real_retrieve(*args, **kwargs)
+        retrieved.extend(r.entry for r in ranked)
+        return ranked
+
+    monkeypatch.setattr(retrieval, "retrieve", spy)
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_regenerate_then_success, store=store)
+    assert report.outcome == "success" and store.completed_tasks == 4
+    assert any(e is pooled for e in retrieved) and all(e is not outside for e in retrieved)
+    assert [e.last_retrieved for e in retrieved] == [3] * len(retrieved)
+    assert outside.last_retrieved == 1
 
 
 def test_cost_accounting_uses_price_table(demo_repo, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from patchloop.memory import (
     L3Entry,
     MemoryStore,
     RetrievalKeys,
-    entry_key,
     insert,
     load_store,
     parse_timestamp,
@@ -206,7 +206,7 @@ def test_insert_merge_keeps_older_entry_and_refreshes_recency():
     store.completed_tasks = 7
     insert(store, entry_with(BASE_DESC, BASE_PATCH, "p.cve-2023-9"))
     assert store.l1 == [first]
-    assert store.retrieval_log[entry_key(first)] == 7
+    assert first.last_retrieved == 7
 
 
 def test_insert_validates_invariants():
@@ -264,7 +264,7 @@ def l3(instance_id: str, desc: str) -> L3Entry:
 
 
 def build_pruning_store() -> MemoryStore:
-    """6 runtime entries with a known retrieval log, plus one L1."""
+    """6 runtime entries with known last retrievals, plus one L1."""
     store = MemoryStore()
     descriptions = [
         "alpha null deref in parser",
@@ -288,7 +288,7 @@ def build_pruning_store() -> MemoryStore:
     # Hand-assigned last-retrieved task counters.
     last = [2, 5, 9, 1, 7, 10]
     for entry, task in zip(entries, last):
-        store.retrieval_log[entry_key(entry)] = task
+        entry.last_retrieved = task
     store.completed_tasks = 12
     return store
 
@@ -297,7 +297,7 @@ def brute_force_stale(store: MemoryStore, window: float) -> set[str]:
     stale = set()
     for tier in ("L2", "L3"):
         for entry in store.tier_entries(tier):
-            last = store.retrieval_log.get(entry_key(entry), 0)
+            last = entry.last_retrieved or 0
             if store.completed_tasks - last > window:
                 stale.add(entry.keys.instance_id)
     return stale
@@ -313,11 +313,10 @@ def test_prune_removes_definitionally_stale_entry():
     store = MemoryStore()
     entry = l2("p.cve-2020-1", "stale thing")
     insert(store, entry)
-    store.retrieval_log[entry_key(entry)] = 0
+    entry.last_retrieved = 0
     store.completed_tasks = 10
     assert prune(store, 5) == 1
     assert store.l2 == []
-    assert entry_key(entry) not in store.retrieval_log
 
 
 def test_prune_matches_brute_force_filter():
@@ -364,6 +363,10 @@ def entries_as_tuples(store: MemoryStore):
     return out
 
 
+def last_retrievals(store: MemoryStore) -> list:
+    return [(e.keys, e.last_retrieved) for tier in memory.TIERS for e in store.tier_entries(tier)]
+
+
 def test_save_load_round_trip(tmp_path):
     store = build_pruning_store()
     insert(store, l1("odd-id-without-cve", desc="fallback timestamped entry"))
@@ -371,7 +374,7 @@ def test_save_load_round_trip(tmp_path):
     save_store(store, path)
     loaded = load_store(path)
     assert entries_as_tuples(loaded) == entries_as_tuples(store)
-    assert loaded.retrieval_log == store.retrieval_log
+    assert last_retrievals(loaded) == last_retrievals(store)
     assert loaded.completed_tasks == store.completed_tasks
 
 
@@ -446,6 +449,87 @@ def test_a_save_that_fails_leaves_the_file_and_no_temp_file(tmp_path):
         save_store(FailingStore(), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["memory.jsonl"]
+
+
+def test_a_sidecar_save_that_fails_leaves_the_old_sidecar_and_no_temp_file(tmp_path, monkeypatch):
+    path, sidecar = tmp_path / "memory.jsonl", tmp_path / "memory.jsonl.state.json"
+    store = MemoryStore()
+    insert(store, l1("p.cve-2020-1"))
+    store.completed_tasks = 3
+    save_store(store, path)
+    before = sidecar.read_bytes()
+
+    class DiskFull:
+        """A file opened for writing whose every write fails."""
+
+        def __init__(self, fh) -> None:
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError("disk full")
+
+        writelines = write
+
+    real_open = Path.open
+
+    def open_sidecar_on_a_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return DiskFull(fh) if self.name.startswith(sidecar.name) and mode != "r" else fh
+
+    monkeypatch.setattr(Path, "open", open_sidecar_on_a_full_disk)
+    store.completed_tasks = 4
+    with pytest.raises(OSError, match="disk full"):
+        save_store(store, path)
+    monkeypatch.undo()
+    assert sidecar.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, sidecar.name]
+    assert load_store(path).completed_tasks == 3
+
+
+def test_identical_lines_keep_their_own_recency(tmp_path):
+    path = tmp_path / "memory.jsonl"
+    line = json.loads(GOLDEN_MEMORY.splitlines()[1])  # an L2 entry
+    lines = [json.dumps({**line, "last_retrieved": 9}, sort_keys=True), json.dumps(line, sort_keys=True)]
+    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "memory.jsonl.state.json").write_text('{"completed_tasks": 10}')
+    store = load_store(path)
+    copy = tmp_path / "copy.jsonl"
+    save_store(store, copy)
+    assert copy.read_text() == path.read_text()
+    assert prune(store, 5) == 1  # the copy never retrieved, last touched at task 0
+    assert [e.last_retrieved for e in store.l2] == [9]
+    save_store(store, copy)
+    assert copy.read_text() == lines[0] + "\n"
+
+
+def test_insert_parses_each_appended_id_once(monkeypatch):
+    calls = []
+    real_parse = memory.parse_timestamp
+
+    def counting_parse(instance_id):
+        calls.append(instance_id)
+        return real_parse(instance_id)
+
+    monkeypatch.setattr(memory, "parse_timestamp", counting_parse)
+    store = MemoryStore()
+    ids = ["p.cve-2020-1", "p-local-2", "p.CVE-2021-3"]
+    descs = ["alpha null deref in parser", "beta overflow in decoder", "gamma race in cache"]
+    for instance_id, desc in zip(ids, descs):
+        assert insert(store, l1(instance_id, desc=desc, patch=make_patch("f.c", desc, "x"))) == (
+            InsertOutcome.INSERTED
+        )
+    assert calls == ids
+    assert insert(store, l1("p.cve-2022-4", desc=descs[0], patch=make_patch("f.c", descs[0], "x"))) == (
+        InsertOutcome.MERGED
+    )
+    assert calls == ids  # a merge appends nothing and parses nothing
+    assert [e.fallback_seq for e in store.l1] == [None, 0, None]
 
 
 def test_load_rejects_corrupt_file(tmp_path):

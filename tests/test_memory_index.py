@@ -33,7 +33,6 @@ from patchloop.memory import (
     MemoryStore,
     RetrievalKeys,
     TierIndex,
-    entry_key,
     entry_timestamp,
     field_text,
     insert,
@@ -99,12 +98,12 @@ def ref_insert(store: MemoryStore, entry, embed) -> InsertOutcome:
             cosine(embed(entry.keys.description), embed(existing.keys.description)) > DEDUP_THRESHOLD
             and cosine(embed(entry.patch_text), embed(existing.patch_text)) > DEDUP_THRESHOLD
         ):
-            store.retrieval_log[entry_key(existing)] = store.completed_tasks
+            existing.last_retrieved = store.completed_tasks
             return InsertOutcome.MERGED
     if entry.fallback_seq is None and parse_timestamp(entry.keys.instance_id) is None:
         entry.fallback_seq = store.next_fallback_seq()
     store.add(entry)
-    store.retrieval_log[entry_key(entry)] = store.completed_tasks
+    entry.last_retrieved = store.completed_tasks
     return InsertOutcome.INSERTED
 
 
@@ -197,7 +196,7 @@ def test_index_matches_scalar_brute_force(ops):
         for op in ops:
             kind = op[0]
             if kind == "insert":
-                # A fresh counter value makes the merge target visible in the log.
+                # A fresh counter value makes the merge target's recency visible.
                 store.completed_tasks += 1
                 ref.completed_tasks += 1
                 assert insert(store, make_entry(op[1])) == ref_insert(ref, make_entry(op[1]), embed)
@@ -217,8 +216,12 @@ def test_index_matches_scalar_brute_force(ops):
                 got = rows_of(store, tier, retrieve(store, tier, query, override))
                 assert got == ref_retrieve(ref, tier, query, override, embed)
             for tier in TIERS:
-                assert store.tier_entries(tier) == ref.tier_entries(tier)
-            assert store.retrieval_log == ref.retrieval_log
+                mine, theirs = store.tier_entries(tier), ref.tier_entries(tier)
+                assert mine == theirs
+                # Equality leaves last_retrieved out; compare it row by row,
+                # on entry objects the two stores do not share.
+                assert not {id(e) for e in mine} & {id(e) for e in theirs}
+                assert [e.last_retrieved for e in mine] == [e.last_retrieved for e in theirs]
 
 
 def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
@@ -232,8 +235,8 @@ def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
     assert insert(store, make_entry(("L1", "p", "CWE-787", "p.cve-2020-4", "v2", "v0", ""))) == (
         InsertOutcome.MERGED
     )
-    assert store.retrieval_log[entry_key(first)] == 4
-    assert entry_key(second) not in store.retrieval_log
+    assert first.last_retrieved == 4
+    assert second.last_retrieved is None
     assert store.l1 == [first, second, on_edge]
 
 
@@ -258,7 +261,7 @@ def test_of_several_rows_near_on_both_texts_the_first_in_store_order_absorbs():
     store.completed_tasks = 7
     new = make_entry(("L1", "p", "CWE-787", "p.cve-2020-9", "v0", "v0", ""))
     assert insert(store, new) == InsertOutcome.MERGED
-    assert store.retrieval_log == {entry_key(rows[2]): 7}
+    assert [e.last_retrieved for e in rows] == [None, None, 7, None, None]
     assert store.l1 == rows
 
 
@@ -351,7 +354,7 @@ def test_appends_extend_the_index_and_other_changes_rebuild_it():
 
     store.completed_tasks = 5
     for entry in store.l2[::2]:
-        store.retrieval_log[entry_key(entry)] = 5
+        entry.last_retrieved = 5
     assert prune(store, 1) == 6
     ranked = retrieve(store, "L2", QUERY)
     assert all(r.entry in store.l2 for r in ranked)
@@ -376,7 +379,7 @@ def test_the_tier_index_is_the_only_holder_of_its_entries(tmp_path):
 
     index = store._indexes["L2"]
     store.completed_tasks = 5
-    store.retrieval_log[entry_key(kept)] = 5
+    kept.last_retrieved = 5
     assert prune(store, 1) == 1
     assert store._indexes["L2"] is not index and store._indexes["L2"].entries == [kept]
 
@@ -569,7 +572,10 @@ def test_concurrent_writers_and_readers_end_like_a_serial_rebuild():
                     entry = L1Entry(keys=entry.keys, fix_patch=entry.fix_patch)
                 insert(store, entry)
                 tier = rng.choice(["L1", "L2"])
-                for r in retrieve(store, tier, QUERY):
+                ranked = retrieve(store, tier, QUERY)
+                store.touch([r.entry for r in ranked])
+                store.complete_task()
+                for r in ranked:
                     assert any(r.entry is e for e in store.tier_entries(tier))
         except BaseException as exc:  # reported below, on the main thread
             errors.append(exc)
@@ -586,6 +592,9 @@ def test_concurrent_writers_and_readers_end_like_a_serial_rebuild():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    # Each insert and touch happens before its iteration completes a task.
+    assert store.completed_tasks == 160
+    assert all(0 <= e.last_retrieved < 160 for t in ("L1", "L2") for e in store.tier_entries(t))
 
     serial = MemoryStore()
     for tier in ("L1", "L2"):
@@ -645,7 +654,7 @@ def test_outage_part_way_through_a_column_leaves_the_index_consistent():
     else:
         raise AssertionError("insert should propagate the outage")
     assert len(store.l2) == 10 and column.missing(range(10)) == list(range(5, 10))
-    assert store.retrieval_log == {}
+    assert all(e.last_retrieved is None for e in store.l2)
     for row in range(5):
         assert np.array_equal(column.vectors[row], flaky.inner.embed(descs[row]))
 
