@@ -2,9 +2,9 @@
 and memory administration.
 
 Exit codes for `repair`: 0 on success, 1 when the attempt budget is
-exhausted, 2 on configuration errors (bad task file, unusable workspace,
-reproduction command passing, missing or timing out on the pristine repo,
-...).
+exhausted, 2 on configuration errors (bad task file, unreadable memory
+file, unusable workspace, reproduction command passing, missing or timing
+out on the pristine repo, ...).
 """
 
 from __future__ import annotations
@@ -395,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (FileNotFoundError, KeyError, ValueError, PatchloopError) as exc:
+    except (OSError, KeyError, ValueError, PatchloopError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,12 @@ Tiers:
   * L3: failure-to-success transitions harvested from repair sessions.
 
 All tiers share the same retrieval keys (project, CWE, language, instance
-id, description). Entries are persisted as line-delimited JSON, one entry
-per line with a ``tier`` tag. L2/L3 grow at runtime and are therefore
-subject to recency pruning; L1 is treated as a curated corpus and never
-pruned. Writes are serialized through a single writer lock; they include
-an entry's ``last_retrieved``, the one field that changes once it is stored.
+id, description). A store is persisted as one line-delimited JSON file:
+an entry per line with a ``tier`` tag, then the completed-task counter.
+L2/L3 grow at runtime and are therefore subject to recency pruning; L1
+is treated as a curated corpus and never pruned. Writes are serialized
+through a single writer lock; they include an entry's ``last_retrieved``,
+the one field that changes once it is stored.
 
 Each tier is held by one :class:`TierIndex`: its entries, their rows by
 (CWE, language) and one embedding matrix per text field. Dedup scores the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import threading
 import uuid
@@ -271,6 +273,8 @@ class MemoryStore:
         """Append `entry` to its tier as it is, without dedup."""
         with self._write_lock:
             self._indexes[entry.tier].add(entry, entry_timestamp(entry))
+            if entry.fallback_seq is not None:  # later fallbacks sort after it
+                self._ingest_seq = max(self._ingest_seq, entry.fallback_seq + 1)
 
     def touch(self, entries: list[MemoryEntry]) -> None:
         """Record that `entries` were retrieved for the current task."""
@@ -468,7 +472,7 @@ def consolidate_success(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: line-delimited JSON, one entry per line with a tier tag.
+# Persistence: JSON lines, one entry per line with a tier tag, then the counter.
 # ---------------------------------------------------------------------------
 
 _KEY_FIELDS = [f.name for f in fields(RetrievalKeys)]
@@ -515,38 +519,38 @@ def _record_to_entry(rec) -> MemoryEntry:
     return cls(keys, **bookkeeping, **texts)
 
 
-def _state_path(path: Path) -> Path:
-    return path.with_name(path.name + ".state.json")
-
-
-def _replace(path: Path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `path` through a temp file of this call's own in
-    the same directory, so a concurrent save never writes into or renames
-    away this one's and a save cut short leaves the old file whole; the
-    last rename wins."""
+def save_store(store: MemoryStore, path: Path) -> None:
+    """Write the entries, then the completed-task counter if nonzero (read
+    after them, so no saved ``last_retrieved`` is ahead of it), to a temp
+    file of this call's own beside `path`, fsync it and rename it into
+    place. A concurrent save never writes into or renames away this one's,
+    and a save cut short leaves the old file whole; the last rename wins."""
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     fh = tmp.open("x", encoding="utf-8")  # created as open() does, under the umask
     try:
         with fh:
-            fh.writelines(chunks)
+            records = (_entry_to_record(e) for tier in TIERS for e in store.tier_entries(tier))
+            fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+            if done := store.completed_tasks:
+                fh.write(json.dumps({"completed_tasks": done}) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def save_store(store: MemoryStore, path: Path) -> None:
-    """Write the store to `path`, then the completed-task counter to its
-    sidecar, each through :func:`_replace`."""
-    path = Path(path)
-    entries = (entry for tier in TIERS for entry in store.tier_entries(tier))
-    _replace(path, (json.dumps(_entry_to_record(e), sort_keys=True) + "\n" for e in entries))
-    if store.completed_tasks:
-        _replace(_state_path(path), [json.dumps({"completed_tasks": store.completed_tasks})])
-
-
 def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemoryStore:
+    """Read what :func:`save_store` wrote; an empty store if `path` does not
+    exist. A line whose one key is ``completed_tasks`` sets the counter."""
     path = Path(path)
+    if (sidecar := path.with_name(path.name + ".state.json")).exists():
+        raise CorruptMemoryFile(
+            f"{sidecar}: counter file of an older version; append its counter to {path} "
+            f'as a last line {{"completed_tasks": N}}, then delete it'
+        )
     store = MemoryStore(embedder=embedder)
     if not path.exists():
         return store
@@ -558,18 +562,12 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise CorruptMemoryFile(f"{path}:{lineno}: bad JSON ({exc})") from exc
-            entry = _record_to_entry(rec)
-            store.add(entry)
-            if entry.fallback_seq is not None:
-                store._ingest_seq = max(store._ingest_seq, entry.fallback_seq + 1)
-    state = _state_path(path)
-    if state.exists():
-        try:
-            rec = json.loads(state.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise CorruptMemoryFile(f"{state}: bad state file ({exc})") from exc
-        done = rec.get("completed_tasks") if isinstance(rec, dict) else None
-        if type(done) is not int:
-            raise CorruptMemoryFile(f"{state}: completed_tasks is not an integer: {rec!r:.80}")
-        store.completed_tasks = done
+            if not (isinstance(rec, dict) and "completed_tasks" in rec):
+                store.add(_record_to_entry(rec))
+            elif type(rec["completed_tasks"]) is int and len(rec) == 1:
+                store.completed_tasks = rec["completed_tasks"]
+            else:
+                raise CorruptMemoryFile(
+                    f"{path}:{lineno}: completed_tasks is not an integer on a line of its own: {rec!r:.80}"
+                )
     return store

@@ -346,11 +346,46 @@ def test_memory_commands_on_a_corrupt_record_exit_two(tmp_path, capsys, command)
 
 def test_memory_inspect_on_a_state_file_of_the_wrong_shape_exits_two(tmp_path, capsys):
     mem = tmp_path / "m.jsonl"
-    mem.write_text("")
-    (tmp_path / "m.jsonl.state.json").write_text('{"completed_tasks": null}')
+    mem.write_text('{"completed_tasks": null}\n')
     code, out, err = run_cli(capsys, "memory", "inspect", "--memory", str(mem))
     assert (code, out) == (2, "")
-    assert "completed_tasks is not an integer" in err and "Traceback" not in err
+    assert f"{mem}:1: completed_tasks is not an integer" in err and "Traceback" not in err
+
+
+def memory_command_argv(tmp_path, request) -> dict[str, list[str]]:
+    """Each command that loads the memory file, without its --memory."""
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [corpus_row("p.cve-2020-1", "alpha overflow")])
+    task, cfg, out_dir = write_repair_setup(tmp_path, request.getfixturevalue("demo_repo"), fx.transcript_success)
+    return {
+        "inspect": ["memory", "inspect"],
+        "prune": ["memory", "prune", "--window", "1"],
+        "ingest": ["ingest", str(corpus)],
+        "repair": ["--config", str(cfg), "repair", str(task), "--out", str(out_dir)],
+        "repair --tasks": ["--config", str(cfg), "repair", "--tasks", str(task.parent), "--out", str(out_dir)],
+    }
+
+
+@pytest.mark.parametrize("command", ["inspect", "prune", "ingest", "repair", "repair --tasks"])
+def test_every_command_on_a_leftover_state_file_exits_two(tmp_path, capsys, request, command):
+    mem, sidecar = tmp_path / "m.jsonl", tmp_path / "m.jsonl.state.json"
+    mem.write_text(json.dumps({**corpus_row("p.cve-2019-9", "an old fix"), "tier": "L1"}) + "\n")
+    sidecar.write_text('{"completed_tasks": 4}')
+    before = mem.read_bytes()
+    argv = memory_command_argv(tmp_path, request)[command]
+    code, out, err = run_cli(capsys, *argv, "--memory", str(mem))
+    assert (code, out) == (2, "")
+    assert f"{sidecar}: counter file of an older version" in err and "Traceback" not in err
+    assert mem.read_bytes() == before and sidecar.read_text() == '{"completed_tasks": 4}'
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["inspect", "repair"])
+def test_a_directory_as_the_memory_file_is_a_configuration_error(tmp_path, capsys, request, command):
+    argv = memory_command_argv(tmp_path, request)[command]
+    (tmp_path / "mem").mkdir()
+    code, out, err = run_cli(capsys, *argv, "--memory", str(tmp_path / "mem"))
+    assert (code, out) == (2, "")
+    assert "configuration error" in err and "Traceback" not in err
 
 
 def test_memory_inspect_empty_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 from pathlib import Path
@@ -451,53 +452,90 @@ def test_a_save_that_fails_leaves_the_file_and_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["memory.jsonl"]
 
 
-def test_a_sidecar_save_that_fails_leaves_the_old_sidecar_and_no_temp_file(tmp_path, monkeypatch):
-    path, sidecar = tmp_path / "memory.jsonl", tmp_path / "memory.jsonl.state.json"
-    store = MemoryStore()
+def test_a_save_that_fails_midway_keeps_the_old_entries_and_counter(tmp_path):
+    class FailingAtL3(MemoryStore):
+        fail = False
+
+        def tier_entries(self, tier):
+            if tier == "L3" and self.fail:
+                raise OSError("disk full")
+            return super().tier_entries(tier)
+
+    path = tmp_path / "memory.jsonl"
+    store = FailingAtL3()
     insert(store, l1("p.cve-2020-1"))
     store.completed_tasks = 3
     save_store(store, path)
-    before = sidecar.read_bytes()
-
-    class DiskFull:
-        """A file opened for writing whose every write fails."""
-
-        def __init__(self, fh) -> None:
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc) -> None:
-            self.fh.close()
-
-        def write(self, text):
-            raise OSError("disk full")
-
-        writelines = write
-
-    real_open = Path.open
-
-    def open_sidecar_on_a_full_disk(self, mode="r", *args, **kwargs):
-        fh = real_open(self, mode, *args, **kwargs)
-        return DiskFull(fh) if self.name.startswith(sidecar.name) and mode != "r" else fh
-
-    monkeypatch.setattr(Path, "open", open_sidecar_on_a_full_disk)
-    store.completed_tasks = 4
-    with pytest.raises(OSError, match="disk full"):
+    insert(store, l2("p.cve-2020-2", "a runtime fix"))
+    store.completed_tasks, store.fail = 4, True
+    with pytest.raises(OSError, match="disk full"):  # after the L1 and L2 lines were written
         save_store(store, path)
-    monkeypatch.undo()
-    assert sidecar.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, sidecar.name]
-    assert load_store(path).completed_tasks == 3
+    loaded = load_store(path)
+    assert [e.keys.instance_id for e in loaded.l1] == ["p.cve-2020-1"] and loaded.l2 == []
+    assert loaded.completed_tasks == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["memory.jsonl"]
+
+
+def test_save_reads_the_counter_after_the_entries(tmp_path):
+    class CompletingDuringSave(MemoryStore):
+        def tier_entries(self, tier):
+            entries = super().tier_entries(tier)
+            if tier == "L3":  # a task completes and retrieves while the save runs
+                self.complete_task()
+                self.touch(entries)
+            return entries
+
+    store = CompletingDuringSave()
+    store.add(l3("p.cve-2020-1", "an earlier failure"))
+    path = tmp_path / "memory.jsonl"
+    save_store(store, path)
+    *_, entry, counter = path.read_text().splitlines()
+    assert json.loads(entry)["last_retrieved"] == 1
+    assert json.loads(counter) == {"completed_tasks": 1}
+
+
+def test_save_fsyncs_the_temp_file_before_renaming_it(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, Path.replace
+
+    def spy_fsync(fd):
+        real_fsync(fd)
+        events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+
+    def spy_replace(self, target):
+        events.append(("replace", self.stat().st_ino, self.stat().st_size))
+        return real_replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(Path, "replace", spy_replace)
+    store = MemoryStore()
+    insert(store, l1("p.cve-2020-1"))
+    store.completed_tasks = 2
+    path = tmp_path / "memory.jsonl"
+    save_store(store, path)
+    size = path.stat().st_size
+    assert [(name, n) for name, _, n in events] == [("fsync", size), ("replace", size)]
+    assert events[0][1] == events[1][1] == path.stat().st_ino  # the file synced is the one renamed
+
+
+def test_add_keeps_the_fallback_sequence_ahead_of_what_it_adds():
+    store, stored = MemoryStore(), l1("p-local-a", desc="added as loaded")
+    stored.fallback_seq = 7
+    store.add(stored)
+    assert insert(store, l1("p-local-b", desc="inserted after it", patch=make_patch("g.c", "y", "z"))) == (
+        InsertOutcome.INSERTED
+    )
+    assert [e.fallback_seq for e in store.l1] == [7, 8]  # as load_store of the same line gives
+    older, newer = store.l1
+    assert memory.entry_timestamp(older) < memory.entry_timestamp(newer)
 
 
 def test_identical_lines_keep_their_own_recency(tmp_path):
     path = tmp_path / "memory.jsonl"
     line = json.loads(GOLDEN_MEMORY.splitlines()[1])  # an L2 entry
     lines = [json.dumps({**line, "last_retrieved": 9}, sort_keys=True), json.dumps(line, sort_keys=True)]
-    path.write_text("\n".join(lines) + "\n")
-    (tmp_path / "memory.jsonl.state.json").write_text('{"completed_tasks": 10}')
+    counter = '{"completed_tasks": 10}\n'
+    path.write_text("\n".join(lines) + "\n" + counter)
     store = load_store(path)
     copy = tmp_path / "copy.jsonl"
     save_store(store, copy)
@@ -505,7 +543,7 @@ def test_identical_lines_keep_their_own_recency(tmp_path):
     assert prune(store, 5) == 1  # the copy never retrieved, last touched at task 0
     assert [e.last_retrieved for e in store.l2] == [9]
     save_store(store, copy)
-    assert copy.read_text() == lines[0] + "\n"
+    assert copy.read_text() == lines[0] + "\n" + counter
 
 
 def test_insert_parses_each_appended_id_once(monkeypatch):
@@ -558,40 +596,68 @@ def test_load_rejects_corrupt_file(tmp_path):
 @pytest.mark.parametrize(
     "state",
     ["[1]", "null", '{"completed_tasks": null}', '{"completed_tasks": 2.7}',
-     '{"completed_tasks": true}', '{"completed_tasks": "5"}'],
+     '{"completed_tasks": true}', '{"completed_tasks": "5"}', '{"completed_tasks": 3, "tier": "L1"}'],
 )
 def test_load_rejects_a_state_file_of_the_wrong_shape(tmp_path, state):
+    """As a line of the memory file a counter record of the wrong shape is
+    corrupt; as a leftover sidecar of an older version any state is refused."""
     path = tmp_path / "memory.jsonl"
-    path.write_text("")
-    sidecar = tmp_path / "memory.jsonl.state.json"
-    sidecar.write_text(state)
-    with pytest.raises(memory.CorruptMemoryFile, match="completed_tasks is not an integer"):
+    path.write_text(GOLDEN_MEMORY + state + "\n")
+    if "completed_tasks" in state:
+        match = re.escape(f"{path}:4: completed_tasks is not an integer")
+    else:
+        match = "entry record is not an object"
+    with pytest.raises(memory.CorruptMemoryFile, match=match):
         load_store(path)
-    sidecar.write_text('{"completed_tasks": 3}')
+    path.write_text(GOLDEN_MEMORY + '{"completed_tasks": 3}\n')
     assert load_store(path).completed_tasks == 3
+    (tmp_path / "memory.jsonl.state.json").write_text(state)
+    with pytest.raises(memory.CorruptMemoryFile, match=r"memory\.jsonl\.state\.json: .*older version"):
+        load_store(path)
 
 
-# One entry per tier: a fallback_seq, two last_retrieved stamps, an escaped
-# non-ASCII character and a task counter in the sidecar.
+def test_a_leftover_state_file_is_refused_until_its_counter_moves_into_the_memory_file(tmp_path):
+    path, sidecar = tmp_path / "memory.jsonl", tmp_path / "memory.jsonl.state.json"
+    sidecar.write_text('{"completed_tasks": 6}')
+    with pytest.raises(memory.CorruptMemoryFile) as err:  # with or without a memory file
+        load_store(path)
+    assert str(sidecar) in str(err.value)
+    path.write_text(GOLDEN_MEMORY)
+    with pytest.raises(memory.CorruptMemoryFile) as err:
+        load_store(path)
+    message = str(err.value)
+    assert str(sidecar) in message and str(path) in message
+    assert '{"completed_tasks": N}' in message and "delete" in message
+    assert sidecar.read_text() == '{"completed_tasks": 6}'  # refused, not read or removed
+    with path.open("a") as fh:  # the fix the message gives
+        fh.write('{"completed_tasks": 6}\n')
+    sidecar.unlink()
+    assert load_store(path).completed_tasks == 6
+
+
+# One entry per tier: a fallback_seq, two last_retrieved stamps and an escaped
+# non-ASCII character. GOLDEN_COUNTER is the task counter's last line.
 GOLDEN_MEMORY = r'''{"cwe": "CWE-787", "description": "heap overflow copying the frame \u2013 past cap", "fix_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  memcpy(dst, src, min(n, cap));\n", "instance_id": "libio.cve-2021-3141", "language": "c", "last_retrieved": 5, "project": "libio", "tier": "L1"}
 {"cwe": "CWE-787", "description": "overflow found by the fuzzer", "fallback_seq": 4, "fix_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  if (n > cap) return -1;\n", "instance_id": "libio-local-7", "language": "c", "project": "libio", "rationale": "bound the copy by the capacity", "tier": "L2"}
 {"correction_delta": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  if (n > cap) return -1;\n", "cwe": "CWE-UNKNOWN", "description": "frame copy overflow", "fail_patch": "--- a/src/io.c\n+++ b/src/io.c\n@@ -3,1 +3,1 @@\n-  memcpy(dst, src, n);\n+  memcpy(dst, src, min(n, cap));\n", "instance_id": "libio.CVE-2022-18", "language": "c", "last_retrieved": 2, "project": "libio", "tier": "L3", "transition_insight": "return early instead of clamping"}
 '''
-GOLDEN_STATE = '{"completed_tasks": 6}'
+GOLDEN_COUNTER = '{"completed_tasks": 6}\n'
 
 
 def test_memory_file_format_round_trips_byte_for_byte(tmp_path):
     golden = tmp_path / "golden" / "memory.jsonl"
     golden.parent.mkdir()
-    golden.write_bytes(GOLDEN_MEMORY.encode("utf-8"))
-    (golden.parent / "memory.jsonl.state.json").write_bytes(GOLDEN_STATE.encode("utf-8"))
+    golden.write_bytes((GOLDEN_MEMORY + GOLDEN_COUNTER).encode("utf-8"))
     store = load_store(golden)
     assert [len(store.tier_entries(tier)) for tier in memory.TIERS] == [1, 1, 1]
     assert store.l2[0].fallback_seq == 4 and store.completed_tasks == 6
     out = tmp_path / "memory.jsonl"
     save_store(store, out)
     assert out.read_bytes() == golden.read_bytes()
-    assert (tmp_path / "memory.jsonl.state.json").read_bytes() == GOLDEN_STATE.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["golden", "memory.jsonl"]
+    store.completed_tasks = 0  # no counter line at task 0: the bytes of a store without one
+    save_store(store, out)
+    assert out.read_bytes() == GOLDEN_MEMORY.encode("utf-8")
 
 
 @settings(max_examples=30, deadline=None)
