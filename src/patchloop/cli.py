@@ -22,7 +22,7 @@ from pathlib import Path
 from . import memory
 from .agent import RepairTask, SessionRunner
 from .config import EngineConfig, build_embedder, load_config
-from .errors import InvariantViolation, NoMatch, PatchloopError, UnreadableCorpus
+from .errors import EmbeddingUnavailable, InvariantViolation, NoMatch, PatchloopError, UnreadableCorpus
 from .gateway import build_gateway
 from .localizer import index_repository, iter_grep, parse_crash_report
 from .memory import (
@@ -75,7 +75,8 @@ def ingest(
     corpus_file: Path, memory_file: Path, column_map: dict[str, str], store: MemoryStore
 ) -> tuple[int, int, int]:
     """Load corpus rows into `store` as historical-fix entries, then save it
-    to `memory_file`; returns (inserted, merged, rejected)."""
+    to `memory_file`; returns (inserted, merged, rejected). When the embedder
+    fails on a row, the rows before it are saved and the error names its line."""
     inserted = merged = rejected = 0
     for lineno, row in _iter_corpus_rows(Path(corpus_file)):
         if not isinstance(row, dict):
@@ -104,6 +105,9 @@ def ingest(
             logger.warning("corpus line %d rejected: %s", lineno, exc)
             rejected += 1
             continue
+        except EmbeddingUnavailable as exc:  # keep the rows before this one
+            save_store(store, Path(memory_file))
+            raise EmbeddingUnavailable(f"corpus line {lineno}: {exc}") from exc
         if outcome == memory.InsertOutcome.INSERTED:
             inserted += 1
         else:

@@ -16,8 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .embedding import DEFAULT_REMOTE_TIMEOUT, CachingEmbedder, RemoteEmbedder, default_embedder
-from .gateway import GatewayConfig
+from .embedding import CachingEmbedder, default_embedder
+from .gateway import DEFAULT_REMOTE_TIMEOUT, GatewayConfig, RemoteEmbedder
 from .oracle import DEFAULT_COMMAND_TIMEOUT, DEFAULT_TOTAL_BUDGET
 from .retrieval import DEFAULT_K_MIN, DEFAULT_TOP_N
 from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_LOG_BUDGET, DEFAULT_OUTPUT_CAP

@@ -1,27 +1,20 @@
-"""Text embedding backends, a bounded least-recently-used cache, and row-wise cosine.
+"""Local text embedding: a deterministic hashing embedder, a bounded LRU cache, and row-wise cosine.
 
-Two backends share one interface: a deterministic local embedder used for
-tests and offline runs (signed feature hashing over word tokens), and a
-remote embedder speaking the common ``/embeddings`` JSON protocol. Both are
-normally wrapped in :class:`CachingEmbedder`. Stored entries keep their
-vectors in the memory store's tier indexes (:class:`VectorRows`), so the
-cache mostly serves texts a session repeats, such as its queries.
+The deterministic embedder (signed feature hashing over word tokens) serves
+tests and offline runs; the remote one is in :mod:`.gateway`, beside the one
+HTTP client. Either is normally wrapped in :class:`CachingEmbedder`. Stored
+entries keep their vectors in the memory store's tier indexes
+(:class:`VectorRows`), so the cache mostly serves texts a session repeats.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
-import os
 import string
-import urllib.error
-import urllib.request
 
 import numpy as np
-
-from .errors import EmbeddingUnavailable
 
 # Every byte but an ASCII lowercase letter or digit becomes a space.
 _SEPARATE = bytes(b if chr(b) in string.ascii_lowercase + string.digits else 32 for b in range(256))
@@ -32,8 +25,6 @@ CACHE_SIZE = 256
 # Distinct tokens whose slot DeterministicEmbedder keeps, least
 # recently used evicted first.
 TOKEN_MEMO_SIZE = 1 << 14
-
-DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
 
 
 def tokenize(text: str) -> list[str]:
@@ -164,41 +155,6 @@ def _token_slot(token: str) -> int:
     dim = DeterministicEmbedder.dim
     bucket = int.from_bytes(digest[:4], "big") % dim
     return bucket if digest[4] % 2 == 0 else bucket + dim
-
-
-class RemoteEmbedder:
-    """OpenAI-compatible embedding endpoint client."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model_name: str,
-        api_key_env: str = "",
-        timeout: float = DEFAULT_REMOTE_TIMEOUT,
-    ) -> None:
-        self.endpoint = endpoint.rstrip("/")
-        self.model_name = model_name
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-
-    def embed(self, text: str) -> np.ndarray:
-        payload = json.dumps({"model": self.model_name, "input": [text]}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "") if self.api_key_env else ""
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        req = urllib.request.Request(
-            f"{self.endpoint}/embeddings", data=payload, headers=headers
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
-            raw = body["data"][0]["embedding"]
-        except (urllib.error.URLError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise EmbeddingUnavailable(f"embedding request failed: {exc}") from exc
-        if not (isinstance(raw, list) and raw and all(type(x) in (int, float) for x in raw)):
-            raise EmbeddingUnavailable(f"malformed embedding response: {raw!r:.80}")
-        return np.asarray(raw, dtype=np.float64)
 
 
 class CachingEmbedder:

@@ -4,10 +4,14 @@ The scripted backend replays a JSON-lines transcript of turns keyed by
 (phase, attempt), which makes the whole control plane testable offline:
 an end-to-end repair run is byte-for-byte reproducible without a network.
 Prompt assembly is a pure function so rendered prompts are stable too.
+
+Both live HTTP clients, the chat backend and :class:`RemoteEmbedder`, post
+through :func:`post_json` under its one retry policy.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -17,13 +21,22 @@ import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
-from .errors import GatewayExhausted, MalformedToolCall
+import numpy as np
+
+from .errors import EmbeddingUnavailable, GatewayExhausted, MalformedToolCall
 from .workspace import CompressedContext, ToolCall
 
 DEFAULT_PROMPT_BUDGET = 24_000
 
 PHASES = ("locator", "patcher", "verifier")
+
+RETRIES = 3  # attempts per request
+RETRYABLE_4XX = frozenset({408, 429})  # timeout, rate limit; other 4xx fail at once
+RETRY_AFTER = frozenset({429, 503})  # statuses whose Retry-After sets the next wait
+
+DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
 
 
 @dataclass
@@ -140,13 +153,51 @@ class ScriptedGateway:
         )
 
 
+def post_json(url: str, payload: dict, api_key_env: str, timeout: float,
+              error: Callable[[str], Exception]):
+    """POST `payload` as JSON, with the key in env var `api_key_env` as bearer
+    token, and return the decoded reply. A transport error, a reply that is
+    not JSON, a 5xx, 408 or 429 is retried: :data:`RETRIES` attempts, 1 + 2 s
+    of backoff in all, a delta-seconds Retry-After on 429/503 within that.
+    Other 4xx fail at once. Failures raise ``error(message)``; a malformed
+    `url` raises ValueError and is never retried."""
+    headers = {"Content-Type": "application/json"}
+    if key := os.environ.get(api_key_env, ""):
+        headers["Authorization"] = f"Bearer {key}"
+    req = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"), headers=headers)
+    if req.type not in ("http", "https") or not req.host:
+        raise ValueError(f"not an http(s) URL: {url}")
+    last_error: Exception | None = None
+    sleep_left = 2 ** (RETRIES - 1) - 1  # the 1 + 2 + ... s of the backoff
+    for attempt in range(RETRIES):
+        delay = 2**attempt
+        try:
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return json.loads(resp.read().decode("utf-8"))
+        except urllib.error.HTTPError as exc:
+            exc.close()  # the error response holds the connection open
+            if 400 <= exc.code < 500 and exc.code not in RETRYABLE_4XX:
+                raise error(f"refused the request: HTTP {exc.code} {exc.reason}") from exc
+            if exc.code in RETRY_AFTER and exc.headers is not None:
+                # delta-seconds only; an HTTP date keeps the backoff
+                if m := re.fullmatch(r"\s*(\d+)\s*", exc.headers.get("Retry-After") or ""):
+                    delay = int(m[1])
+            last_error = exc
+        except http.client.InvalidURL as exc:  # a port that is not a number, say
+            raise ValueError(f"{exc}: {url}") from exc
+        except (OSError, json.JSONDecodeError) as exc:  # URLError and timeouts are OSErrors
+            last_error = exc
+        if attempt + 1 < RETRIES:
+            delay = min(delay, sleep_left)
+            sleep_left -= delay
+            time.sleep(delay)
+    raise error(f"unreachable after {RETRIES} attempts: {last_error}")
+
+
 class HttpGateway:
-    """OpenAI-compatible chat-completions client with bounded retries."""
+    """OpenAI-compatible chat-completions client."""
 
     deterministic = False
-    RETRIES = 3
-    RETRYABLE_4XX = frozenset({408, 429})  # timeout, rate limit; other 4xx fail at once
-    RETRY_AFTER = frozenset({429, 503})  # statuses whose Retry-After sets the next wait
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
@@ -183,40 +234,10 @@ class HttpGateway:
         return payload
 
     def complete(self, history: list[ChatTurn], available_tools: list[dict]) -> ChatTurn:
-        body = json.dumps(self._payload(history, available_tools)).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.config.api_key_env, "") if self.config.api_key_env else ""
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        url = self.config.endpoint.rstrip("/") + "/chat/completions"
-        last_error: Exception | None = None
-        sleep_left = 2 ** (self.RETRIES - 1) - 1  # the 1 + 2 + ... s of the backoff
-        for attempt in range(self.RETRIES):
-            delay = 2**attempt
-            try:
-                req = urllib.request.Request(url, data=body, headers=headers)
-                with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
-                    reply = json.loads(resp.read().decode("utf-8"))
-                break
-            except urllib.error.HTTPError as exc:
-                if 400 <= exc.code < 500 and exc.code not in self.RETRYABLE_4XX:
-                    raise GatewayExhausted(
-                        f"gateway refused the request: HTTP {exc.code} {exc.reason}"
-                    ) from exc
-                if exc.code in self.RETRY_AFTER and exc.headers is not None:
-                    # delta-seconds only; an HTTP date keeps the backoff
-                    if m := re.fullmatch(r"\s*(\d+)\s*", exc.headers.get("Retry-After") or ""):
-                        delay = int(m[1])
-                last_error = exc
-            except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-                last_error = exc
-            if attempt + 1 < self.RETRIES:
-                delay = min(delay, sleep_left)
-                sleep_left -= delay
-                time.sleep(delay)
-        else:
-            raise GatewayExhausted(f"gateway unreachable after {self.RETRIES} attempts: {last_error}")
-
+        cfg = self.config
+        url = cfg.endpoint.rstrip("/") + "/chat/completions"
+        reply = post_json(url, self._payload(history, available_tools), cfg.api_key_env, cfg.timeout,
+                          lambda msg: GatewayExhausted(f"gateway {msg}"))
         try:
             message = reply["choices"][0]["message"]
             content, raw_calls = message.get("content"), message.get("tool_calls")
@@ -248,6 +269,28 @@ def build_gateway(config: GatewayConfig):
     if config.backend == "http":
         return HttpGateway(config)
     raise ValueError(f"unknown gateway backend: {config.backend!r}")
+
+
+@dataclass
+class RemoteEmbedder:
+    """OpenAI-compatible embedding endpoint client."""
+
+    endpoint: str
+    model_name: str
+    api_key_env: str = ""
+    timeout: float = DEFAULT_REMOTE_TIMEOUT
+
+    def embed(self, text: str) -> np.ndarray:
+        payload = {"model": self.model_name, "input": [text]}
+        body = post_json(self.endpoint.rstrip("/") + "/embeddings", payload, self.api_key_env, self.timeout,
+                         lambda msg: EmbeddingUnavailable(f"embedding request failed: {msg}"))
+        try:
+            raw = body["data"][0]["embedding"]
+            if not (isinstance(raw, list) and raw and all(type(x) in (int, float) for x in raw)):
+                raise TypeError(f"embedding is not a list of numbers: {raw!r:.80}")
+        except (KeyError, IndexError, TypeError) as exc:
+            raise EmbeddingUnavailable(f"malformed embedding response: {exc}") from exc
+        return np.asarray(raw, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

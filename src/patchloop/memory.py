@@ -563,7 +563,10 @@ def load_store(path: Path, embedder: CachingEmbedder | None = None) -> MemorySto
             except json.JSONDecodeError as exc:
                 raise CorruptMemoryFile(f"{path}:{lineno}: bad JSON ({exc})") from exc
             if not (isinstance(rec, dict) and "completed_tasks" in rec):
-                store.add(_record_to_entry(rec))
+                try:
+                    store.add(_record_to_entry(rec))
+                except CorruptMemoryFile as exc:
+                    raise CorruptMemoryFile(f"{path}:{lineno}: {exc}") from exc
             elif type(rec["completed_tasks"]) is int and len(rec) == 1:
                 store.completed_tasks = rec["completed_tasks"]
             else:

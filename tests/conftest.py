@@ -3,8 +3,10 @@ repo matching the documented ranking example, and scripted transcripts."""
 
 from __future__ import annotations
 
+import http.server
 import json
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
@@ -441,3 +443,47 @@ def crash_repo(tmp_path: Path) -> Path:
     for rel, content in crash_repo_files().items():
         (root / rel).write_text(content, encoding="utf-8")
     return root
+
+
+# ---------------------------------------------------------------------------
+# Loopback HTTP server for the live clients
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def http_server(monkeypatch):
+    """An HTTP server on 127.0.0.1, with the base URL ``server.url``. Each
+    POST is recorded in ``server.seen`` as (path, Authorization header, JSON
+    body) and answered with the (status, headers, JSON reply) that
+    ``server.answer(path, body)`` returns."""
+    for var in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(var, "127.0.0.1")
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            server.seen.append((self.path, self.headers.get("Authorization"), body))
+            status, headers, reply = server.answer(self.path, body)
+            data = json.dumps(reply).encode("utf-8")
+            self.send_response(status)
+            for name, value in {"Content-Type": "application/json", **headers}.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    server.url = f"http://127.0.0.1:{server.server_port}/v1"
+    server.seen = []
+    server.answer = lambda path, body: (200, {}, {})
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()

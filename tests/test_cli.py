@@ -284,6 +284,70 @@ def test_ingest_dedups_with_the_configured_embedder(tmp_path, capsys, monkeypatc
     assert "alpha overflow in first parser" in seen
 
 
+def embedding_answers(http_server, refuse) -> None:
+    """Have `http_server` answer /v1/embeddings with the deterministic
+    embedder's vector, or with a 503 (Retry-After: 0) wherever
+    ``refuse(request number, text)`` is true; requests count from 1."""
+    embedder = DeterministicEmbedder()
+
+    def answer(path, body):
+        text = body["input"][0]
+        if refuse(len(http_server.seen), text):
+            return 503, {"Retry-After": "0"}, {}
+        return 200, {}, {"data": [{"embedding": embedder.embed(text).tolist()}]}
+
+    http_server.answer = answer
+
+
+def remote_embedder_config(tmp_path, url: str) -> Path:
+    cfg = tmp_path / "remote.cfg"
+    cfg.write_text(f"[retrieval]\nembedder = remote\nendpoint = {url}\nmodel_name = m\ntimeout = 5\n")
+    return cfg
+
+
+TWENTY_ROWS = [corpus_row(f"p.cve-2020-{i}", f"flaw {i} in module{i} handler", f"t{i}") for i in range(1, 21)]
+
+
+def test_ingest_rides_out_a_transient_embedder_error(tmp_path, capsys, monkeypatch, http_server):
+    embedding_answers(http_server, lambda n, text: n == 7)
+    sleeps = []
+    monkeypatch.setattr("patchloop.gateway.time.sleep", sleeps.append)
+    corpus, mem = write_jsonl(tmp_path / "corpus.jsonl", TWENTY_ROWS), tmp_path / "m.jsonl"
+    code, out, err = run_cli(
+        capsys, "--config", str(remote_embedder_config(tmp_path, http_server.url)), "--json",
+        "ingest", str(corpus), "--memory", str(mem),
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"inserted": 20, "merged": 0, "rejected": 0}
+    assert sleeps == [0] and len(http_server.seen) == 2 * 20 + 1
+    assert len(load_store(mem).l1) == 20
+
+
+def test_ingest_keeps_the_rows_before_a_lasting_embedder_outage(tmp_path, capsys, monkeypatch, http_server):
+    down = []  # the outage starts with corpus line 8 and lasts
+
+    def refuse(n, text):
+        if text == TWENTY_ROWS[7]["description"]:
+            down.append(n)
+        return bool(down)
+
+    embedding_answers(http_server, refuse)
+    monkeypatch.setattr("patchloop.gateway.time.sleep", lambda s: None)
+    cfg = remote_embedder_config(tmp_path, http_server.url)
+    corpus, mem = write_jsonl(tmp_path / "corpus.jsonl", TWENTY_ROWS), tmp_path / "m.jsonl"
+    argv = ["--config", str(cfg), "--json", "ingest", str(corpus), "--memory", str(mem)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "corpus line 8: embedding request failed: unreachable after 3 attempts" in err
+    assert [e.keys.instance_id for e in load_store(mem).l1] == [r["instance_id"] for r in TWENTY_ROWS[:7]]
+
+    embedding_answers(http_server, lambda n, text: False)  # the embedder is back
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"inserted": 13, "merged": 7, "rejected": 0}
+    assert len(load_store(mem).l1) == 20
+
+
 def test_ingest_missing_corpus_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "ingest", str(tmp_path / "absent.jsonl"), "--memory", str(tmp_path / "m.jsonl")
@@ -341,7 +405,18 @@ def test_memory_commands_on_a_corrupt_record_exit_two(tmp_path, capsys, command)
     mem.write_text("[1, 2]\n")
     code, _, err = run_cli(capsys, "memory", command[0], "--memory", str(mem), *command[1:])
     assert code == 2
-    assert "entry record is not an object" in err
+    assert f"{mem}:1: entry record is not an object" in err
+
+
+def test_memory_prune_names_the_line_of_a_record_missing_a_field(tmp_path, capsys):
+    mem = tmp_path / "m.jsonl"
+    good = json.dumps({"tier": "L1", **corpus_row("p.cve-2020-1", "alpha overflow")})
+    mem.write_text(good + '\n{"project": "p"}\n')
+    before = mem.read_text()
+    code, out, err = run_cli(capsys, "memory", "prune", "--memory", str(mem), "--window", "1")
+    assert (code, out) == (2, "")
+    assert f"{mem}:2: entry record missing field: 'tier'" in err
+    assert mem.read_text() == before
 
 
 def test_memory_inspect_on_a_state_file_of_the_wrong_shape_exits_two(tmp_path, capsys):
@@ -548,7 +623,13 @@ def test_repair_whose_rollback_fails_exits_two_naming_the_git_step(
     assert fx.git(demo_repo, "status", "--porcelain") == ""
 
 
-def test_repair_keeps_a_verified_fix_when_memory_cannot_embed(demo_repo, tmp_path, capsys, caplog):
+def test_repair_keeps_a_verified_fix_when_memory_cannot_embed(demo_repo, tmp_path, capsys, caplog, monkeypatch):
+    # The retry waits are whole seconds and are recorded; a subprocess's
+    # wait polls in fractions of one, and those are slept.
+    real_sleep, sleeps = time.sleep, []
+    monkeypatch.setattr(
+        "patchloop.gateway.time.sleep", lambda s: sleeps.append(s) if type(s) is int else real_sleep(s)
+    )
     with socket.socket() as sock:  # a port nothing listens on once closed
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
@@ -568,10 +649,29 @@ def test_repair_keeps_a_verified_fix_when_memory_cannot_embed(demo_repo, tmp_pat
     report = json.loads((out_dir / "task.report.json").read_text())
     assert report["outcome"] == "success"
     assert report["reason"].startswith("memory consolidation skipped: embedding request failed")
+    assert sleeps == [1, 2]  # the one consolidation embed, retried before it is given up
     assert fx.git(demo_repo, "diff") == report["final_diff"] != ""
     assert "not consolidated into memory" in caplog.text
     store = load_store(mem)
     assert [e.keys.instance_id for e in store.l1] == ["old.1"] and store.l2 == []
+
+
+def test_repair_with_a_malformed_embedder_endpoint_exits_two(demo_repo, tmp_path, capsys):
+    """The URL is refused before any request; retrieval does not fall back
+    to token overlap for it."""
+    mem = tmp_path / "m.jsonl"
+    row = {**corpus_row("other.cve-2020-1", "out-of-bounds write in a copy loop"), "language": "python"}
+    run_cli(capsys, "ingest", str(write_jsonl(tmp_path / "c.jsonl", [row])), "--memory", str(mem))
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    with cfg.open("a") as fh:
+        fh.write("[retrieval]\nembedder = remote\nendpoint = foo://127.0.0.1/v1\n")
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "repair", str(task), "--memory", str(mem), "--out", str(out_dir),
+    )
+    assert (code, out) == (2, "")
+    assert "configuration error: not an http(s) URL: foo://127.0.0.1/v1/embeddings" in err
+    assert not (out_dir / "task.report.json").exists()
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
 
 
 def test_repair_missing_task_file_exit_two(tmp_path, capsys):

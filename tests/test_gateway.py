@@ -1,16 +1,15 @@
 from __future__ import annotations
 
+import gc
 import http.client
-import http.server
+import io
 import json
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_transcript
-from patchloop.embedding import RemoteEmbedder
 from patchloop.errors import EmbeddingUnavailable, GatewayExhausted, MalformedToolCall
 from patchloop.gateway import (
     DEFAULT_PROMPT_BUDGET,
@@ -18,6 +17,7 @@ from patchloop.gateway import (
     ChatTurn,
     GatewayConfig,
     HttpGateway,
+    RemoteEmbedder,
     ScriptedGateway,
     _base_prompt,
     _render_memory,
@@ -294,24 +294,67 @@ def test_http_gateway_retries_then_exhausts(monkeypatch):
     assert sleeps == [1, 2]  # exponential backoff between the 3 attempts
 
 
-@pytest.mark.parametrize(
-    "status, calls, sleeps",
-    [(401, 1, []), (404, 1, []), (408, 3, [1, 2]), (429, 3, [1, 2]), (503, 3, [1, 2])],
-)
-def test_http_gateway_fails_fast_only_on_non_retryable_4xx(monkeypatch, status, calls, sleeps):
+# Each live client: one request through it to `url`, returning the reply's
+# content or vector as plain data; the error its failures raise; and the
+# prefix of that error's message.
+LIVE_CLIENTS = {
+    "gateway": (
+        lambda url: HttpGateway(GatewayConfig(backend="http", endpoint=url, timeout=5)).complete(
+            [ChatTurn("system", "s")], []
+        ).content,
+        GatewayExhausted,
+        "gateway ",
+    ),
+    "embedder": (
+        lambda url: RemoteEmbedder(url, "emb", timeout=5).embed("some text").tolist(),
+        EmbeddingUnavailable,
+        "embedding request failed: ",
+    ),
+}
+
+
+def over_live_clients(argnames: str, cases: list[tuple], ids: list[str]):
+    """Parametrize over ("client", *argnames): each case once per live client.
+    The gateway's cases keep the ids pytest gives `cases` on their own."""
+    return pytest.mark.parametrize(
+        ("client", *argnames.split(", ")),
+        [
+            pytest.param(client, *case, id=id if client == "gateway" else f"{client}-{id}")
+            for client in LIVE_CLIENTS
+            for case, id in zip(cases, ids)
+        ],
+    )
+
+
+def refuse_with(monkeypatch, status: int, headers: http.client.HTTPMessage) -> list[str]:
+    """Answer every request with HTTP `status` and `headers`, without a
+    network; returns the list of URLs asked for."""
     import urllib.error
 
-    seen_sleeps, seen_urls = [], []
+    seen_urls: list[str] = []
 
     def refuse(req, timeout=None):
         seen_urls.append(req.full_url)
-        raise urllib.error.HTTPError(req.full_url, status, "refused", {}, None)
+        raise urllib.error.HTTPError(req.full_url, status, "refused", headers, io.BytesIO())
 
-    monkeypatch.setattr("patchloop.gateway.time.sleep", seen_sleeps.append)
     monkeypatch.setattr("urllib.request.urlopen", refuse)
-    gw = HttpGateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9", timeout=0.2))
-    with pytest.raises(GatewayExhausted, match=str(status)):
-        gw.complete([ChatTurn("system", "s")], [])
+    return seen_urls
+
+
+FAIL_FAST = [(401, 1, []), (404, 1, []), (408, 3, [1, 2]), (429, 3, [1, 2]), (503, 3, [1, 2])]
+
+
+@over_live_clients(
+    "status, calls, sleeps", FAIL_FAST,
+    [f"{status}-{calls}-sleeps{i}" for i, (status, calls, _) in enumerate(FAIL_FAST)],
+)
+def test_http_gateway_fails_fast_only_on_non_retryable_4xx(monkeypatch, client, status, calls, sleeps):
+    post, error, prefix = LIVE_CLIENTS[client]
+    seen_sleeps = []
+    monkeypatch.setattr("patchloop.gateway.time.sleep", seen_sleeps.append)
+    seen_urls = refuse_with(monkeypatch, status, _retry_after(None))
+    with pytest.raises(error, match=f"^{prefix}.*{status}"):
+        post("http://127.0.0.1:9")
     assert len(seen_urls) == calls
     assert seen_sleeps == sleeps
 
@@ -323,35 +366,45 @@ def _retry_after(value: str | None) -> http.client.HTTPMessage:
     return headers
 
 
-@pytest.mark.parametrize(
-    "status, retry_after, sleeps",
-    [
-        (429, "0", [0, 0]),
-        (503, "1", [1, 1]),
-        (429, " 2 ", [2, 1]),  # the two waits stay within the 1 + 2 s of the backoff
-        (503, "120", [3, 0]),
-        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [1, 2]),
-        (503, "soon", [1, 2]),
-        (429, None, [1, 2]),
-        (408, "0", [1, 2]),  # only 429 and 503 set the wait
-    ],
+RETRY_AFTER_CASES = [
+    (429, "0", [0, 0]),
+    (503, "1", [1, 1]),
+    (429, " 2 ", [2, 1]),  # the two waits stay within the 1 + 2 s of the backoff
+    (503, "120", [3, 0]),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", [1, 2]),
+    (503, "soon", [1, 2]),
+    (429, None, [1, 2]),
+    (408, "0", [1, 2]),  # only 429 and 503 set the wait
+]
+
+
+@over_live_clients(
+    "status, retry_after, sleeps", RETRY_AFTER_CASES,
+    [f"{status}-{after}-sleeps{i}" for i, (status, after, _) in enumerate(RETRY_AFTER_CASES)],
 )
-def test_http_gateway_honours_retry_after(monkeypatch, status, retry_after, sleeps):
-    import urllib.error
-
-    seen_sleeps, seen_urls = [], []
-
-    def refuse(req, timeout=None):
-        seen_urls.append(req.full_url)
-        raise urllib.error.HTTPError(req.full_url, status, "busy", _retry_after(retry_after), None)
-
+def test_http_gateway_honours_retry_after(monkeypatch, client, status, retry_after, sleeps):
+    post, error, prefix = LIVE_CLIENTS[client]
+    seen_sleeps = []
     monkeypatch.setattr("patchloop.gateway.time.sleep", seen_sleeps.append)
-    monkeypatch.setattr("urllib.request.urlopen", refuse)
-    gw = HttpGateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9", timeout=0.2))
-    with pytest.raises(GatewayExhausted, match=str(status)):
-        gw.complete([ChatTurn("system", "s")], [])
+    seen_urls = refuse_with(monkeypatch, status, _retry_after(retry_after))
+    with pytest.raises(error, match=f"^{prefix}.*{status}"):
+        post("http://127.0.0.1:9")
     assert len(seen_urls) == 3
     assert seen_sleeps == sleeps
+
+
+@pytest.mark.parametrize("client", LIVE_CLIENTS)
+@pytest.mark.parametrize(
+    "endpoint", ["127.0.0.1/v1", "foo://127.0.0.1/v1", "http:///v1", "http://127.0.0.1:x/v1"],
+    ids=["no scheme", "not http", "no host", "port not a number"],
+)
+def test_a_malformed_endpoint_is_a_value_error_at_once(monkeypatch, client, endpoint):
+    post, _, _ = LIVE_CLIENTS[client]
+    sleeps = []
+    monkeypatch.setattr("patchloop.gateway.time.sleep", sleeps.append)
+    with pytest.raises(ValueError):
+        post(endpoint)
+    assert sleeps == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,37 +413,13 @@ def test_http_gateway_honours_retry_after(monkeypatch, status, retry_after, slee
 
 
 @pytest.fixture
-def loopback(monkeypatch):
-    """An HTTP server on 127.0.0.1: answers a POST with ``replies[path]`` and
-    records (path, Authorization header, JSON body) in ``seen``."""
-    for var in ("no_proxy", "NO_PROXY"):
-        monkeypatch.setenv(var, "127.0.0.1")
+def loopback(http_server):
+    """The loopback server answering a POST with ``replies[path]``: yields its
+    URL, the replies and the (path, Authorization header, JSON body) of each
+    request."""
     replies: dict[str, dict] = {}
-    seen: list[tuple] = []
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            seen.append((self.path, self.headers.get("Authorization"), body))
-            data = json.dumps(replies[self.path]).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/v1", replies, seen
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
+    http_server.answer = lambda path, body: (200, {}, replies[path])
+    yield http_server.url, replies, http_server.seen
 
 
 def test_http_gateway_sends_the_key_and_decodes_tool_calls(loopback, monkeypatch):
@@ -475,3 +504,30 @@ def test_http_gateway_tool_call_without_a_function_is_malformed(loopback, call):
     gw = HttpGateway(GatewayConfig(backend="http", endpoint=url, timeout=5))
     with pytest.raises(MalformedToolCall):
         gw.complete([ChatTurn("user", "hi")], [])
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize(
+    "client, path, want",
+    [("gateway", "/v1/chat/completions", "done"), ("embedder", "/v1/embeddings", [0.5, -1.0, 2.0])],
+)
+def test_a_503_then_a_200_returns_the_reply_and_closes_the_503(http_server, monkeypatch, client, path, want):
+    post, _, _ = LIVE_CLIENTS[client]
+    reply = {"choices": [{"message": {"content": "done"}}], "data": [{"embedding": [0.5, -1, 2]}]}
+    answers = iter([(503, {}, {}), (200, {}, reply)])
+    http_server.answer = lambda *_: next(answers)
+    sleeps = []
+    monkeypatch.setattr("patchloop.gateway.time.sleep", sleeps.append)
+    assert post(http_server.url) == want
+    gc.collect()  # an unclosed response warns only when it is collected
+    assert [seen_path for seen_path, _, _ in http_server.seen] == [path] * 2
+    assert sleeps == [1]
+
+
+def test_remote_embedder_gives_up_at_once_on_a_400(http_server, monkeypatch):
+    http_server.answer = lambda path, body: (400, {}, {"error": "bad input"})
+    sleeps = []
+    monkeypatch.setattr("patchloop.gateway.time.sleep", sleeps.append)
+    with pytest.raises(EmbeddingUnavailable, match="^embedding request failed: refused the request: HTTP 400"):
+        RemoteEmbedder(http_server.url, "emb", timeout=5).embed("some text")
+    assert len(http_server.seen) == 1 and sleeps == []

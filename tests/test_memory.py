@@ -573,23 +573,24 @@ def test_insert_parses_each_appended_id_once(monkeypatch):
 def test_load_rejects_corrupt_file(tmp_path):
     path = tmp_path / "memory.jsonl"
     path.write_text('{"tier": "L9"}\n')
-    with pytest.raises(memory.CorruptMemoryFile):
+    with pytest.raises(memory.CorruptMemoryFile, match=re.escape(f"{path}:1: unknown tier tag")):
         load_store(path)
     path.write_text("not json at all\n")
-    with pytest.raises(memory.CorruptMemoryFile):
+    with pytest.raises(memory.CorruptMemoryFile, match=re.escape(f"{path}:1: bad JSON")):
         load_store(path)
     good = json.loads(GOLDEN_MEMORY.splitlines()[0])
-    for bad in (
-        [1, 2],
-        {**good, "fallback_seq": "x"},
-        {**good, "last_retrieved": "5"},
-        {**good, "last_retrieved": 1.5},
-        {**good, "project": 7},
-        {**good, "description": None},
-        {**good, "fix_patch": ["--- a/x"]},
+    for bad, problem in (
+        ([1, 2], "entry record is not an object"),
+        ({"project": "p"}, "entry record missing field: 'tier'"),
+        ({**good, "fallback_seq": "x"}, "fallback_seq is not an integer"),
+        ({**good, "last_retrieved": "5"}, "last_retrieved is not an integer"),
+        ({**good, "last_retrieved": 1.5}, "last_retrieved is not an integer"),
+        ({**good, "project": 7}, "entry field project is not a string"),
+        ({**good, "description": None}, "entry field description is not a string"),
+        ({**good, "fix_patch": ["--- a/x"]}, "entry field fix_patch is not a string"),
     ):
-        path.write_text(json.dumps(bad) + "\n")
-        with pytest.raises(memory.CorruptMemoryFile):
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(memory.CorruptMemoryFile, match=re.escape(f"{path}:2: {problem}")):
             load_store(path)
 
 
@@ -606,7 +607,7 @@ def test_load_rejects_a_state_file_of_the_wrong_shape(tmp_path, state):
     if "completed_tasks" in state:
         match = re.escape(f"{path}:4: completed_tasks is not an integer")
     else:
-        match = "entry record is not an object"
+        match = re.escape(f"{path}:4: entry record is not an object")
     with pytest.raises(memory.CorruptMemoryFile, match=match):
         load_store(path)
     path.write_text(GOLDEN_MEMORY + '{"completed_tasks": 3}\n')
