@@ -6,7 +6,8 @@ workspace and yields a candidate diff against the pristine snapshot; the
 verifier runs the oracle and routes the result:
 
   * both checks pass            -> Success (session ends, memory updated)
-  * vulnerability persists      -> Relocate (back to the locator)
+  * vulnerability persists      -> Relocate (back to the locator; the
+                                   regression suite does not run)
   * fixed but regression broken -> Regenerate (patch again at the same spot)
 
 Every failed attempt is compressed into a three-field summary that feeds
@@ -261,8 +262,9 @@ class SessionRunner:
         except (ValueError, TypeError) as exc:
             return ToolResult(False, f"bad arguments for {call.name}: {exc}", "BadArguments")
         except OSError as exc:
-            where = args.get("path", "")  # not the absolute path the error names
-            message = f"{call.name} failed on {where}: {exc.strerror or exc}"
+            # the path as given, not the absolute one the error names; bash has none
+            where = f" on {args['path']}" if "path" in args else ""
+            message = f"{call.name} failed{where}: {exc.strerror or exc}"
             return ToolResult(False, message, "OSError")
 
     def _drive_phase(

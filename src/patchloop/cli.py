@@ -181,7 +181,7 @@ def repair_one(
         gateway_cfg = replace(gateway_cfg, transcript=str(task_data["transcript"]))
     gateway = build_gateway(gateway_cfg)
 
-    # Opened last: everything above can fail without a shell to clean up.
+    # Opened last: everything above can fail without an index to clean up.
     workspace = Workspace(
         Path(task_data["repo"]),
         bash_timeout=cfg.limits.bash_timeout,

@@ -6,7 +6,8 @@ an end-to-end repair run is byte-for-byte reproducible without a network.
 Prompt assembly is a pure function so rendered prompts are stable too.
 
 Both live HTTP clients, the chat backend and :class:`RemoteEmbedder`, post
-through :func:`post_json` under its one retry policy.
+through :func:`post_json` under its one retry policy, and both refuse a
+malformed endpoint through :func:`http_url` when they are built.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import os
 import re
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -153,6 +155,19 @@ class ScriptedGateway:
         )
 
 
+def http_url(url: str) -> str:
+    """`url` itself if it is an http(s) URL with a host and, when it names
+    one, a numeric port; ValueError otherwise."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url}")
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {url}") from None
+    return url
+
+
 def post_json(url: str, payload: dict, api_key_env: str, timeout: float,
               error: Callable[[str], Exception]):
     """POST `payload` as JSON, with the key in env var `api_key_env` as bearer
@@ -164,9 +179,7 @@ def post_json(url: str, payload: dict, api_key_env: str, timeout: float,
     headers = {"Content-Type": "application/json"}
     if key := os.environ.get(api_key_env, ""):
         headers["Authorization"] = f"Bearer {key}"
-    req = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"), headers=headers)
-    if req.type not in ("http", "https") or not req.host:
-        raise ValueError(f"not an http(s) URL: {url}")
+    req = urllib.request.Request(http_url(url), data=json.dumps(payload).encode("utf-8"), headers=headers)
     last_error: Exception | None = None
     sleep_left = 2 ** (RETRIES - 1) - 1  # the 1 + 2 + ... s of the backoff
     for attempt in range(RETRIES):
@@ -183,7 +196,7 @@ def post_json(url: str, payload: dict, api_key_env: str, timeout: float,
                 if m := re.fullmatch(r"\s*(\d+)\s*", exc.headers.get("Retry-After") or ""):
                     delay = int(m[1])
             last_error = exc
-        except http.client.InvalidURL as exc:  # a port that is not a number, say
+        except http.client.InvalidURL as exc:  # a space in the path, say
             raise ValueError(f"{exc}: {url}") from exc
         except (OSError, json.JSONDecodeError) as exc:  # URLError and timeouts are OSErrors
             last_error = exc
@@ -201,6 +214,7 @@ class HttpGateway:
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
+        self.url = http_url(config.endpoint.rstrip("/") + "/chat/completions")
 
     def set_context(self, phase: str, attempt: int) -> None:
         pass  # live backend does not key on phase
@@ -235,8 +249,7 @@ class HttpGateway:
 
     def complete(self, history: list[ChatTurn], available_tools: list[dict]) -> ChatTurn:
         cfg = self.config
-        url = cfg.endpoint.rstrip("/") + "/chat/completions"
-        reply = post_json(url, self._payload(history, available_tools), cfg.api_key_env, cfg.timeout,
+        reply = post_json(self.url, self._payload(history, available_tools), cfg.api_key_env, cfg.timeout,
                           lambda msg: GatewayExhausted(f"gateway {msg}"))
         try:
             message = reply["choices"][0]["message"]
@@ -279,10 +292,14 @@ class RemoteEmbedder:
     model_name: str
     api_key_env: str = ""
     timeout: float = DEFAULT_REMOTE_TIMEOUT
+    url: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.url = http_url(self.endpoint.rstrip("/") + "/embeddings")
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.model_name, "input": [text]}
-        body = post_json(self.endpoint.rstrip("/") + "/embeddings", payload, self.api_key_env, self.timeout,
+        body = post_json(self.url, payload, self.api_key_env, self.timeout,
                          lambda msg: EmbeddingUnavailable(f"embedding request failed: {msg}"))
         try:
             raw = body["data"][0]["embedding"]

@@ -2,8 +2,11 @@
 
 A task ships a reproduction (PoC) command, a regression command, and an
 optional build command, each with a pass predicate. ``check_vul`` runs them
-against the current workspace and reports whether the vulnerability is
-mitigated and whether previously-passing regression tests still pass. The
+against the current workspace, in that order, and reports whether the
+vulnerability is mitigated and whether previously-passing regression tests
+still pass. It stops at the first command whose answer settles the route: a
+failing build, or a PoC that still fails, since a persisting vulnerability
+sends the candidate back to localization whatever the suite says. The
 baseline pass set is computed once on the pristine checkout; tests already
 failing there are out of scope and never surface in verdicts.
 """
@@ -90,7 +93,7 @@ class OracleSpec:
 @dataclass
 class VerificationVerdict:
     vuln_mitigated: bool
-    functionality_preserved: bool
+    functionality_preserved: bool | None  # None: the suite was not run
     build_ok: bool
     logs: str
 
@@ -196,7 +199,10 @@ class OracleRunner:
         )
 
     def check_vul(self) -> VerificationVerdict:
-        """Run build, PoC, and regression suite against the current tree."""
+        """Run build, PoC, and regression suite against the current tree.
+        The suite runs only behind a passing PoC; a PoC that still fails
+        returns at once, with ``functionality_preserved`` None and the build
+        and PoC output as its logs."""
         logs: list[str] = []
         if self.spec.build_command:
             code, out = self._run(self.spec.build_command)
@@ -206,12 +212,13 @@ class OracleRunner:
 
         code, out = self._run(self.spec.poc_command)
         logs.append(f"$ {self.spec.poc_command}\n{out}")
-        mitigated = predicate_passes(self.spec.predicate("poc_command"), code, out)
+        if not predicate_passes(self.spec.predicate("poc_command"), code, out):
+            return VerificationVerdict(False, None, True, cap_output("\n".join(logs)))
 
         code, out = self._run(self.spec.regression_command)
         logs.append(f"$ {self.spec.regression_command}\n{out}")
         preserved = self._regressions_preserved(code, out)
-        return VerificationVerdict(mitigated, preserved, True, cap_output("\n".join(logs)))
+        return VerificationVerdict(True, preserved, True, cap_output("\n".join(logs)))
 
     def _regressions_preserved(self, code: int, output: str) -> bool:
         if self.baseline_passing:

@@ -324,7 +324,8 @@ def log_compress(
 
 
 class Workspace:
-    """A version-controlled checkout plus a persistent shell session."""
+    """A version-controlled checkout plus a persistent shell session, which
+    starts at the first ``bash`` call."""
 
     def __init__(
         self,
@@ -338,13 +339,14 @@ class Workspace:
         if not (self.root / ".git").exists():
             raise WorkspaceError(f"workspace root is not a git checkout: {self.root}")
         self.output_cap = output_cap
+        self._bash_timeout = bash_timeout
+        self._shell: PersistentShell | None = None
         self._index_dir = tempfile.mkdtemp(prefix="pl-index-")
         try:
             index = os.path.join(self._index_dir, "index")
             self._git_env = {**os.environ, "GIT_INDEX_FILE": index}
             self._seed_index(index)
             self._pathspec = self._exclude_ignored()
-            self._shell = PersistentShell(self.root, bash_timeout)
         except BaseException:
             shutil.rmtree(self._index_dir, ignore_errors=True)
             raise
@@ -383,7 +385,8 @@ class Workspace:
         return path
 
     def close(self) -> None:
-        self._shell.close()
+        if self._shell is not None:
+            self._shell.close()
         shutil.rmtree(self._index_dir, ignore_errors=True)
 
     # -- path confinement ---------------------------------------------------
@@ -580,7 +583,12 @@ class Workspace:
         return ToolResult(True, f"replaced 1 occurrence in {path}")
 
     def bash(self, command: str, restart: bool = False) -> ToolResult:
-        if restart:
+        """Run `command` in the session's shell, started on the first call;
+        a shell that cannot start raises OSError, and the next call tries
+        again."""
+        if self._shell is None:
+            self._shell = PersistentShell(self.root, self._bash_timeout)
+        elif restart:
             self._shell.restart()
         ok, output, error_kind = self._shell.run(command)
         output = cap_output(output, self.output_cap)

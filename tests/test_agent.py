@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import subprocess
 from dataclasses import replace
 
@@ -26,7 +28,7 @@ from patchloop.memory import (
     insert,
 )
 from patchloop.oracle import OracleRunner, OracleSpec, VerificationVerdict
-from patchloop.workspace import Workspace
+from patchloop.workspace import PersistentShell, Workspace
 
 
 DEMO_SPEC = OracleSpec(
@@ -254,6 +256,44 @@ def test_relocate_runs_the_poc_only_to_validate_and_verify(demo_repo, tmp_path, 
     assert report.outcome == "success"
     # once in validate_pristine and once in each check_vul; locate runs none
     assert commands.count("python3 poc.py") == 3
+
+
+def test_a_relocated_attempt_runs_no_regression_suite(demo_repo, tmp_path):
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    fixed = fx.init_repo(tmp_path / "fixed", dict(fx.DEMO_FILES))
+    (fixed / "app" / "buffer.py").write_text(fx.BUFFER_PY.replace(fx.REPLACE_OLD, fx.GOOD_NEW, 1))
+    assert (report.outcome, report.failed_attempts) == ("success", 1)
+    assert report.final_diff == fx.git(fixed, "diff") == fx.git(demo_repo, "diff")
+    relocated, accepted = (a["verdict"] for a in report.attempts)
+    assert (relocated["vuln_mitigated"], relocated["functionality_preserved"]) == (False, None)
+    assert '"functionality_preserved": null' in json.dumps(report.to_json())
+    assert "$ python3 poc.py" in relocated["logs"] and "$ python3 tests.py" not in relocated["logs"]
+    assert (accepted["vuln_mitigated"], accepted["functionality_preserved"]) == (True, True)
+    assert "$ python3 tests.py" in accepted["logs"]
+
+
+def test_a_session_that_calls_no_bash_starts_no_shell(demo_repo, tmp_path, monkeypatch):
+    spawn, spawned = PersistentShell._spawn, []
+    monkeypatch.setattr(PersistentShell, "_spawn", lambda self: (spawned.append(self), spawn(self))[1])
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
+    assert report.outcome == "success" and spawned == []
+
+
+def test_a_shell_that_cannot_start_is_an_oserror_result(demo_repo, tmp_path, monkeypatch):
+    def out_of_processes(self):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(PersistentShell, "_spawn", out_of_processes)
+    records = fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)
+    records[2]["turn"]["tool_calls"].insert(0, {"name": "bash", "args": {"command": "python3 poc.py"}})
+    report, runner, _ = run_scripted(
+        demo_repo, tmp_path, lambda path: fx.write_transcript(path, records)
+    )
+    assert report.outcome == "success"
+    (bash,) = [t for t in runner.trajectory if t["type"] == "tool" and t["call"]["name"] == "bash"]
+    assert bash["result"] == {
+        "ok": False, "output": f"bash failed: {os.strerror(errno.EAGAIN)}", "error_kind": "OSError"
+    }
 
 
 def test_every_locator_prompt_carries_the_pristine_poc_output(demo_repo, tmp_path):

@@ -674,6 +674,27 @@ def test_repair_with_a_malformed_embedder_endpoint_exits_two(demo_repo, tmp_path
     assert fx.git(demo_repo, "status", "--porcelain") == ""
 
 
+def test_repair_with_a_malformed_embedder_endpoint_and_no_memories_exits_two_at_once(
+    demo_repo, tmp_path, capsys
+):
+    """No retrieval embeds from an empty store, so only the endpoint check
+    made when the embedder is built stops the session before it starts."""
+    mem, marker = tmp_path / "m.jsonl", tmp_path / "poc_ran"
+    mem.write_text("")
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    task.write_text(json.dumps(on_demo()(demo_repo, marker)))
+    with cfg.open("a") as fh:
+        fh.write("[retrieval]\nembedder = remote\nendpoint = foo://127.0.0.1/v1\n")
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "repair", str(task), "--memory", str(mem), "--out", str(out_dir),
+    )
+    assert (code, out) == (2, "")
+    assert "configuration error: not an http(s) URL: foo://127.0.0.1/v1/embeddings" in err
+    assert not marker.exists()  # no oracle command ran
+    assert not (out_dir / "task.report.json").exists()
+    assert fx.git(demo_repo, "status", "--porcelain") == "" and mem.read_text() == ""
+
+
 def test_repair_missing_task_file_exit_two(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "repair", str(tmp_path / "absent.json"), "--memory", str(tmp_path / "m.jsonl")
@@ -982,7 +1003,8 @@ def test_repair_one_closes_workspace_when_task_is_invalid(demo_repo, tmp_path, m
     task.write_text(json.dumps(fx.demo_task_json(demo_repo, {"poc_command": " "})))
     with pytest.raises(ValueError, match="poc_command"):
         cli.repair_one(task, tmp_path / "m.jsonl", load_config(None), tmp_path / "out")
-    assert not any(ws._shell.alive or Path(ws._index_dir).exists() for ws in opened)
+    # the shell starts at the first bash call, so it may not exist
+    assert not any((ws._shell and ws._shell.alive) or Path(ws._index_dir).exists() for ws in opened)
 
 
 def test_memory_inspect_table_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ import gc
 import http.client
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -119,7 +120,7 @@ def test_build_gateway_dispatch(tmp_path):
     path = one_turn_transcript(tmp_path)
     gw = build_gateway(GatewayConfig(backend="scripted", transcript=str(path)))
     assert isinstance(gw, ScriptedGateway)
-    assert isinstance(build_gateway(GatewayConfig(backend="http")), HttpGateway)
+    assert isinstance(build_gateway(GatewayConfig(backend="http", endpoint="http://127.0.0.1:9")), HttpGateway)
     with pytest.raises(ValueError):
         build_gateway(GatewayConfig(backend="scripted"))
     with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ def test_build_gateway_dispatch(tmp_path):
 
 
 def test_http_payload_shape():
-    gw = HttpGateway(GatewayConfig(model_name="m", temperature=0.0))
+    gw = HttpGateway(GatewayConfig(endpoint="http://127.0.0.1:9", model_name="m", temperature=0.0))
     from patchloop.workspace import ToolCall
 
     history = [
@@ -405,6 +406,20 @@ def test_a_malformed_endpoint_is_a_value_error_at_once(monkeypatch, client, endp
     with pytest.raises(ValueError):
         post(endpoint)
     assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda url: HttpGateway(GatewayConfig(backend="http", endpoint=url)), lambda url: RemoteEmbedder(url, "emb")],
+    ids=["gateway", "embedder"],
+)
+@pytest.mark.parametrize(
+    "endpoint", ["", "127.0.0.1/v1", "foo://127.0.0.1/v1", "http:///v1", "http://127.0.0.1:x/v1"],
+    ids=["empty", "no scheme", "not http", "no host", "port not a number"],
+)
+def test_a_malformed_endpoint_is_refused_when_the_client_is_built(build, endpoint):
+    with pytest.raises(ValueError, match=f": {re.escape(endpoint)}/(chat/completions|embeddings)$"):
+        build(endpoint)
 
 
 # ---------------------------------------------------------------------------

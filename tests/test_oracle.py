@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import subprocess
 import time
 
 import pytest
 
-from conftest import BAD_NEW_REGRESSION, GOOD_NEW, REPLACE_OLD
+from conftest import BAD_NEW_NOT_FIXED, BAD_NEW_REGRESSION, GOOD_NEW, REPLACE_OLD
 from patchloop.errors import BuildToolMissing, OracleTimeout, PristineCheckFailed
 from patchloop.oracle import (
     OracleRunner,
@@ -77,11 +78,34 @@ def test_parse_test_results():
 
 def test_pristine_fixture_vulnerable_but_regressions_green(demo_repo):
     runner = runner_for(demo_repo)
+    # the suite is green on the pristine tree: its baseline holds every demo test
+    assert runner.baseline_passing == {"copies_payload", "tracks_length", "zero_length_copy"}
+    assert runner.baseline_predicate_ok is True
     verdict = runner.check_vul()
     assert verdict.vuln_mitigated is False
-    assert verdict.functionality_preserved is True
+    assert verdict.functionality_preserved is None  # behind a failing PoC the suite does not run
     assert verdict.build_ok is True
     assert "heap-buffer-overflow" in verdict.logs
+
+
+@pytest.mark.parametrize("build_command", [None, "echo built"])
+def test_a_failing_poc_runs_no_regression_command(demo_repo, build_command):
+    spec = OracleSpec(
+        poc_command="python3 poc.py",
+        regression_command="touch suite_ran; python3 tests.py",
+        build_command=build_command,
+    )
+    runner = OracleRunner(demo_repo, spec)
+    runner.validate_pristine()  # the baseline runs the suite once
+    (demo_repo / "suite_ran").unlink()
+    apply_fix(demo_repo, BAD_NEW_NOT_FIXED)
+    verdict = runner.check_vul()
+    assert not (demo_repo / "suite_ran").exists()
+    assert (verdict.vuln_mitigated, verdict.functionality_preserved, verdict.build_ok) == (False, None, True)
+    assert '"functionality_preserved": null' in json.dumps(verdict.to_json())
+    assert verdict.logs.startswith("$ echo built\nbuilt\n" if build_command else "$ python3 poc.py\n")
+    assert "$ python3 poc.py\n" in verdict.logs and "heap-buffer-overflow" in verdict.logs
+    assert "suite_ran" not in verdict.logs and "PASS" not in verdict.logs
 
 
 def test_correct_patch_passes_both_checks(demo_repo):

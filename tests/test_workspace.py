@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import os
@@ -15,6 +16,7 @@ from conftest import git, init_repo
 from patchloop.errors import WorkspaceError
 from patchloop.workspace import (
     CompressedContext,
+    PersistentShell,
     ToolCall,
     ToolResult,
     Workspace,
@@ -435,6 +437,26 @@ def test_bash_commands_read_dev_null_not_the_shell_input(ws):
     assert eof.error_kind == "NonZeroExit" and "EOFError" in eof.output
     heredoc = ws.bash("cat <<'EOF'\nfrom a heredoc\nEOF")
     assert (heredoc.ok, heredoc.output.strip()) == (True, "from a heredoc")
+
+
+def test_a_shell_that_cannot_start_fails_the_bash_call_not_the_open(tmp_path, monkeypatch):
+    spawn, spawned = PersistentShell._spawn, []
+
+    def out_of_processes(self):
+        spawned.append(self)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(PersistentShell, "_spawn", out_of_processes)
+    ws = Workspace(init_repo(tmp_path / "repo", {"top.txt": "alpha\n"}), bash_timeout=10)
+    try:
+        assert spawned == [] and ws.view("top.txt").ok  # the shell starts at the first bash call
+        with pytest.raises(OSError) as exc:
+            ws.bash("echo hi", restart=True)
+        assert exc.value.errno == errno.EAGAIN and len(spawned) == 1
+        monkeypatch.setattr(PersistentShell, "_spawn", spawn)
+        assert ws.bash("echo hi").output.strip() == "hi"  # the next call tries again
+    finally:
+        ws.close()
 
 
 def test_bash_syntax_error_keeps_the_shell(ws):
