@@ -52,23 +52,25 @@ def _normalize_cwe(raw: str) -> str | None:
 
 
 def _iter_corpus_rows(path: Path):
-    """Yield (lineno, row_dict) from a CSV or JSON-lines corpus."""
+    """Yield (lineno, row) from a CSV or JSON-lines corpus; a bad JSON line's row is its error."""
     try:
         if path.suffix.lower() == ".csv":
-            with path.open("r", encoding="utf-8", newline="") as fh:
+            with path.open("r", encoding="utf-8-sig", newline="") as fh:
                 reader = csv.DictReader(fh)
                 for lineno, row in enumerate(reader, 2):  # 1 is the header
                     yield lineno, row
         else:
-            with path.open("r", encoding="utf-8") as fh:
+            with path.open("r", encoding="utf-8-sig") as fh:
                 for lineno, raw in enumerate(fh, 1):
                     if not raw.strip():
                         continue
-                    yield lineno, json.loads(raw)
+                    try:
+                        row = json.loads(raw)
+                    except json.JSONDecodeError as exc:
+                        row = exc
+                    yield lineno, row
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableCorpus(f"cannot read corpus {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UnreadableCorpus(f"corpus {path} has bad JSON: {exc}") from exc
 
 
 def ingest(
@@ -80,7 +82,9 @@ def ingest(
     inserted = merged = rejected = 0
     for lineno, row in _iter_corpus_rows(Path(corpus_file)):
         if not isinstance(row, dict):
-            logger.warning("corpus line %d rejected: not an object", lineno)
+            bad_json = isinstance(row, json.JSONDecodeError)
+            reason = f"bad JSON ({row.msg} at column {row.colno})" if bad_json else "not an object"
+            logger.warning("corpus line %d rejected: %s", lineno, reason)
             rejected += 1
             continue
         mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}

@@ -7,13 +7,12 @@ come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
 One cache maps each path, relative to the walked root, to the file's stat
-signature, decoded text and parse. Both :func:`index_repository` and the
+signature and decoded text. Both :func:`index_repository` and the
 workspace's ``search`` walk through it (:func:`read_tree`): like git's stat
 cache, it lets the next walk skip reading a file whose signature has not
-changed, binaries included. A changed file is read and decoded, and its
-parse is dropped only when its text changed, so a second checkout of the
-same files parses nothing. The index parses a text the first time it needs
-it, so a file a search already read is not read again.
+changed, binaries included. The index parses a text only when a query can
+match it, memoised by content (:func:`_parse` keeps ``PARSE_CACHE_SIZE``),
+so a second checkout of the same files parses nothing.
 
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
@@ -23,6 +22,7 @@ lexical matching (all sites flagged as uses).
 from __future__ import annotations
 
 import ast
+import functools
 import logging
 import os
 import re
@@ -44,6 +44,7 @@ USE = "use"
 DEFAULT_K = 5
 CONTEXT_RADIUS = 10  # lines on each side of a site in a localization's range
 MAX_INDEXED_BYTES = 2 * 1024 * 1024
+PARSE_CACHE_SIZE = 4096  # texts whose parse is kept, least recently used out first
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -307,33 +308,33 @@ def walk_files(root: str, prefix: str = "") -> Iterator[tuple[str, str]]:
 
 
 class SymbolIndex:
-    """Symbol sites held as groups, one per file when built by
-    :func:`index_repository`; ``sites(symbol)`` gathers them on demand."""
+    """A checkout's texts; ``sites(symbol)`` parses only those that can hold it."""
 
-    def __init__(
-        self, files: dict[str, int], groups: list[Mapping[str, tuple[SymbolSite, ...]]]
-    ) -> None:
-        self.files = files  # rel path -> line count
-        self._groups = groups
+    def __init__(self, files: dict[str, str]) -> None:
+        self.files = files  # rel path -> text
 
     def sites(self, symbol: str) -> list[SymbolSite]:
-        found = [site for group in self._groups for site in group.get(symbol, ())]
+        # C and lexical tokens appear verbatim in the text, but ast NFKC-normalises
+        # identifiers: a non-ASCII Python text may hold the symbol spelt otherwise.
+        found = [
+            site for rel, text in self.files.items()
+            if symbol in text or (not text.isascii() and _grammar_for(rel) is _extract_python_sites)
+            for site in _parse(text, rel).get(symbol, ())
+        ]
         found.sort(key=attrgetter("file", "line", "kind"))
         return found
 
     def line_count(self, file: str) -> int:
-        return self.files.get(file, 0)
+        return len(self.files.get(file, "").splitlines())
 
 
 # rel path -> (stat signature, or None while git's racy-timestamp rule
-# distrusts it; decoded text, or None for a binary; (line count, symbol ->
-# sites), or None until index_repository parses the text) of every file the
-# last walk of each root found. A walk rebinds it, replacing the entries
-# under the root it walked, and never changes it in place, so threads that
-# walk other checkouts read a dict no one is changing. As the key does not
-# name the root, the signature holds the device as well as the inode.
-_Parsed = tuple[int, Mapping[str, tuple[SymbolSite, ...]]]
-_Entry = tuple[bytes | None, str | None, _Parsed | None]
+# distrusts it; decoded text, or None for a binary) of every file the last
+# walk of each root found. A walk rebinds it, replacing the entries under the
+# root it walked, and never changes it in place, so threads that walk other
+# checkouts read a dict no one is changing. As the key does not name the
+# root, the signature holds the device as well as the inode.
+_Entry = tuple[bytes | None, str | None]
 _CACHE: dict[str, _Entry] = {}
 
 _NS = 1_000_000_000
@@ -351,30 +352,27 @@ def read_text(path: str) -> str | None:
     return None if b"\x00" in data else data.decode("utf-8", errors="replace")
 
 
-def _parse(text: str, rel: str) -> _Parsed:
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse(text: str, rel: str) -> Mapping[str, tuple[SymbolSite, ...]]:
+    """The text's sites by symbol, read-only: every index holding it shares them."""
     grammar = _grammar_for(rel)
     try:
         sites = grammar(text, rel) if grammar else _extract_lexical_sites(text, rel)
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         logger.warning("parse failure in %s, falling back to lexical: %s", rel, exc)
         sites = _extract_lexical_sites(text, rel)
     by_symbol: dict[str, list[SymbolSite]] = {}
     for site in sites:
         by_symbol.setdefault(site.symbol, []).append(site)
-    return len(text.splitlines()), MappingProxyType(
-        {symbol: tuple(group) for symbol, group in by_symbol.items()}
-    )
+    return MappingProxyType({symbol: tuple(group) for symbol, group in by_symbol.items()})
 
 
-def read_tree(
-    root: str, prefix: str = "", parse: bool = False
-) -> Iterator[tuple[str, str, _Entry | None]]:
+def read_tree(root: str, prefix: str = "") -> Iterator[tuple[str, str, _Entry | None]]:
     """Yield ``(path, prefix + relative path, cache entry)`` for each file
     :func:`walk_files` yields, reading only the files whose stat signature
     changed since the last walk. A file over ``MAX_INDEXED_BYTES`` is neither
-    read nor cached: its entry is None. With `parse`, every text gets its
-    parse. Once the walk is exhausted, the cache entries under `prefix` are
-    the ones it found."""
+    read nor cached: its entry is None. Once the walk is exhausted, the cache
+    entries under `prefix` are the ones it found."""
     global _CACHE
     cache = _CACHE
     # git's racy-timestamp rule: a file written in the second its signature
@@ -399,12 +397,8 @@ def read_tree(
             except OSError as exc:
                 logger.warning("skipping unreadable file %s: %s", path, exc)
                 continue
-            if entry is None or entry[1] != text:  # else keep the held copy and its parse
-                entry = (None, text, None)
             trusted = st.st_mtime_ns // _NS < trusted_before
-            entry = (signature if trusted else None, entry[1], entry[2])
-        if parse and entry[2] is None and entry[1] is not None:
-            entry = (entry[0], entry[1], _parse(entry[1], rel))
+            entry = (signature if trusted else None, text)
         found[rel] = entry
         yield path, rel, entry
     if prefix:
@@ -415,12 +409,11 @@ def read_tree(
 def index_repository(root: Path) -> SymbolIndex:
     """Index every readable text file under `root` (skips .git, binaries and
     files over ``MAX_INDEXED_BYTES``), reading only the files whose stat
-    changed since the last walk and parsing only the texts no walk parsed."""
+    changed since the last walk. Nothing is parsed until a query."""
     if not Path(root).is_dir():
         raise IndexFailure(f"not a readable directory: {root}")
-    parsed = [(rel, entry[2]) for _, rel, entry in read_tree(os.fspath(root), parse=True)
-              if entry is not None and entry[2] is not None]
-    return SymbolIndex({rel: p[0] for rel, p in parsed}, [p[1] for _, p in parsed])
+    return SymbolIndex({rel: entry[1] for _, rel, entry in read_tree(os.fspath(root))
+                        if entry is not None and entry[1] is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,49 @@ def test_ingest_rejects_malformed_rows(tmp_path, capsys, caplog):
     assert "corpus line 4 rejected: not an object" in caplog.text
 
 
+def test_ingest_rejects_a_line_of_bad_json_and_keeps_the_others(tmp_path, capsys, caplog):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps(corpus_row("p.cve-2020-1", "alpha overflow in first parser", "a")) + "\n"
+        "{not json\n"
+        + json.dumps(corpus_row("p.cve-2020-3", "gamma race in third cache", "c")) + "\n"
+    )
+    mem = tmp_path / "m.jsonl"
+    code, out, _ = run_cli(capsys, "--json", "ingest", str(corpus), "--memory", str(mem))
+    assert code == 0
+    assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 1}
+    assert "corpus line 2 rejected: bad JSON (" in caplog.text
+    assert [e.keys.instance_id for e in load_store(mem).l1] == ["p.cve-2020-1", "p.cve-2020-3"]
+
+
+def test_ingest_csv_with_a_byte_order_mark_keeps_its_first_column(tmp_path, capsys):
+    csv_path = tmp_path / "corpus.csv"
+    csv_path.write_text(
+        "\ufeffproject,cwe,language,instance_id,description,fix_patch\n"
+        'proj,CWE-125,c,p.cve-2021-5,out of bounds read in lexer,"--- a/l.c\n'
+        '+++ b/l.c\n@@ -1,1 +1,1 @@\n-q\n+r\n"\n',
+        encoding="utf-8",
+    )
+    mem = tmp_path / "m.jsonl"
+    code, out, _ = run_cli(capsys, "--json", "ingest", str(csv_path), "--memory", str(mem))
+    assert code == 0
+    assert json.loads(out)["inserted"] == 1
+    assert load_store(mem).l1[0].keys.project == "proj"
+
+
+def test_ingest_json_lines_with_a_byte_order_mark_keeps_its_first_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "\ufeff" + json.dumps(corpus_row("p.cve-2020-1", "alpha overflow in first parser")) + "\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(
+        capsys, "--json", "ingest", str(corpus), "--memory", str(tmp_path / "m.jsonl")
+    )
+    assert code == 0
+    assert json.loads(out) == {"inserted": 1, "merged": 0, "rejected": 0}
+
+
 def test_ingest_csv_with_column_map(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[ingest]\ncwe = cwe_id\nfix_patch = patch\n")
@@ -383,6 +426,13 @@ def test_localize_unknown_symbol_prints_empty_list(crash_repo, capsys):
     )
     assert code == 0
     assert json.loads(out) == []
+
+
+def test_localize_on_a_deeply_nested_python_file_exits_zero(tmp_path, capsys):
+    (tmp_path / "table.py").write_text("TABLE = " + " + ".join(["1"] * 20_000) + "\n")
+    code, out, _ = run_cli(capsys, "localize", "--repo", str(tmp_path), "--symbol", "TABLE")
+    assert code == 0
+    assert [(r["file"], r["line_start"]) for r in json.loads(out)] == [("table.py", 1)]
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

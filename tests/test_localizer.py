@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,16 @@ def test_syntax_error_file_is_isolated(tmp_path):
     (root / "good.py").write_text("def fine():\n    return 1\n")
     index = index_repository(root)
     assert index.sites("fine")
-    assert index.files["bad.py"] == 1  # still counted, lexical fallback
+    assert index.line_count("bad.py") == 1
+    assert [(s.file, s.line, s.kind) for s in index.sites("broken")] == [("bad.py", 1, USE)]  # lexical
+
+
+def test_a_deeply_nested_python_file_falls_back_to_lexical_sites(tmp_path):
+    root = tmp_path / "deep"
+    root.mkdir()
+    (root / "table.py").write_text("TABLE = " + " + ".join(["1"] * 20_000) + "\n")
+    index = index_repository(root)
+    assert [(s.file, s.line, s.kind) for s in index.sites("TABLE")] == [("table.py", 1, USE)]
 
 
 def test_lexical_fallback_for_unknown_extensions(tmp_path):
@@ -262,6 +272,21 @@ def test_no_match_raises(crash_repo):
         iter_grep(index, "", None)
 
 
+class StubIndex:
+    """What iter_grep reads of an index: a symbol's sites and line counts."""
+
+    def __init__(self, line_counts: dict[str, int], sites: list[SymbolSite]) -> None:
+        self.line_counts = line_counts
+        self._sites = sites
+
+    def sites(self, symbol: str) -> list[SymbolSite]:
+        found = [site for site in self._sites if site.symbol == symbol]
+        return sorted(found, key=attrgetter("file", "line", "kind"))
+
+    def line_count(self, file: str) -> int:
+        return self.line_counts.get(file, 0)
+
+
 def brute_force_rank(sites, report, k):
     def frame_index(site):
         for idx, frame in enumerate(report.frames):
@@ -303,10 +328,7 @@ def test_ranking_matches_brute_force_comparator():
         ],
         fault_kind="heap-buffer-overflow",
     )
-    index = SymbolIndex(
-        files={f: 300 for f in ("a.c", "b.c", "c.c", "d.c")},
-        groups=[{"sym": [s for s in sites if s.symbol == "sym"]}],
-    )
+    index = StubIndex({f: 300 for f in ("a.c", "b.c", "c.c", "d.c")}, sites)
     for k in (3, 5, 12):
         got = [(o.file, o.line_range) for o in iter_grep(index, "sym", report, k=k)]
         want = [
@@ -322,7 +344,7 @@ def test_without_report_ranking_degrades_to_kind_then_path():
         SymbolSite("a.c", 5, USE, "sym"),
         SymbolSite("m.c", 1, DEFINITION, "sym"),
     ]
-    index = SymbolIndex(files={"z.c": 20, "a.c": 20, "m.c": 20}, groups=[{"sym": sites}])
+    index = StubIndex({"z.c": 20, "a.c": 20, "m.c": 20}, sites)
     result = iter_grep(index, "sym", None)
     assert [(o.file, o.rank) for o in result] == [("m.c", 1), ("a.c", 2), ("z.c", 3)]
 
@@ -356,17 +378,14 @@ def test_crash_file_sites_outrank_outside_sites():
         SymbolSite("cold.c", 50, DEFINITION, "sym"),
         SymbolSite("hot.c", 400, USE, "sym"),
     ]
-    index = SymbolIndex(files={"cold.c": 500, "hot.c": 500}, groups=[{"sym": sites}])
+    index = StubIndex({"cold.c": 500, "hot.c": 500}, sites)
     report = CrashReport([CrashFrame("hot.c", 10, "f")], "heap-buffer-overflow")
     result = iter_grep(index, "sym", report)
     assert result[0].file == "hot.c"
 
 
 def test_absolute_frame_paths_match_relative_sites():
-    index = SymbolIndex(
-        files={"src/mod.c": 100},
-        groups=[{"sym": [SymbolSite("src/mod.c", 10, USE, "sym")]}],
-    )
+    index = StubIndex({"src/mod.c": 100}, [SymbolSite("src/mod.c", 10, USE, "sym")])
     report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv")
     result = iter_grep(index, "sym", report)
     assert "crash frame #0" in result[0].reason
@@ -380,6 +399,24 @@ def test_absolute_frame_paths_match_relative_sites():
 OLD_MTIME = 1_600_000_000 * 10**9
 
 
+def spy_parses(monkeypatch) -> list[str]:
+    """The path of every text the extractors parse from now on, with the
+    parse cache emptied first, so each entry is one cache miss."""
+    parsed = []
+
+    def counting(real):
+        def extract(text, path):
+            parsed.append(path)
+            return real(text, path)
+
+        return extract
+
+    for name in ("_extract_c_sites", "_extract_python_sites", "_extract_lexical_sites"):
+        monkeypatch.setattr(localizer, name, counting(getattr(localizer, name)))
+    localizer._parse.cache_clear()
+    return parsed
+
+
 def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     root = init_repo(
         tmp_path / "repo",
@@ -390,17 +427,7 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
             "README": "alpha beta gamma\n",
         },
     )
-    parsed = []
-
-    def counting(real):
-        def extract(text, path):
-            parsed.append(path)
-            return real(text, path)
-
-        return extract
-
-    for name in ("_extract_c_sites", "_extract_python_sites"):
-        monkeypatch.setattr(localizer, name, counting(getattr(localizer, name)))
+    parsed = spy_parses(monkeypatch)
     monkeypatch.setattr(localizer, "_CACHE", {})
     opened = []
 
@@ -415,10 +442,13 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
             os.utime(path, ns=(OLD_MTIME, OLD_MTIME))  # old enough to trust its stat
 
     first = index_repository(root)
-    assert sorted(parsed) == ["src/a.c", "src/b.c", "tool.py"]
+    assert parsed == []  # nothing is parsed before a query
+    for symbol in ("alpha", "beta", "gamma"):
+        first.sites(symbol)
+    assert sorted(parsed) == ["README", "src/a.c", "src/b.c", "tool.py"]
     assert sorted(opened) == ["README", "src/a.c", "src/b.c", "tool.o", "tool.py"]
     # the cache holds each file's current text, None for a binary
-    assert {rel: text for rel, (_, text, _) in localizer._CACHE.items()} == {
+    assert {rel: text for rel, (_, text) in localizer._CACHE.items()} == {
         "README": "alpha beta gamma\n",
         "src/a.c": "int alpha(int n) {\n    return n;\n}\n",
         "src/b.c": "int beta;\n",
@@ -429,15 +459,16 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     parsed.clear()
     opened.clear()
     second = index_repository(root)
-    assert (parsed, opened) == ([], [])
     assert second.files == first.files
     assert second.sites("alpha") == first.sites("alpha")
+    assert (parsed, opened) == ([], [])
 
     (root / "src" / "b.c").write_text("int delta;\n")
     third = index_repository(root)
-    assert parsed == opened == ["src/b.c"]
     assert [s.file for s in third.sites("beta")] == ["README"]  # no stale src/b.c site
+    assert parsed == []  # src/b.c no longer holds "beta"
     assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("src/b.c", 1, DEFINITION)]
+    assert parsed == opened == ["src/b.c"]
 
 
 def test_a_second_checkout_of_the_same_files_parses_nothing(tmp_path, monkeypatch):
@@ -447,28 +478,67 @@ def test_a_second_checkout_of_the_same_files_parses_nothing(tmp_path, monkeypatc
         "README": "alpha gamma\n",
     }
     one, two = init_repo(tmp_path / "one", files), init_repo(tmp_path / "two", files)
-    parsed = []
-    real_parse = localizer._parse
-
-    def counting(data, rel):
-        parsed.append(rel)
-        return real_parse(data, rel)
-
-    monkeypatch.setattr(localizer, "_parse", counting)
+    parsed = spy_parses(monkeypatch)
     monkeypatch.setattr(localizer, "_CACHE", {})
     first = index_repository(one)
+    first_sites = [first.sites(symbol) for symbol in ("alpha", "gamma")]
     assert sorted(parsed) == ["README", "src/a.c", "tool.py"]
 
     parsed.clear()
     second = index_repository(two)
-    assert parsed == []
     assert second.files == first.files
-    assert second.sites("alpha") == first.sites("alpha")
+    assert [second.sites(symbol) for symbol in ("alpha", "gamma")] == first_sites
+    assert parsed == []
 
     (two / "tool.py").write_text("def delta(x):\n    return x\n")
     third = index_repository(two)
-    assert parsed == ["tool.py"]
     assert [(s.file, s.line, s.kind) for s in third.sites("delta")] == [("tool.py", 1, DEFINITION)]
+    assert parsed == ["tool.py"]
+
+
+def test_a_query_parses_exactly_the_texts_that_can_hold_its_symbol(tmp_path, monkeypatch):
+    root = init_repo(
+        tmp_path / "repo",
+        {
+            "a.c": "int alpha(int n) {\n    return n;\n}\n",
+            "b.c": "int beta;\n",
+            "notes.txt": "alpha and beta\n",
+            "plain.py": "def gamma(x):\n    return x\n",
+            "wide.py": "\ufb01le_open = 1\n",  # NFKC: file_open
+        },
+    )
+    (root / "tool.o").write_bytes(b"\x7fELF\x00alpha")
+    parsed = spy_parses(monkeypatch)
+    index = index_repository(root)
+    assert parsed == []
+
+    assert [(s.file, s.kind) for s in index.sites("alpha")] == [
+        ("a.c", DEFINITION), ("notes.txt", USE),
+    ]
+    # a non-ASCII Python text may hold any symbol under another spelling
+    assert sorted(parsed) == ["a.c", "notes.txt", "wide.py"]
+
+    parsed.clear()
+    assert [(s.file, s.line, s.kind) for s in index.sites("file_open")] == [
+        ("wide.py", 1, DEFINITION),
+    ]
+    assert index.sites("gamma")
+    assert parsed == ["plain.py"]  # wide.py's parse is reused
+
+
+def test_the_parse_cache_is_bounded_and_keyed_by_content(tmp_path):
+    files = {"a.c": "int alpha;\n", "b.c": "int alpha_b;\n"}
+    one, two = init_repo(tmp_path / "one", files), init_repo(tmp_path / "two", files)
+    assert localizer._parse.cache_info().maxsize == localizer.PARSE_CACHE_SIZE
+    localizer._parse.cache_clear()
+    index_repository(one).sites("alpha")
+    misses = localizer._parse.cache_info().misses
+    assert misses == 2
+
+    index_repository(two).sites("alpha")  # a second checkout
+    (one / "a.c").write_text("int alpha;\n")  # the same text, written again
+    index_repository(one).sites("alpha")
+    assert localizer._parse.cache_info().misses == misses
 
 
 _TREE_NAMES = ("a.c", "b.h", "m.py", "notes.txt", "d/a.c", "d/e/m.py", "d-x/t.txt")
@@ -559,6 +629,7 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                 _apply(root, files, step, lambda: index_repository(root))
             warm = _snapshot(index_repository(root))
             localizer._CACHE = {}
+            localizer._parse.cache_clear()
             cold = _snapshot(index_repository(root))
             assert warm == cold
             # every site points at a file that holds the symbol on that line now
@@ -569,9 +640,37 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
 
             _write_tree(second, other)
             index_repository(second)
-            assert {rel: text for rel, (_, text, _) in localizer._CACHE.items()} == other
+            assert {rel: text for rel, (_, text) in localizer._CACHE.items()} == other
     finally:
         localizer._CACHE, localizer._signature = saved
+
+
+def _reference_sites(files: dict[str, str], symbol: str) -> list[SymbolSite]:
+    """Every text parsed with its extractor, lexical where it fails."""
+    found = []
+    for rel, text in files.items():
+        extract = localizer._grammar_for(rel) or localizer._extract_lexical_sites
+        try:
+            sites = extract(text, rel)
+        except SyntaxError:
+            sites = localizer._extract_lexical_sites(text, rel)
+        found += [site for site in sites if site.symbol == symbol]
+    return sorted(found, key=attrgetter("file", "line", "kind"))
+
+
+# "\ufb01" is the ligature "fi": ast reads the identifier as file_open.
+_WIDE_LINES = ("\ufb01le_open = foo", "def \ufb01le_open(bar):", "    return \ufb01le_open")
+_wide_contents = st.lists(st.sampled_from(_TREE_LINES + _WIDE_LINES), max_size=6).map(
+    lambda ls: "\n".join(ls) + "\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.dictionaries(st.sampled_from(_TREE_NAMES), _wide_contents, min_size=1))
+def test_sites_equal_a_parse_of_every_text(files):
+    index = SymbolIndex(files)
+    for symbol in _TREE_SYMBOLS + ("file_open", "le_open", "open"):
+        assert index.sites(symbol) == _reference_sites(files, symbol), symbol
 
 
 _SEARCH_PATTERNS = (
@@ -643,18 +742,12 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
     for path in root.rglob("*"):
         if ".git" not in path.parts and path.is_file():
             os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
-    parsed, opened = [], []
-    real_parse = localizer._parse
-
-    def counting_parse(text, rel):
-        parsed.append(rel)
-        return real_parse(text, rel)
+    parsed, opened = spy_parses(monkeypatch), []
 
     def counting_open(path, *args, **kwargs):
         opened.append(Path(path).relative_to(root).as_posix())
         return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(localizer, "_parse", counting_parse)
     monkeypatch.setattr(localizer, "open", counting_open, raising=False)
     monkeypatch.setattr(localizer, "_CACHE", {})
     ws = Workspace(root, bash_timeout=10)
@@ -668,7 +761,9 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
 
         ws.search("beta", "d")
         opened.clear()
-        index_repository(root)
+        index = index_repository(root)
+        for symbol in ("alpha", "beta", "gamma"):
+            index.sites(symbol)
         assert opened == []
         assert sorted(parsed) == ["README", "d/a.c", "d/b.c", "tool.py"]
 
@@ -681,16 +776,16 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
         }
         assert all(localizer._CACHE[rel] is before[rel] for rel in ("README", "tool.o", "tool.py"))
         assert set(localizer._CACHE) == set(before)
-        index_repository(root)
+        index_repository(root).sites("beta")
         assert (parsed, opened) == ([], [])
 
         # a new signature with the same text keeps the parse
         os.utime(root / "d" / "a.c", ns=(OLD_MTIME + 10**9, OLD_MTIME + 10**9))
         index = index_repository(root)
-        assert (parsed, opened) == ([], ["d/a.c"])
         assert [(s.file, s.line, s.kind) for s in index.sites("alpha")] == [
             ("README", 1, USE), ("d/a.c", 1, DEFINITION),
         ]
+        assert (parsed, opened) == ([], ["d/a.c"])
     finally:
         ws.close()
 

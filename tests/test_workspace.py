@@ -198,8 +198,10 @@ def test_search_and_index_walk_matches_sorted_rglob(tmp_path):
         rel = path.relative_to(repo)
         if path.is_file() and ".git" not in rel.parts and b"\x00" not in path.read_bytes():
             want[rel.as_posix()] = len(path.read_text().splitlines())
-    files = index_repository(repo).files
-    assert list(files.items()) == list(want.items())
+    index = index_repository(repo)
+    files = index.files
+    assert list(files) == list(want)
+    assert {rel: index.line_count(rel) for rel in files} == want
     assert [f for f in files if f.endswith("x.c")] == ["a/x.c", "a-b/x.c", "a.b/x.c"]
     assert "build/out.txt" in files and "link.c" in files
 
