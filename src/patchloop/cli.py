@@ -24,7 +24,7 @@ from .agent import RepairTask, SessionRunner
 from .config import EngineConfig, build_embedder, load_config
 from .errors import EmbeddingUnavailable, InvariantViolation, NoMatch, PatchloopError, UnreadableCorpus
 from .gateway import build_gateway
-from .localizer import index_repository, iter_grep, parse_crash_report
+from .localizer import DEFAULT_K, index_repository, iter_grep, parse_crash_report
 from .memory import (
     CWE_UNKNOWN,
     L1Entry,
@@ -52,13 +52,35 @@ def _normalize_cwe(raw: str) -> str | None:
 
 
 def _iter_corpus_rows(path: Path):
-    """Yield (lineno, row) from a CSV or JSON-lines corpus; a bad JSON line's row is its error."""
+    """Yield (line, row) from a CSV or JSON-lines corpus, `line` being the
+    row's first line; a row that cannot be read is an InvariantViolation saying why."""
     try:
         if path.suffix.lower() == ".csv":
             with path.open("r", encoding="utf-8-sig", newline="") as fh:
-                reader = csv.DictReader(fh)
-                for lineno, row in enumerate(reader, 2):  # 1 is the header
-                    yield lineno, row
+                read = [0, 0]  # lines read; quote characters in the current row's lines
+
+                def lines():
+                    for line in fh:
+                        read[0] += 1
+                        read[1] += line.count('"')
+                        yield line
+
+                source = lines()
+                reader = csv.reader(source)
+                header = next(reader, [])
+                while True:
+                    lineno, read[1] = read[0] + 1, 0
+                    try:
+                        fields = next(reader)
+                    except StopIteration:
+                        return
+                    except csv.Error as exc:  # e.g. a field over the csv module's limit
+                        yield lineno, InvariantViolation(f"bad CSV ({exc})")
+                        while read[1] % 2 and next(source, None) is not None:
+                            pass  # on to the line that closes the row's open quote
+                        continue
+                    if fields:
+                        yield lineno, dict(zip(header, fields))
         else:
             with path.open("r", encoding="utf-8-sig") as fh:
                 for lineno, raw in enumerate(fh, 1):
@@ -67,9 +89,9 @@ def _iter_corpus_rows(path: Path):
                     try:
                         row = json.loads(raw)
                     except json.JSONDecodeError as exc:
-                        row = exc
+                        row = InvariantViolation(f"bad JSON ({exc.msg} at column {exc.colno})")
                     yield lineno, row
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableCorpus(f"cannot read corpus {path}: {exc}") from exc
 
 
@@ -81,30 +103,21 @@ def ingest(
     fails on a row, the rows before it are saved and the error names its line."""
     inserted = merged = rejected = 0
     for lineno, row in _iter_corpus_rows(Path(corpus_file)):
-        if not isinstance(row, dict):
-            bad_json = isinstance(row, json.JSONDecodeError)
-            reason = f"bad JSON ({row.msg} at column {row.colno})" if bad_json else "not an object"
-            logger.warning("corpus line %d rejected: %s", lineno, reason)
-            rejected += 1
-            continue
-        mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}
-        cwe = _normalize_cwe(mapped["cwe"])
-        if cwe is None:
-            logger.warning("corpus line %d rejected: bad CWE %r", lineno, mapped["cwe"])
-            rejected += 1
-            continue
-        entry = L1Entry(
-            keys=RetrievalKeys(
+        try:
+            if not isinstance(row, dict):
+                raise row if isinstance(row, InvariantViolation) else InvariantViolation("not an object")
+            mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}
+            cwe = _normalize_cwe(mapped["cwe"])
+            if cwe is None:
+                raise InvariantViolation(f"bad CWE {mapped['cwe']!r}")
+            keys = RetrievalKeys(
                 project=mapped["project"],
                 cwe=cwe,
                 language=mapped["language"],
                 instance_id=mapped["instance_id"],
                 description=mapped["description"],
-            ),
-            fix_patch=mapped["fix_patch"],
-        )
-        try:
-            outcome = insert(store, entry)
+            )
+            outcome = insert(store, L1Entry(keys=keys, fix_patch=mapped["fix_patch"]))
         except InvariantViolation as exc:
             logger.warning("corpus line %d rejected: %s", lineno, exc)
             rejected += 1
@@ -370,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", required=True)
     p.add_argument("--symbol", required=True)
     p.add_argument("--report", help="crash report file")
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=int, default=DEFAULT_K)
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("memory", help="memory administration")

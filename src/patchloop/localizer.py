@@ -6,13 +6,13 @@ queried symbol by proximity to the crash: sites inside crash-stack files
 come first, ordered by frame depth and line distance, then definitions
 before uses, then stable path/line order.
 
-One cache maps each path, relative to the walked root, to the file's stat
-signature and decoded text. Both :func:`index_repository` and the
-workspace's ``search`` walk through it (:func:`read_tree`): like git's stat
-cache, it lets the next walk skip reading a file whose signature has not
-changed, binaries included. The index parses a text only when a query can
-match it, memoised by content (:func:`_parse` keeps ``PARSE_CACHE_SIZE``),
-so a second checkout of the same files parses nothing.
+One cache maps each file's path, as walked, to its stat signature and
+decoded text. Both :func:`index_repository` and the workspace's ``search``
+walk through it (:func:`read_tree`): like git's stat cache, it lets the next
+walk skip reading a file whose signature has not changed, binaries included.
+A walk sets only its own paths' entries, so other checkouts keep theirs; a
+deleted file's stays until its path is walked again. A text is parsed only
+when a query can match it, memoised by content (:func:`_parse`).
 
 C/C++ sources get a lightweight declaration-aware parser and Python uses
 the stdlib ``ast``; every other text file falls back to word-boundary
@@ -328,14 +328,11 @@ class SymbolIndex:
         return len(self.files.get(file, "").splitlines())
 
 
-# rel path -> (stat signature, or None while git's racy-timestamp rule
-# distrusts it; decoded text, or None for a binary) of every file the last
-# walk of each root found. A walk rebinds it, replacing the entries under the
-# root it walked, and never changes it in place, so threads that walk other
-# checkouts read a dict no one is changing. As the key does not name the
-# root, the signature holds the device as well as the inode.
-_Entry = tuple[bytes | None, str | None]
-_CACHE: dict[str, _Entry] = {}
+# path as walked -> (stat signature, text or None for a binary), set in place
+# (one atomic dict operation, so threads may walk at once) for each file read
+# while its signature could be trusted. The signature holds the inode and the
+# device, so a path reused by another file misses.
+_TEXTS: dict[str, tuple[bytes, str | None]] = {}
 
 _NS = 1_000_000_000
 
@@ -367,53 +364,40 @@ def _parse(text: str, rel: str) -> Mapping[str, tuple[SymbolSite, ...]]:
     return MappingProxyType({symbol: tuple(group) for symbol, group in by_symbol.items()})
 
 
-def read_tree(root: str, prefix: str = "") -> Iterator[tuple[str, str, _Entry | None]]:
-    """Yield ``(path, prefix + relative path, cache entry)`` for each file
+def read_tree(root: str, prefix: str = "") -> Iterator[tuple[str, str, str | None, bool]]:
+    """Yield ``(path, prefix + relative path, text, too large)`` for each file
     :func:`walk_files` yields, reading only the files whose stat signature
-    changed since the last walk. A file over ``MAX_INDEXED_BYTES`` is neither
-    read nor cached: its entry is None. Once the walk is exhausted, the cache
-    entries under `prefix` are the ones it found."""
-    global _CACHE
-    cache = _CACHE
+    changed since a walk last read them. The text is None for a binary, and
+    for a file over ``MAX_INDEXED_BYTES``, which is neither read nor cached."""
     # git's racy-timestamp rule: a file written in the second its signature
     # was taken, or the one before on a coarse clock, could change again
     # without changing its signature, so that signature is not kept.
     trusted_before = time.time_ns() // _NS - 1
-    found = {}
     for path, rel in walk_files(root, prefix):
         try:
             st = os.stat(path)
+            signature = _signature(st)
+            too_large = st.st_size > MAX_INDEXED_BYTES
+            entry = _TEXTS.get(path)
+            if entry is None or entry[0] != signature:
+                _TEXTS.pop(path, None)
+                entry = (signature, None if too_large else read_text(path))
+                if not too_large and st.st_mtime_ns // _NS < trusted_before:
+                    _TEXTS[path] = entry
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
             continue
-        if st.st_size > MAX_INDEXED_BYTES:
-            yield path, rel, None
-            continue
-        signature = _signature(st)
-        entry = cache.get(rel)
-        if entry is None or entry[0] != signature:
-            try:
-                text = read_text(path)
-            except OSError as exc:
-                logger.warning("skipping unreadable file %s: %s", path, exc)
-                continue
-            trusted = st.st_mtime_ns // _NS < trusted_before
-            entry = (signature if trusted else None, text)
-        found[rel] = entry
-        yield path, rel, entry
-    if prefix:
-        found = {rel: e for rel, e in _CACHE.items() if not rel.startswith(prefix)} | found
-    _CACHE = found
+        yield path, rel, entry[1], too_large
 
 
 def index_repository(root: Path) -> SymbolIndex:
     """Index every readable text file under `root` (skips .git, binaries and
     files over ``MAX_INDEXED_BYTES``), reading only the files whose stat
-    changed since the last walk. Nothing is parsed until a query."""
+    changed since a walk last read them. Nothing is parsed until a query."""
     if not Path(root).is_dir():
         raise IndexFailure(f"not a readable directory: {root}")
-    return SymbolIndex({rel: entry[1] for _, rel, entry in read_tree(os.fspath(root))
-                        if entry is not None and entry[1] is not None})
+    return SymbolIndex({rel: text for _, rel, text, _ in read_tree(os.fspath(root))
+                        if text is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -499,10 +499,10 @@ class Workspace:
         self, pattern: str, search_path: str = ".", limit: int = DEFAULT_SEARCH_LIMIT
     ) -> ToolResult:
         """Regex search with ``SEARCH_CONTEXT`` lines of context around each
-        of the first `limit` matches. A directory's texts come from the
-        symbol index's stat-validated cache (:func:`localizer.read_tree`),
-        so only files changed since the last walk are read; only texts that
-        hold the pattern's required literal are split into lines."""
+        of the first `limit` matches. A directory's texts come through the
+        symbol index's walk (:func:`localizer.read_tree`), so only files
+        changed since a walk last read them are read; only texts that hold
+        the pattern's required literal are split into lines."""
         try:
             compiled = re.compile(pattern)
         except re.error as exc:
@@ -514,7 +514,7 @@ class Workspace:
 
         rel_target = target.relative_to(self.root)
         if target.is_file():
-            files = [(str(target), rel_target.as_posix(), None)]
+            files = [(str(target), rel_target.as_posix(), None, True)]  # read below
         elif ".git" in rel_target.parts:
             files = []
         else:
@@ -523,14 +523,12 @@ class Workspace:
         required = _required_literal(compiled)
         blocks: list[str] = []
         total = 0
-        for path, rel, entry in files:
-            if entry is None:  # a single file, or one too large to cache
+        for path, rel, text, unread in files:
+            if unread:  # a single file, or one too large to cache
                 try:
                     text = read_text(path)
                 except OSError:
                     continue
-            else:
-                text = entry[1]
             if text is None or required not in text:
                 continue
             lines = text.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import re
 import socket
@@ -234,6 +235,50 @@ def test_ingest_rejects_a_line_of_bad_json_and_keeps_the_others(tmp_path, capsys
     assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 1}
     assert "corpus line 2 rejected: bad JSON (" in caplog.text
     assert [e.keys.instance_id for e in load_store(mem).l1] == ["p.cve-2020-1", "p.cve-2020-3"]
+
+
+def write_csv(path: Path, rows: list[dict]) -> Path:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def test_ingest_csv_warnings_name_the_first_line_of_each_row(tmp_path, capsys, caplog):
+    rows = [
+        corpus_row("p.cve-2020-1", "alpha overflow in first parser", "a"),  # lines 2-7
+        {**corpus_row("p.cve-2020-2", "beta race in second cache", "b"), "cwe": "NVD-noinfo"},
+        corpus_row("p.cve-2020-3", "gamma leak in third socket", "c"),
+    ]
+    corpus = write_csv(tmp_path / "corpus.csv", rows)
+    code, out, _ = run_cli(
+        capsys, "--json", "ingest", str(corpus), "--memory", str(tmp_path / "m.jsonl")
+    )
+    assert code == 0
+    assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 1}
+    assert "corpus line 8 rejected: bad CWE 'NVD-noinfo'" in caplog.text
+
+
+def test_ingest_rejects_a_csv_field_over_the_limit_and_keeps_the_others(tmp_path, capsys, caplog):
+    # a patch of 2003 lines, over the csv module's 131072-character limit
+    big = "--- a/g.c\n+++ b/g.c\n@@ -1,2000 +1,2000 @@\n" + "".join(
+        f'-    printf("{k}: %s", name); /* {"x" * 50} */\n' for k in range(2000)
+    )
+    rows = [
+        corpus_row("p.cve-2020-1", "alpha overflow in first parser", "a"),  # lines 2-7
+        {**corpus_row("p.cve-2020-2", "beta race in second cache", "b"), "fix_patch": big},
+        {**corpus_row("p.cve-2020-3", "gamma leak in third socket", "c"), "cwe": "NVD-noinfo"},
+        corpus_row("p.cve-2020-4", "delta underflow in fourth codec", "d"),
+    ]
+    corpus = write_csv(tmp_path / "corpus.csv", rows)
+    mem = tmp_path / "m.jsonl"
+    code, out, _ = run_cli(capsys, "--json", "ingest", str(corpus), "--memory", str(mem))
+    assert code == 0
+    assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 2}
+    assert "corpus line 8 rejected: bad CSV (field larger than field limit" in caplog.text
+    assert "corpus line 2012 rejected: bad CWE 'NVD-noinfo'" in caplog.text
+    assert [e.keys.instance_id for e in load_store(mem).l1] == ["p.cve-2020-1", "p.cve-2020-4"]
 
 
 def test_ingest_csv_with_a_byte_order_mark_keeps_its_first_column(tmp_path, capsys):

@@ -417,6 +417,20 @@ def spy_parses(monkeypatch) -> list[str]:
     return parsed
 
 
+def spy_opens(monkeypatch, root: Path) -> list[str]:
+    """The path, relative to `root`, of every file the localizer opens from
+    now on, with the walk's text cache emptied first."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).relative_to(root).as_posix())
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(localizer, "open", counting_open, raising=False)
+    monkeypatch.setattr(localizer, "_TEXTS", {})
+    return opened
+
+
 def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
     root = init_repo(
         tmp_path / "repo",
@@ -427,15 +441,7 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
             "README": "alpha beta gamma\n",
         },
     )
-    parsed = spy_parses(monkeypatch)
-    monkeypatch.setattr(localizer, "_CACHE", {})
-    opened = []
-
-    def counting_open(path, *args, **kwargs):
-        opened.append(Path(path).relative_to(root).as_posix())
-        return open(path, *args, **kwargs)
-
-    monkeypatch.setattr(localizer, "open", counting_open, raising=False)
+    parsed, opened = spy_parses(monkeypatch), spy_opens(monkeypatch, root)
     (root / "tool.o").write_bytes(b"\x7fELF\x00alpha")  # a binary, never indexed
     for path in root.rglob("*"):
         if ".git" not in path.parts and path.is_file():
@@ -447,17 +453,18 @@ def test_unchanged_files_are_not_parsed_again(tmp_path, monkeypatch):
         first.sites(symbol)
     assert sorted(parsed) == ["README", "src/a.c", "src/b.c", "tool.py"]
     assert sorted(opened) == ["README", "src/a.c", "src/b.c", "tool.o", "tool.py"]
-    # the cache holds each file's current text, None for a binary
-    assert {rel: text for rel, (_, text) in localizer._CACHE.items()} == {
+    opened.clear()
+    # a walk yields each file's current text, None for a binary, unread
+    assert {rel: text for _, rel, text, _ in localizer.read_tree(str(root))} == {
         "README": "alpha beta gamma\n",
         "src/a.c": "int alpha(int n) {\n    return n;\n}\n",
         "src/b.c": "int beta;\n",
         "tool.o": None,
         "tool.py": "def gamma(x):\n    return x\n",
     }
+    assert opened == []
 
     parsed.clear()
-    opened.clear()
     second = index_repository(root)
     assert second.files == first.files
     assert second.sites("alpha") == first.sites("alpha")
@@ -478,8 +485,10 @@ def test_a_second_checkout_of_the_same_files_parses_nothing(tmp_path, monkeypatc
         "README": "alpha gamma\n",
     }
     one, two = init_repo(tmp_path / "one", files), init_repo(tmp_path / "two", files)
-    parsed = spy_parses(monkeypatch)
-    monkeypatch.setattr(localizer, "_CACHE", {})
+    for path in tmp_path.rglob("*"):
+        if ".git" not in path.parts and path.is_file():
+            os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
+    parsed, opened = spy_parses(monkeypatch), spy_opens(monkeypatch, tmp_path)
     first = index_repository(one)
     first_sites = [first.sites(symbol) for symbol in ("alpha", "gamma")]
     assert sorted(parsed) == ["README", "src/a.c", "tool.py"]
@@ -489,6 +498,9 @@ def test_a_second_checkout_of_the_same_files_parses_nothing(tmp_path, monkeypatc
     assert second.files == first.files
     assert [second.sites(symbol) for symbol in ("alpha", "gamma")] == first_sites
     assert parsed == []
+    opened.clear()
+    assert index_repository(one).files == first.files  # the walk of two evicted nothing
+    assert opened == []
 
     (two / "tool.py").write_text("def delta(x):\n    return x\n")
     third = index_repository(two)
@@ -615,8 +627,9 @@ def _without_ctime(st: os.stat_result) -> tuple:
 @settings(max_examples=40, deadline=None)
 @given(tree=_trees, steps=_steps, other=_trees)
 def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
-    saved = localizer._CACHE, localizer._signature
-    localizer._signature = _without_ctime
+    saved = localizer._TEXTS, localizer._signature
+    localizer._TEXTS, localizer._signature = {}, _without_ctime
+    opened = []
     try:
         with tempfile.TemporaryDirectory() as tmp:
             root, second = Path(tmp, "one"), Path(tmp, "two")
@@ -628,7 +641,7 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
             for step in steps:
                 _apply(root, files, step, lambda: index_repository(root))
             warm = _snapshot(index_repository(root))
-            localizer._CACHE = {}
+            localizer._TEXTS.clear()
             localizer._parse.cache_clear()
             cold = _snapshot(index_repository(root))
             assert warm == cold
@@ -638,11 +651,19 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
                     line = files[site.file].splitlines()[site.line - 1]
                     assert symbol in line
 
+            # a walk of another tree evicts nothing: once every file of the
+            # first is trusted, indexing it again after the second opens none
             _write_tree(second, other)
-            index_repository(second)
-            assert {rel: text for rel, (_, text) in localizer._CACHE.items()} == other
+            for rel in files:
+                os.utime(root / rel, ns=(OLD_MTIME, OLD_MTIME))
+            index_repository(root)
+            assert index_repository(second).files == other
+            localizer.open = lambda path, *args: opened.append(path) or open(path, *args)
+            assert index_repository(root).files == warm[0]
+            assert opened == []
     finally:
-        localizer._CACHE, localizer._signature = saved
+        localizer._TEXTS, localizer._signature = saved
+        vars(localizer).pop("open", None)
 
 
 def _reference_sites(files: dict[str, str], symbol: str) -> list[SymbolSite]:
@@ -689,8 +710,8 @@ _LOOKS = ("search", "search d", "index")
 def test_cached_search_and_index_equal_ones_made_from_scratch(tree, steps, looks):
     from patchloop.workspace import Workspace
 
-    saved = localizer._CACHE, localizer._signature
-    localizer._signature = _without_ctime
+    saved = localizer._TEXTS, localizer._signature
+    localizer._TEXTS, localizer._signature = {}, _without_ctime
     try:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp, "repo")
@@ -711,9 +732,9 @@ def test_cached_search_and_index_equal_ones_made_from_scratch(tree, steps, looks
                 def check() -> None:
                     for look, pattern in looks:
                         warm = run(look, pattern)
-                        cache, localizer._CACHE = localizer._CACHE, {}
+                        cache, localizer._TEXTS = localizer._TEXTS, {}
                         assert run(look, pattern) == warm, (look, pattern)
-                        localizer._CACHE = cache
+                        localizer._TEXTS = cache
 
                 check()
                 files = dict(tree)
@@ -723,7 +744,7 @@ def test_cached_search_and_index_equal_ones_made_from_scratch(tree, steps, looks
             finally:
                 ws.close()
     finally:
-        localizer._CACHE, localizer._signature = saved
+        localizer._TEXTS, localizer._signature = saved
 
 
 def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
@@ -742,14 +763,7 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
     for path in root.rglob("*"):
         if ".git" not in path.parts and path.is_file():
             os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
-    parsed, opened = spy_parses(monkeypatch), []
-
-    def counting_open(path, *args, **kwargs):
-        opened.append(Path(path).relative_to(root).as_posix())
-        return open(path, *args, **kwargs)
-
-    monkeypatch.setattr(localizer, "open", counting_open, raising=False)
-    monkeypatch.setattr(localizer, "_CACHE", {})
+    parsed, opened = spy_parses(monkeypatch), spy_opens(monkeypatch, root)
     ws = Workspace(root, bash_timeout=10)
     try:
         first = ws.search("alpha", limit=100).output
@@ -767,15 +781,9 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
         assert opened == []
         assert sorted(parsed) == ["README", "d/a.c", "d/b.c", "tool.py"]
 
-        # a search replaces only the entries under the directory it walked
-        before = localizer._CACHE
+        # a search of a directory shares the entries of its files' paths
         parsed.clear()
         assert "== d/b.c:1 ==" in ws.search("beta", "d").output
-        assert {rel: e for rel, e in localizer._CACHE.items() if not rel.startswith("d/")} == {
-            rel: e for rel, e in before.items() if not rel.startswith("d/")
-        }
-        assert all(localizer._CACHE[rel] is before[rel] for rel in ("README", "tool.o", "tool.py"))
-        assert set(localizer._CACHE) == set(before)
         index_repository(root).sites("beta")
         assert (parsed, opened) == ([], [])
 
@@ -790,20 +798,61 @@ def test_search_and_index_read_each_changed_file_once(tmp_path, monkeypatch):
         ws.close()
 
 
-def test_a_file_over_the_index_limit_is_searched_but_not_indexed_or_cached(tmp_path):
+def test_two_checkouts_indexed_in_turn_read_each_file_once(tmp_path, monkeypatch):
+    files = {f"src/m{i}.c": f"int f{i}(int n) {{\n    return n + {i};\n}}\n" for i in range(10)}
+    files["README"] = "f0 f1\n"
+    one, two = init_repo(tmp_path / "one", files), init_repo(tmp_path / "two", files)
+    for path in tmp_path.rglob("*"):
+        if ".git" not in path.parts and path.is_file():
+            os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
+    opened = spy_opens(monkeypatch, tmp_path)
+    indexes = [index_repository(root).files for root in (one, two) * 3]
+    assert indexes == [files] * 6
+    assert sorted(opened) == sorted(f"{name}/{rel}" for name in ("one", "two") for rel in files)
+
+
+def test_two_threads_index_two_checkouts_as_a_serial_run_does(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the same relative paths in both checkouts, holding other texts
+    trees = {
+        name: {f"d{i % 4}/f{i}.c": f"int {name}_{i}(int n) {{\n    return n;\n}}\n" for i in range(60)}
+        for name in ("one", "two")
+    }
+    roots = [init_repo(tmp_path / name, files) for name, files in trees.items()]
+    for path in tmp_path.rglob("*"):
+        if ".git" not in path.parts and path.is_file():
+            os.utime(path, ns=(OLD_MTIME, OLD_MTIME))
+    serial = [index_repository(root).files for root in roots]
+    assert serial == list(trees.values())
+
+    opened = spy_opens(monkeypatch, tmp_path)
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(3):  # from an empty cache, then from the one the threads filled
+            assert list(pool.map(lambda root: index_repository(root).files, roots)) == serial
+    assert sorted(opened) == sorted(f"{name}/{rel}" for name, files in trees.items() for rel in files)
+
+
+def test_a_file_over_the_index_limit_is_searched_but_not_indexed_or_cached(tmp_path, monkeypatch):
     from patchloop.workspace import Workspace
 
     root = init_repo(tmp_path / "repo", {"a.c": "int needle;\n"})
     filler = localizer.MAX_INDEXED_BYTES // len("filler\n") + 1
     (root / "big.txt").write_text("needle = 1\n" + "filler\n" * filler + "last needle\n")
+    for name in ("a.c", "big.txt"):
+        os.utime(root / name, ns=(OLD_MTIME, OLD_MTIME))
+    opened = spy_opens(monkeypatch, root)
     ws = Workspace(root, bash_timeout=10)
     try:
-        out = ws.search("needle", limit=100).output
-        assert [line for line in out.splitlines() if line.startswith("==")] == [
-            "== a.c:1 ==", "== big.txt:1 ==", f"== big.txt:{filler + 2} ==",
-        ]
-        assert "big.txt" not in localizer._CACHE
+        for _ in range(2):
+            out = ws.search("needle", limit=100).output
+            assert [line for line in out.splitlines() if line.startswith("==")] == [
+                "== a.c:1 ==", "== big.txt:1 ==", f"== big.txt:{filler + 2} ==",
+            ]
+        assert opened == ["a.c", "big.txt", "big.txt"]  # big.txt is read by each search
         assert "big.txt:1" in ws.search("needle", "big.txt").output
     finally:
         ws.close()
+    opened.clear()
     assert list(index_repository(root).files) == ["a.c"]
+    assert opened == []
