@@ -14,10 +14,14 @@ Every failed attempt is compressed into a three-field summary that feeds
 the next iteration's prompts, and the workspace is rolled back to pristine
 so each candidate diff stands alone. Because every locate therefore sees
 the pristine tree, its crash evidence is the PoC run the oracle made while
-validating the pristine checkout, parsed and bounded once per session. The
-loop stops after a fixed number of failed attempts. A success leaves the
-accepted candidate in the checkout; any other ending, an error included,
-restores the tree the session found.
+validating the pristine checkout, parsed and bounded once per session.
+Memory is read the same way: the History-Fix (L1) and Security-Pattern
+(L2) tiers are retrieved once, when the session starts, and every locate
+and patch shows that list, so a session sees the memory as it stood at its
+start. Only the refinement tier (L3) is retrieved once per refinement, as
+its query is the failed candidate. The loop stops after a fixed number of
+failed attempts. A success leaves the accepted candidate in the checkout;
+any other ending, an error included, restores the tree the session found.
 """
 
 from __future__ import annotations
@@ -156,14 +160,19 @@ def extract_localization(text: str) -> LocalizationObject | None:
             continue
         if not isinstance(obj, dict) or "file" not in obj:
             continue
+        if "line_start" in obj and "line_end" in obj:
+            bounds = [obj["line_start"], obj["line_end"]]
+        else:
+            bounds = obj.get("line_range")
+        # A list of two: a string would be read per character. No bool:
+        # Python counts it as an int.
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            continue
+        if any(isinstance(bound, bool) for bound in bounds):
+            continue
         try:
-            if "line_start" in obj and "line_end" in obj:
-                start, end = int(obj["line_start"]), int(obj["line_end"])
-            elif "line_range" in obj:
-                start, end = int(obj["line_range"][0]), int(obj["line_range"][1])
-            else:
-                continue
-        except (TypeError, ValueError, LookupError, OverflowError):  # not line numbers
+            start, end = int(bounds[0]), int(bounds[1])
+        except (TypeError, ValueError, OverflowError):  # not line numbers
             continue
         return LocalizationObject(
             file=str(obj["file"]),
@@ -199,6 +208,7 @@ class SessionRunner:
         self._index: SymbolIndex | None = None
         self._crash: CrashReport | None = None
         self._evidence = ""
+        self._memories: list[retrieval.RankedEntry] = []
         self._visited: list[tuple[str, tuple[int, int]]] = []
 
     # -- plumbing -----------------------------------------------------------
@@ -364,9 +374,9 @@ class SessionRunner:
         return "# Runtime evidence\n" + body
 
     def locate(self) -> LocalizationObject:
-        memories = self._retrieve("L1") + self._retrieve("L2")
         final = self._drive_phase(
-            "locator", self._task_text(self._evidence), memories, self.compressed, LOCATOR_TOOLS
+            "locator", self._task_text(self._evidence), list(self._memories), self.compressed,
+            LOCATOR_TOOLS,
         )
         loc = extract_localization(final.content) if final else None
         if loc is None:
@@ -381,7 +391,7 @@ class SessionRunner:
         against the pristine snapshot."""
         failed = self._last_failed()
         failed_patch = failed.patch if failed else None
-        memories = self._retrieve("L1") + self._retrieve("L2")
+        memories = list(self._memories)
         if failed_patch:
             memories += self._retrieve("L3", override=failed_patch)
         target = (
@@ -421,6 +431,8 @@ class SessionRunner:
             _, output = self.task.oracle.pristine_poc
             self._crash = parse_crash_report(output)
             self._evidence = self._runtime_evidence(output)
+            # The L1/L2 query is the task's keys, fixed for the session.
+            self._memories = self._retrieve("L1") + self._retrieve("L2")
             reason = self._loop()
         except BaseException:
             # Leave the checkout as found, then let the caller see the

@@ -4,7 +4,11 @@ The deterministic embedder (signed feature hashing over word tokens) serves
 tests and offline runs; the remote one is in :mod:`.gateway`, beside the one
 HTTP client. Either is normally wrapped in :class:`CachingEmbedder`. Stored
 entries keep their vectors in the memory store's tier indexes
-(:class:`VectorRows`), so the cache mostly serves texts a session repeats.
+(:class:`VectorRows`), and a session retrieves L1 and L2 once, so the cache
+serves only texts embedded a second time: the session's description, which
+its L2 retrieval and its consolidation's inserts embed after its L1
+retrieval did, and patch texts that an insert or a refinement query meets
+again.
 """
 
 from __future__ import annotations
@@ -160,6 +164,12 @@ def _token_slot(token: str) -> int:
 class CachingEmbedder:
     """Wraps any embedder with a thread-safe cache of the :data:`CACHE_SIZE`
     most recently used texts. A hit returns the cached array itself.
+
+    Traced seed-1 runs of the benchmark's session workloads (8 sessions)
+    make 45 embed calls, 33 of them hits: 18 repeat the session's
+    description (8 from L2 retrievals, 10 from consolidation's inserts) and
+    15 repeat a patch text, since the scripted candidates are the same in
+    every session. On ``memory_mix`` (150 operations) none of 323 calls hits.
 
     A miss looks ``inner.embed`` up anew, so a method replaced on the inner
     embedder or its class takes effect at once.

@@ -4,6 +4,8 @@ import errno
 import json
 import os
 import subprocess
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,10 +20,12 @@ from patchloop.agent import (
     decide_transition,
     extract_localization,
 )
-from patchloop.errors import BuildToolMissing, WorkspaceError
+from patchloop.errors import BuildToolMissing, PristineCheckFailed, WorkspaceError
 from patchloop.config import EngineConfig
 from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, GatewayConfig, ScriptedGateway
 from patchloop.memory import (
+    L1Entry,
+    L2Entry,
     L3Entry,
     MemoryStore,
     RetrievalKeys,
@@ -127,6 +131,9 @@ def test_extract_localization_skips_objects_whose_lines_are_not_numbers():
         '{"file": "a.c", "line_range": 11}',
         '{"file": "a.c", "line_range": [11]}',
         '{"file": "a.c", "line_range": {"from": 1}}',
+        '{"file": "a.c", "line_range": "12-40"}',
+        '{"file": "a.c", "line_range": "57"}',
+        '{"file": "a.c", "line_start": true, "line_end": 17}',
     ]
     for obj in bad:
         assert extract_localization(obj) is None, obj
@@ -702,6 +709,111 @@ def test_memory_recency_touched_by_session(demo_repo, tmp_path, monkeypatch):
     assert any(e is pooled for e in retrieved) and all(e is not outside for e in retrieved)
     assert [e.last_retrieved for e in retrieved] == [3] * len(retrieved)
     assert outside.last_retrieved == 1
+
+
+def copy_patch(guard: str) -> str:
+    return (
+        f"--- a/copy.py\n+++ b/copy.py\n@@ -1,2 +1,3 @@\n def copy(dst, src, n):\n"
+        f"+    {guard}\n     dst[:n] = src[:n]\n"
+    )
+
+
+def pooled_l2(project: str, instance_id: str, description: str, guard: str) -> L2Entry:
+    """An L2 entry in the demo task's P2 pool (same CWE and language)."""
+    return L2Entry(
+        keys=replace(fx.DEMO_KEYS, project=project, instance_id=instance_id,
+                     description=description),
+        fix_patch=copy_patch(guard),
+        rationale="bound the copy by the destination's capacity",
+    )
+
+
+@pytest.mark.parametrize("shape,refinements", [
+    (fx.transcript_success, 0),
+    (fx.transcript_relocate_then_success, 1),
+    (fx.transcript_regenerate_then_success, 1),
+    (fx.transcript_four_failures, 2),  # the attempt cap stops it after three patches
+])
+def test_a_session_retrieves_l1_and_l2_once_and_l3_per_refinement(
+    demo_repo, tmp_path, monkeypatch, shape, refinements
+):
+    tiers = Counter()
+    real_retrieve = retrieval.retrieve
+
+    def spy(store, tier, *args, **kwargs):
+        tiers[tier] += 1
+        return real_retrieve(store, tier, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "retrieve", spy)
+    run_scripted(demo_repo, tmp_path, shape)
+    assert tiers == Counter({"L1": 1, "L2": 1, "L3": refinements})
+
+
+def test_a_sibling_consolidation_mid_session_does_not_reach_the_session(demo_repo, tmp_path):
+    """In a parallel batch a sibling may consolidate while this session runs;
+    the patcher still sees the memory the locator saw."""
+    store = MemoryStore()
+    store.add(pooled_l2("ringlib", "ringlib.cve-2021-3300",
+                        "ring buffer write overruns its capacity", "n = min(n, len(dst))"))
+    located, consolidated = threading.Event(), threading.Event()
+
+    class PausesAfterLocating(ScriptedGateway):
+        def complete(self, history, available_tools):
+            reply = super().complete(history, available_tools)
+            if self._context[0] == "locator" and not reply.tool_calls:
+                located.set()
+                assert consolidated.wait(10), "the sibling did not consolidate"
+            return reply
+
+    def sibling():
+        located.wait(10)
+        insert(store, pooled_l2("packetkit", "packetkit.cve-2023-4100",
+                                "out-of-bounds write when the copy length exceeds the buffer",
+                                "if n > len(dst): raise ValueError(n)"))
+        consolidated.set()
+
+    thread = threading.Thread(target=sibling)
+    thread.start()
+    task = make_task(demo_repo)
+    transcript = fx.transcript_success(tmp_path / "transcript.jsonl")
+    runner = SessionRunner(task, store, PausesAfterLocating.from_file(transcript))
+    try:
+        report = runner.run()
+    finally:
+        task.workspace.close()
+        thread.join(10)
+    assert located.is_set() and not thread.is_alive()
+    assert report.outcome == "success" and len(store.l2) == 3  # seeded, sibling's, own
+    blocks = [
+        turn["content"].split("# Retrieved repair experience", 1)[1]
+        for turn in runner.trajectory
+        if turn.get("role") == "user" and turn["content"].startswith("# Task")
+    ]
+    assert len(blocks) == 2 and "ringlib.cve-2021-3300" in blocks[0]
+    assert blocks[1] == blocks[0] and "packetkit" not in blocks[1]
+
+
+def test_a_session_whose_pristine_check_fails_touches_no_memory(demo_repo, tmp_path):
+    store = MemoryStore()
+    pooled = [
+        L1Entry(keys=replace(fx.DEMO_KEYS, instance_id="bufferkit.cve-2019-7001"),
+                fix_patch=copy_patch("n = min(n, len(dst))"), last_retrieved=1),
+        replace(pooled_l2("ringlib", "ringlib.cve-2021-3300", "copy overrun", "pass"),
+                last_retrieved=1),
+    ]
+    for entry in pooled:
+        store.add(entry)
+    store.completed_tasks = 3
+    passing_poc = replace(DEMO_SPEC, poc_command="python3 -c pass")
+    task = make_task(demo_repo, passing_poc)
+    transcript = fx.transcript_success(tmp_path / "transcript.jsonl")
+    runner = SessionRunner(task, store, ScriptedGateway.from_file(transcript))
+    try:
+        with pytest.raises(PristineCheckFailed):
+            runner.run()
+    finally:
+        task.workspace.close()
+    assert [e.last_retrieved for e in pooled] == [1, 1] and store.completed_tasks == 3
 
 
 def test_cost_accounting_uses_price_table(demo_repo, tmp_path):
