@@ -60,7 +60,6 @@ from .workspace import (
     Workspace,
     cap_output,
     log_compress,
-    tool_log_record,
 )
 
 logger = logging.getLogger(__name__)
@@ -234,7 +233,7 @@ class SessionRunner:
         self.trajectory.append({"type": "turn", **turn.to_json()})
 
     def _log_tool(self, call: ToolCall, result: ToolResult) -> None:
-        self.trajectory.append({"type": "tool", **tool_log_record(call, result)})
+        self.trajectory.append({"type": "tool", "call": call.to_json(), "result": result.to_json()})
 
     def _dispatch(self, call: ToolCall, tools: tuple[str, ...]) -> ToolResult:
         """Run `call` if its phase offers that tool; any other name is unknown.

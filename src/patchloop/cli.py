@@ -43,8 +43,11 @@ CORPUS_FIELDS = ("project", "cwe", "language", "instance_id", "description", "fi
 
 
 def _normalize_cwe(raw: str) -> str | None:
+    """The stored spelling of a CWE tag: "CWE-<n>" for "<n>" or "CWE-<n>" in
+    any case, CWE_UNKNOWN for an empty tag or CWE_UNKNOWN itself, and None
+    for anything else."""
     raw = (raw or "").strip()
-    if not raw:
+    if not raw or raw.upper() == CWE_UNKNOWN:
         return CWE_UNKNOWN
     if raw.upper().startswith("CWE-"):
         raw = raw[4:]
@@ -182,9 +185,12 @@ def repair_one(
         pass_predicates=task_data.get("pass_predicates", {}),
     )
     spec.validate()
+    cwe = _normalize_cwe(task_data.get("cwe", ""))
+    if cwe is None:  # the spellings ingest stores, and no other
+        raise InvariantViolation(f"bad CWE tag: {task_data['cwe']!r}")
     keys = RetrievalKeys(
         project=task_data.get("project", ""),
-        cwe=task_data.get("cwe", CWE_UNKNOWN),
+        cwe=cwe,
         language=task_data.get("language", ""),
         instance_id=task_data["instance_id"],
         description=task_data.get("description", ""),

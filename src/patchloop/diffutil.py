@@ -68,13 +68,12 @@ def parse_patch(text: str) -> list[FilePatch]:
             continue
         m = _FILE_OLD_RE.match(line)
         if m:
-            pending_old = DEV_NULL if m.group(1) == DEV_NULL else m.group(1)
+            pending_old = m.group(1)
             hunk = None
             continue
         m = _FILE_NEW_RE.match(line)
         if m and pending_old is not None:
-            new_path = DEV_NULL if m.group(1) == DEV_NULL else m.group(1)
-            current = FilePatch(old_path=pending_old, new_path=new_path)
+            current = FilePatch(old_path=pending_old, new_path=m.group(1))
             patches.append(current)
             pending_old = None
             continue
@@ -88,9 +87,7 @@ def parse_patch(text: str) -> list[FilePatch]:
             )
             current.hunks.append(hunk)
             continue
-        if hunk is not None and line[:1] in (" ", "-", "+"):
-            hunk.lines.append(line)
-        elif hunk is not None and line.startswith("\\ No newline"):
+        if hunk is not None and (line[:1] in (" ", "-", "+") or line.startswith("\\ No newline")):
             hunk.lines.append(line)
     return patches
 

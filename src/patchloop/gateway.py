@@ -222,7 +222,7 @@ class HttpGateway:
     def _payload(self, history: list[ChatTurn], tools: list[dict]) -> dict:
         messages = []
         for turn in history:
-            msg: dict = {"role": turn.role, "content": turn.content}
+            msg = turn.to_json()
             if turn.tool_calls:
                 msg["tool_calls"] = [
                     {
@@ -235,8 +235,6 @@ class HttpGateway:
                     }
                     for i, c in enumerate(turn.tool_calls)
                 ]
-            if turn.tool_call_id:
-                msg["tool_call_id"] = turn.tool_call_id
             messages.append(msg)
         payload = {
             "model": self.config.model_name,

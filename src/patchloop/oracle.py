@@ -1,8 +1,10 @@
 """Verification oracle: reproduction command plus regression suite.
 
 A task ships a reproduction (PoC) command, a regression command, and an
-optional build command, each with a pass predicate. ``check_vul`` runs them
-against the current workspace, in that order, and reports whether the
+optional build command, each with a pass predicate. Every command is run
+and judged in one step: the command, its exit code and output, and whether
+its predicate holds. ``check_vul`` takes those steps against the current
+workspace, build, PoC and suite in that order, and reports whether the
 vulnerability is mitigated and whether previously-passing regression tests
 still pass. It stops at the first command whose answer settles the route: a
 failing build, or a PoC that still fails, since a persisting vulnerability
@@ -18,7 +20,7 @@ import re
 import signal
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import BuildToolMissing, OracleTimeout, PristineCheckFailed
@@ -98,12 +100,7 @@ class VerificationVerdict:
     logs: str
 
     def to_json(self) -> dict:
-        return {
-            "vuln_mitigated": self.vuln_mitigated,
-            "functionality_preserved": self.functionality_preserved,
-            "build_ok": self.build_ok,
-            "logs": self.logs,
-        }
+        return asdict(self)
 
 
 def _run_group(command: str, cwd: Path, timeout: float) -> tuple[int, str]:
@@ -160,19 +157,26 @@ class OracleRunner:
 
     def _run(self, command: str) -> tuple[int, str]:
         if self.elapsed >= self.total_budget:
-            raise OracleTimeout(f"oracle budget of {self.total_budget:.0f}s exhausted")
+            raise OracleTimeout(f"oracle budget of {self.total_budget:g}s exhausted")
+        left = self.total_budget - self.elapsed
         started = time.monotonic()
         try:
-            code, output = _run_group(
-                command, self.root, min(self.command_timeout, self.total_budget - self.elapsed)
-            )
+            code, output = _run_group(command, self.root, min(self.command_timeout, left))
         except subprocess.TimeoutExpired as exc:
-            raise OracleTimeout(f"command exceeded {self.command_timeout:.0f}s: {command}") from exc
+            limit = (f"{self.command_timeout:g}s" if self.command_timeout <= left
+                     else f"the oracle budget of {self.total_budget:g}s")
+            raise OracleTimeout(f"command exceeded {limit}: {command}") from exc
         finally:
             self.elapsed += time.monotonic() - started
         if code == 127:
             raise BuildToolMissing(f"command not found: {command}")
         return code, output
+
+    def _judge(self, which: str) -> tuple[bool, int, str]:
+        """Run the spec's `which` command and judge it by its pass predicate;
+        returns whether the predicate holds, the exit code and the output."""
+        code, out = self._run(getattr(self.spec, which))
+        return predicate_passes(self.spec.predicate(which), code, out), code, out
 
     def run_poc(self) -> tuple[int, str]:
         """Run the reproduction command alone on the current tree. Sessions
@@ -183,20 +187,17 @@ class OracleRunner:
         """Check the PoC fails on the untouched repo and record the baseline
         regression pass set. Must run before any candidate is applied."""
         if self.spec.build_command:
-            code, out = self._run(self.spec.build_command)
-            if not predicate_passes(self.spec.predicate("build_command"), code, out):
+            ok, _, out = self._judge("build_command")
+            if not ok:
                 raise PristineCheckFailed(f"build fails on pristine repo:\n{cap_output(out, 2000)}")
-        code, out = self.pristine_poc = self._run(self.spec.poc_command)
-        if predicate_passes(self.spec.predicate("poc_command"), code, out):
+        ok, code, out = self._judge("poc_command")
+        self.pristine_poc = (code, out)
+        if ok:
             raise PristineCheckFailed(
                 "reproduction command passes on the pristine repo; nothing to fix"
             )
-        code, out = self._run(self.spec.regression_command)
-        passing, _ = parse_test_results(out)
-        self.baseline_passing = passing
-        self.baseline_predicate_ok = predicate_passes(
-            self.spec.predicate("regression_command"), code, out
-        )
+        self.baseline_predicate_ok, _, out = self._judge("regression_command")
+        self.baseline_passing, _ = parse_test_results(out)
 
     def check_vul(self) -> VerificationVerdict:
         """Run build, PoC, and regression suite against the current tree.
@@ -204,27 +205,21 @@ class OracleRunner:
         returns at once, with ``functionality_preserved`` None and the build
         and PoC output as its logs."""
         logs: list[str] = []
-        if self.spec.build_command:
-            code, out = self._run(self.spec.build_command)
-            logs.append(f"$ {self.spec.build_command}\n{out}")
-            if not predicate_passes(self.spec.predicate("build_command"), code, out):
-                return VerificationVerdict(False, False, False, cap_output("\n".join(logs)))
 
-        code, out = self._run(self.spec.poc_command)
-        logs.append(f"$ {self.spec.poc_command}\n{out}")
-        if not predicate_passes(self.spec.predicate("poc_command"), code, out):
-            return VerificationVerdict(False, None, True, cap_output("\n".join(logs)))
+        def step(which: str) -> tuple[bool, str]:
+            ok, _, out = self._judge(which)
+            logs.append(f"$ {getattr(self.spec, which)}\n{out}")
+            return ok, out
 
-        code, out = self._run(self.spec.regression_command)
-        logs.append(f"$ {self.spec.regression_command}\n{out}")
-        preserved = self._regressions_preserved(code, out)
-        return VerificationVerdict(True, preserved, True, cap_output("\n".join(logs)))
-
-    def _regressions_preserved(self, code: int, output: str) -> bool:
-        if self.baseline_passing:
-            passing, _ = parse_test_results(output)
-            return self.baseline_passing <= passing
-        if self.baseline_predicate_ok:
-            return predicate_passes(self.spec.predicate("regression_command"), code, output)
-        # Nothing passed on the pristine repo, so nothing can regress.
-        return True
+        if self.spec.build_command and not step("build_command")[0]:
+            verdict = (False, False, False)
+        elif not step("poc_command")[0]:
+            verdict = (False, None, True)
+        else:
+            ok, out = step("regression_command")
+            if self.baseline_passing:
+                preserved = self.baseline_passing <= parse_test_results(out)[0]
+            else:  # the predicate decides; a suite failing on the pristine repo cannot regress
+                preserved = ok or not self.baseline_predicate_ok
+            verdict = (True, preserved, True)
+        return VerificationVerdict(*verdict, cap_output("\n".join(logs)))

@@ -85,11 +85,6 @@ class ToolResult:
         return rec
 
 
-def tool_log_record(call: ToolCall, result: ToolResult) -> dict:
-    """Uniform envelope used in trajectory logs and scripted transcripts."""
-    return {"call": call.to_json(), "result": result.to_json()}
-
-
 def cap_output(text: str, cap: int = DEFAULT_OUTPUT_CAP) -> str:
     """Bound tool output, preserving head and tail around a truncation note."""
     if len(text) <= cap:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import conftest as fx
-from patchloop import diffutil, retrieval
+from patchloop import diffutil, memory, retrieval
 from patchloop.agent import (
     Outcome,
     RepairTask,
@@ -20,7 +20,7 @@ from patchloop.agent import (
     decide_transition,
     extract_localization,
 )
-from patchloop.errors import BuildToolMissing, PristineCheckFailed, WorkspaceError
+from patchloop.errors import BuildToolMissing, GatewayExhausted, PristineCheckFailed, WorkspaceError
 from patchloop.config import EngineConfig
 from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, GatewayConfig, ScriptedGateway
 from patchloop.memory import (
@@ -329,6 +329,20 @@ def test_relocate_evidence_comes_from_the_pristine_build(demo_repo, tmp_path):
     assert fx.REPLACE_OLD in first  # printed from the pristine build
     assert "buf.capacity * 8" not in second  # the failed candidate's guard
     assert second == first
+
+
+@pytest.mark.parametrize(
+    "poc, evidence",
+    [("echo no frames here; exit 1", "no frames here\n"),
+     ("exit 1", "(no output)"),
+     ("python3 -c \"print('x' * 2500 + 'END')\"; exit 1", "x" * 1996 + "END\n")],
+    ids=["output", "no output", "long output"],
+)
+def test_a_poc_without_crash_frames_gives_locate_the_tail_of_its_output(demo_repo, tmp_path, poc, evidence):
+    spec = OracleSpec(poc_command=poc, regression_command="python3 tests.py")
+    report, runner, _ = run_scripted(demo_repo, tmp_path, fx.transcript_success, task=make_task(demo_repo, spec))
+    assert report.outcome == "exhausted"
+    assert locator_evidence(runner)[0] == evidence
 
 
 def test_long_poc_output_is_cut_to_its_frames_and_an_excerpt(demo_repo, tmp_path):
@@ -864,6 +878,29 @@ def test_live_gateway_supplies_rationale_and_insight(demo_repo, tmp_path):
     assert report.outcome == "success"
     assert store.l2[0].rationale == "model-written explanation"
     assert store.l3[0].transition_insight == "model-written explanation"
+
+
+def test_a_verifier_that_gets_no_reply_falls_back_to_the_templated_text(demo_repo, tmp_path):
+    class SilentLiveGateway(ScriptedGateway):
+        deterministic = False
+
+        def complete(self, history, available_tools):
+            if self._context[0] == "verifier":
+                raise GatewayExhausted("no reply")
+            return super().complete(history, available_tools)
+
+    transcript = fx.transcript_relocate_then_success(tmp_path / "t.jsonl")
+    task = make_task(demo_repo)
+    store = MemoryStore()
+    runner = SessionRunner(task, store, SilentLiveGateway.from_file(transcript))
+    try:
+        report = runner.run()
+    finally:
+        task.workspace.close()
+    assert report.outcome == "success"
+    accepted, failed = runner.attempts[-1], runner.attempts[0]
+    assert store.l2[0].rationale == memory.default_rationale(accepted)
+    assert store.l3[0].transition_insight == memory.default_insight(failed.patch, accepted.patch)
 
 
 def test_scripted_gateway_uses_templated_consolidation_text(demo_repo, tmp_path):

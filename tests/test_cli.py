@@ -629,6 +629,32 @@ def test_repair_success_exit_zero(demo_repo, tmp_path, capsys):
     assert len(load_store(tmp_path / "m.jsonl").l2) == 1
 
 
+@pytest.mark.parametrize(
+    "cwe, stored",
+    [("787", "CWE-787"), ("cwe-787", "CWE-787"), ("", "CWE-UNKNOWN"), ("CWE-UNKNOWN", "CWE-UNKNOWN"),
+     ("NVD-noinfo", None)],
+)
+def test_repair_takes_the_cwe_spellings_that_ingest_stores(demo_repo, tmp_path, capsys, cwe, stored):
+    row = {"project": "p", "cwe": cwe, "language": "c", "instance_id": "p.cve-2020-1", "description": "d",
+           "fix_patch": "--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-a\n+b\n"}
+    corpus, corpus_memory = tmp_path / "corpus.jsonl", tmp_path / "corpus.memory.jsonl"
+    corpus.write_text(json.dumps(row) + "\n")
+    assert run_cli(capsys, "ingest", str(corpus), "--memory", str(corpus_memory))[0] == 0
+    assert [e.keys.cwe for e in load_store(corpus_memory).l1] == ([stored] if stored else [])
+
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    task.write_text(json.dumps(fx.demo_task_json(demo_repo, {"cwe": cwe})))
+    mem = tmp_path / "m.jsonl"
+    code, _, err = run_cli(
+        capsys, "--config", str(cfg), "repair", str(task), "--memory", str(mem), "--out", str(out_dir)
+    )
+    if stored is None:
+        assert code == 2 and f"configuration error: bad CWE tag: {cwe!r}" in err
+        return
+    assert code == 0
+    assert [e.keys.cwe for e in load_store(mem).l2] == [stored]
+
+
 def test_repair_tool_call_raising_os_error_is_a_failed_result(demo_repo, tmp_path, capsys):
     def transcript(path):
         records = fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)
@@ -669,15 +695,17 @@ def test_repair_tool_call_raising_os_error_is_a_failed_result(demo_repo, tmp_pat
         {"attempt": 1, "turn": {"content": "x"}},
         {"phase": "locator", "attempt": 1, "turn": {"content": ["x"]}},
         {"phase": "locator", "attempt": 1, "turn": {"role": 1, "content": "x"}},
+        '{"phase": "locator", "attempt": 1,',
     ],
     ids=["turn a string", "a list", "attempt a list", "attempt a string", "attempt 0",
-         "attempt true", "unknown phase", "no phase", "content a list", "role a number"],
+         "attempt true", "unknown phase", "no phase", "content a list", "role a number", "not JSON"],
 )
 def test_repair_transcript_record_of_the_wrong_shape_exit_two(demo_repo, tmp_path, capsys, bad):
     def transcript(path):
-        records = fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)
-        records.insert(2, bad)
-        return fx.write_transcript(path, records)
+        lines = [json.dumps(rec) for rec in fx.locator_turns(1) + fx.patcher_turns(1, fx.GOOD_NEW)]
+        lines.insert(2, bad if isinstance(bad, str) else json.dumps(bad))  # a str is the raw line
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
 
     task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, transcript)
     code, _, err = run_cli(
@@ -863,6 +891,17 @@ def test_repair_misspelled_pass_predicate_key_exit_two(demo_repo, tmp_path, caps
 def test_repair_without_task_argument_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "repair", "--memory", str(tmp_path / "m.jsonl"))
     assert code == 2
+
+
+def test_repair_tasks_on_a_directory_without_task_files_exit_two(tmp_path, capsys):
+    (tmp_path / "tasks").mkdir()
+    (tmp_path / "tasks" / "notes.txt").write_text("not a task")
+    code, out, err = run_cli(
+        capsys, "repair", "--tasks", str(tmp_path / "tasks"), "--memory", str(tmp_path / "m.jsonl")
+    )
+    assert (code, out) == (2, "")
+    assert err == f"no task files under {tmp_path / 'tasks'}\n"
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_repair_already_fixed_repo_exit_two(demo_repo, tmp_path, capsys):

@@ -221,6 +221,9 @@ def test_insert_validates_invariants():
     with pytest.raises(InvariantViolation):
         insert(store, L2Entry(keys=keys("p.cve-2023-2"),
                               fix_patch=make_patch("f.c", "a", "b"), rationale="  "))
+    with pytest.raises(InvariantViolation, match="fail_patch and correction_delta must differ"):
+        insert(store, L3Entry(keys=keys("p.cve-2023-3"), fail_patch=make_patch("f.c", "a", "b"),
+                              correction_delta=make_patch("f.c", "a", "b"), transition_insight="none"))
 
 
 def test_insert_assigns_fallback_seq_for_unparseable_ids():

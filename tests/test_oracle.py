@@ -141,9 +141,15 @@ def test_baseline_failing_tests_never_block_verdicts(demo_repo):
     (demo_repo / "tests.py").write_text(tests)
     runner = runner_for(demo_repo)
     assert "known_bad" not in runner.baseline_passing
+    assert runner.baseline_predicate_ok is False
+    pristine = (demo_repo / "app" / "buffer.py").read_text()
     apply_fix(demo_repo, GOOD_NEW)
     verdict = runner.check_vul()
     assert verdict.functionality_preserved is True
+    # A test that passed on pristine still counts, though the suite failed there.
+    (demo_repo / "app" / "buffer.py").write_text(pristine)
+    apply_fix(demo_repo, BAD_NEW_REGRESSION)
+    assert runner.check_vul().functionality_preserved is False
 
 
 def test_without_pass_lines_the_regression_exit_code_decides(demo_repo):
@@ -194,6 +200,34 @@ def test_command_timeout_raises(demo_repo):
     runner = OracleRunner(demo_repo, spec, command_timeout=1)
     with pytest.raises(OracleTimeout):
         runner.run_poc()
+
+
+@pytest.mark.parametrize(
+    "command_timeout, total_budget, message",
+    [(0.2, 60, "command exceeded 0.2s: sleep 3"),
+     (600, 1, "command exceeded the oracle budget of 1s: sleep 3")],
+    ids=["per-command timeout", "total budget"],
+)
+def test_a_timeout_names_the_limit_that_stopped_the_command(
+    demo_repo, command_timeout, total_budget, message
+):
+    spec = OracleSpec(poc_command="sleep 3", regression_command="true")
+    runner = OracleRunner(demo_repo, spec, command_timeout=command_timeout, total_budget=total_budget)
+    with pytest.raises(OracleTimeout) as info:
+        runner.run_poc()
+    assert str(info.value) == message
+
+
+def test_a_build_failing_on_the_pristine_repo_is_refused(demo_repo):
+    spec = OracleSpec(
+        poc_command="python3 poc.py",
+        regression_command="python3 tests.py",
+        build_command="echo broken build; exit 1",
+    )
+    runner = OracleRunner(demo_repo, spec)
+    with pytest.raises(PristineCheckFailed, match="build fails on pristine repo:\nbroken build"):
+        runner.validate_pristine()
+    assert runner.pristine_poc is None and runner.baseline_passing is None
 
 
 def test_non_utf8_output_is_decoded_with_replacement(demo_repo):

