@@ -37,6 +37,7 @@ from .config import EngineConfig
 from .errors import (
     EmbeddingUnavailable,
     GatewayExhausted,
+    InvariantViolation,
     LocalizationFailure,
     MalformedToolCall,
     NoMatch,
@@ -388,17 +389,14 @@ class SessionRunner:
     def patch(self, loc: LocalizationObject) -> tuple[str, str]:
         """Drive the patcher; returns the candidate's tree id and its diff
         against the pristine snapshot."""
-        failed = self._last_failed()
-        failed_patch = failed.patch if failed else None
         memories = list(self._memories)
-        if failed_patch:
-            memories += self._retrieve("L3", override=failed_patch)
         target = (
             f"# Target location\n{loc.file}:{loc.line_range[0]}-{loc.line_range[1]}"
             f" ({loc.reason})"
         )
-        if failed_patch:
-            target += f"\n# Previous failed candidate\n{failed_patch}"
+        if failed := self._last_failed():
+            memories += self._retrieve("L3", override=failed.patch)
+            target += f"\n# Previous failed candidate\n{failed.patch}"
         self._drive_phase(
             "patcher", self._task_text(target), memories, self.compressed, PATCHER_TOOLS
         )
@@ -427,6 +425,8 @@ class SessionRunner:
         self.pristine_id = ws.snapshot()
         try:
             self.task.oracle.validate_pristine()
+            # What the build, the PoC and the suite wrote must not reach a candidate.
+            ws.rollback(self.pristine_id)
             _, output = self.task.oracle.pristine_poc
             self._crash = parse_crash_report(output)
             self._evidence = self._runtime_evidence(output)
@@ -477,7 +477,9 @@ class SessionRunner:
                             self._live_rationale if live else None,
                             self._live_insight if live else None,
                         )
-                    except EmbeddingUnavailable as exc:  # the fix stands without it
+                    except (EmbeddingUnavailable, InvariantViolation) as exc:
+                        # The fix stands whether the embedder is down or
+                        # memory refuses the entry (a diff with no text hunk).
                         logger.warning("accepted patch not consolidated into memory: %s", exc)
                         return f"memory consolidation skipped: {exc}"
                     return ""

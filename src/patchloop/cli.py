@@ -320,6 +320,9 @@ def _cmd_localize(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_memory_inspect(args, cfg: EngineConfig) -> int:
+    cwe = _normalize_cwe(args.cwe) if args.cwe else None
+    if args.cwe and cwe is None:  # the spellings ingest and repair take, and no other
+        raise InvariantViolation(f"bad CWE tag: {args.cwe!r}")
     store = load_store(Path(args.memory))
     counts = {tier: len(store.tier_entries(tier)) for tier in memory.TIERS}
     rows = []
@@ -330,7 +333,7 @@ def _cmd_memory_inspect(args, cfg: EngineConfig) -> int:
             keys = entry.keys
             if args.project and keys.project != args.project:
                 continue
-            if args.cwe and keys.cwe != args.cwe:
+            if cwe and keys.cwe != cwe:
                 continue
             rows.append(
                 {

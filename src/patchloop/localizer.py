@@ -190,7 +190,7 @@ def _c_param_names(arglist: str) -> list[str]:
 
 
 def _extract_c_sites(text: str, path: str) -> list[SymbolSite]:
-    sites: dict[tuple[str, int, str], str] = {}  # (file, line, symbol) -> kind
+    sites = []
     code = _C_NOISE_RE.sub(_blank, "\n".join(text.splitlines()))
     for lineno, line in enumerate(code.split("\n"), 1):
         if line.lstrip().startswith("#"):
@@ -206,50 +206,38 @@ def _extract_c_sites(text: str, path: str) -> list[SymbolSite]:
             if m and m.group(1) not in _C_CONTROL and m.group(2) not in _C_KEYWORDS:
                 definitions.add(m.group(2))
 
-        for token in _IDENT_RE.findall(line):
-            if token in _C_KEYWORDS:
-                continue
-            kind = DEFINITION if token in definitions else USE
-            key = (path, lineno, token)
-            if sites.get(key) != DEFINITION:
-                sites[key] = kind
-    return [SymbolSite(f, l, k, s) for (f, l, s), k in sites.items()]
+        sites += [
+            SymbolSite(path, lineno, DEFINITION if token in definitions else USE, token)
+            for token in _IDENT_RE.findall(line)
+            if token not in _C_KEYWORDS
+        ]
+    return sites
 
 
 def _extract_python_sites(text: str, path: str) -> list[SymbolSite]:
-    tree = ast.parse(text)
-    sites: dict[tuple[str, int, str], str] = {}
-
-    def put(line: int, symbol: str, kind: str) -> None:
-        key = (path, line, symbol)
-        if sites.get(key) != DEFINITION:
-            sites[key] = kind
-
-    for node in ast.walk(tree):
+    sites = []
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            put(node.lineno, node.name, DEFINITION)
+            sites.append(SymbolSite(path, node.lineno, DEFINITION, node.name))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 for arg in args.args + args.posonlyargs + args.kwonlyargs:
-                    put(arg.lineno, arg.arg, DEFINITION)
+                    sites.append(SymbolSite(path, arg.lineno, DEFINITION, arg.arg))
         elif isinstance(node, ast.Name):
             kind = DEFINITION if isinstance(node.ctx, ast.Store) else USE
-            put(node.lineno, node.id, kind)
+            sites.append(SymbolSite(path, node.lineno, kind, node.id))
         elif isinstance(node, ast.Attribute):
-            put(node.lineno, node.attr, USE)
-    return [SymbolSite(f, l, k, s) for (f, l, s), k in sites.items()]
+            sites.append(SymbolSite(path, node.lineno, USE, node.attr))
+    return sites
 
 
 def _extract_lexical_sites(text: str, path: str) -> list[SymbolSite]:
     """Fallback for files without a registered grammar: every token is a use."""
-    seen: set[tuple[int, str]] = set()
-    sites = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        for token in _IDENT_RE.findall(line):
-            if (lineno, token) not in seen:
-                seen.add((lineno, token))
-                sites.append(SymbolSite(path, lineno, USE, token))
-    return sites
+    return [
+        SymbolSite(path, lineno, USE, token)
+        for lineno, line in enumerate(text.splitlines(), 1)
+        for token in _IDENT_RE.findall(line)
+    ]
 
 
 def _grammar_for(rel: str):
@@ -351,17 +339,23 @@ def read_text(path: str) -> str | None:
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _parse(text: str, rel: str) -> Mapping[str, tuple[SymbolSite, ...]]:
-    """The text's sites by symbol, read-only: every index holding it shares them."""
+    """The text's sites by symbol, read-only: every index holding it shares them.
+
+    The extractors return every site they find; here each symbol's sites on
+    one line merge into one, at the first one's position, and it is a
+    definition if any of them is."""
     grammar = _grammar_for(rel)
     try:
         sites = grammar(text, rel) if grammar else _extract_lexical_sites(text, rel)
     except (SyntaxError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         logger.warning("parse failure in %s, falling back to lexical: %s", rel, exc)
         sites = _extract_lexical_sites(text, rel)
-    by_symbol: dict[str, list[SymbolSite]] = {}
+    by_symbol: dict[str, dict[int, SymbolSite]] = {}
     for site in sites:
-        by_symbol.setdefault(site.symbol, []).append(site)
-    return MappingProxyType({symbol: tuple(group) for symbol, group in by_symbol.items()})
+        lines = by_symbol.setdefault(site.symbol, {})
+        if site.kind == DEFINITION or site.line not in lines:
+            lines[site.line] = site  # an existing key keeps its position
+    return MappingProxyType({symbol: tuple(lines.values()) for symbol, lines in by_symbol.items()})
 
 
 def read_tree(root: str, prefix: str = "") -> Iterator[tuple[str, str, str | None, bool]]:

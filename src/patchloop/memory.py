@@ -16,9 +16,9 @@ the one field that changes once it is stored.
 Each tier is held by one :class:`TierIndex`: its entries, their rows by
 (CWE, language) and one embedding matrix per text field. Dedup scores the
 whole tier's descriptions with one mat-vec and the patches only at the rows
-whose description is a near-duplicate; a read scores its pools with one
-mat-vec. Every index update happens under the writer lock; the embedder
-never runs under it.
+whose description is a near-duplicate; a read scores its candidate rows
+with one mat-vec. Every index update happens under the writer lock; the
+embedder never runs under it.
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ MemoryEntry = Union[L1Entry, L2Entry, L3Entry]
 ENTRY_TYPES = {cls.tier: cls for cls in (L1Entry, L2Entry, L3Entry)}
 TIERS = tuple(ENTRY_TYPES)
 
+# The text fields a tier index embeds; :func:`field_text` serves each one.
+FIELDS = ("description", "patch", "fail_patch")
+
 
 def field_text(field: str, entry: MemoryEntry) -> str:
     """The text an index field embeds: ``"patch"`` (dedup), ``"fail_patch"``
@@ -168,7 +171,7 @@ def field_text(field: str, entry: MemoryEntry) -> str:
 class TierIndex:
     """One tier's entries in store order, each one's :func:`entry_timestamp`
     and retrieval tie-break, their rows by ``(cwe, language)`` and then by
-    project, and the raw embedding rows of each text field.
+    project, and the raw embedding rows of each of the :data:`FIELDS`.
 
     ``buckets[(cwe, language)][project]`` lists that project's rows in store
     order. Rows are only ever appended to these lists, so a reader that
@@ -176,7 +179,8 @@ class TierIndex:
 
     Row ``i`` of ``stamps``, ``ties`` and every field belongs to
     ``entries[i]``; a stamp is taken once, when its entry is added, and its
-    tie-break ``(-stamp..., instance_id, i)`` with it. A field's rows are
+    tie-break ``(-stamp..., instance_id, i)`` with it. ``fields`` holds
+    one :class:`VectorRows` per field from the start; a field's rows are
     embedded when first needed, each on its own: a read embeds only the
     rows it scores, and an embedding outage part-way leaves the rows
     stored so far.
@@ -187,7 +191,7 @@ class TierIndex:
         self.stamps: list[tuple[float, float, float]] = []
         self.ties: list[tuple[float, float, float, str, int]] = []
         self.buckets: dict[tuple[str, str], dict[str, list[int]]] = {}
-        self.fields: dict[str, VectorRows] = {}
+        self.fields = {name: VectorRows() for name in FIELDS}
         for entry in entries:
             self.add(entry, entry_timestamp(entry))
 
@@ -199,12 +203,6 @@ class TierIndex:
         self.stamps.append(stamp)
         self.ties.append((-stamp[0], -stamp[1], -stamp[2], keys.instance_id, row))
         self.buckets.setdefault((keys.cwe, keys.language), {}).setdefault(keys.project, []).append(row)
-
-    def field(self, name: str) -> VectorRows:
-        rows = self.fields.get(name)
-        if rows is None:
-            rows = self.fields[name] = VectorRows()
-        return rows
 
 
 def entry_timestamp(entry: MemoryEntry) -> tuple[float, float, float]:
@@ -226,7 +224,7 @@ def _stamp(ts: CveTimestamp | None, fallback_seq: int | None) -> tuple[float, fl
 def query_timestamp(keys: RetrievalKeys) -> tuple[float, float, float]:
     """Sort key for a query: :func:`entry_timestamp` of an entry with these
     keys and no sequence number."""
-    return entry_timestamp(_Entry(keys))
+    return _stamp(parse_timestamp(keys.instance_id), None)
 
 
 class InsertOutcome(str, Enum):
@@ -317,7 +315,7 @@ class MemoryStore:
         embedded before an outage included.
         """
         with self._write_lock:
-            vectors = index.field(field)
+            vectors = index.fields[field]
             if vectors.holds_first(len(index.entries)):
                 return
             todo = vectors.missing(rows)
@@ -328,22 +326,15 @@ class MemoryStore:
                 vecs.append(self.embedder.embed(text))
         finally:
             with self._write_lock:
-                index.field(field).put(todo, vecs)
+                vectors.put(todo, vecs)
 
-    def cosines(
-        self, index: TierIndex, field: str, vec: np.ndarray, pools: list[list[int]]
-    ) -> list[list[float]]:
-        """Cosine of `vec` against each pool's rows of `field` in `index`,
-        all pools scored with one mat-vec."""
-        rows = np.array([row for pool in pools for row in pool], dtype=np.intp)
+    def cosines(self, index: TierIndex, field: str, vec: np.ndarray, rows: list[int]) -> list[float]:
+        """Cosine of `vec` against `field` at each of `rows` in `index`, in
+        the given order, scored with one mat-vec."""
+        rows = np.array(rows, dtype=np.intp)
         self.embed_rows(index, field, rows)
         with self._write_lock:
-            sims = index.field(field).cosine(vec, rows).tolist()
-        out, start = [], 0
-        for pool in pools:
-            out.append(sims[start : start + len(pool)])
-            start += len(pool)
-        return out
+            return index.fields[field].cosine(vec, rows).tolist()
 
 
 def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
@@ -365,7 +356,7 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
         with store._write_lock:
             index = store._indexes[entry.tier]
             n = len(index.entries)
-            if index.field("description").holds_first(n) and index.field("patch").holds_first(n):
+            if index.fields["description"].holds_first(n) and index.fields["patch"].holds_first(n):
                 return _merge_or_append(store, index, entry, desc_vec, patch_vec)
         # Embed what the tier lacks outside the lock, then look again: other
         # writers may have appended meanwhile.

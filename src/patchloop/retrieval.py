@@ -9,9 +9,10 @@ a lexical token-overlap fallback when the embedding backend is down.
 A retrieval costs what its pools hold. The tier index keeps each
 ``(cwe, language)`` bucket's rows by project, so P1 is filtered from the
 query project's rows alone, and the other projects' rows are read only
-when P2 joins. Both pools are scored together with one mat-vec, only the
-pools' rows are embedded, and each row's tie-break is built once, when the
-index adds it.
+when P2 joins. The candidates are one list of rows, P1's first and then,
+when P2 joins, P2's in store order; the count of P1 rows tells the two
+apart. The list is scored with one mat-vec, only its rows are embedded,
+and each row's tie-break is built once, when the index adds it.
 """
 
 from __future__ import annotations
@@ -89,33 +90,27 @@ def retrieve(
     entries, stamps, ties = index.entries, index.stamps, index.ties
     # A row's instance id is also in its tie-break, which the ranking below
     # reads anyway: ``ties[row][3]``.
-    p1 = [row for row in mine if stamps[row] < q_ts and ties[row][3] != q.instance_id]
-    pools = [(Priority.P1, p1)]
-    if len(p1) < query.k_min:
+    rows = [row for row in mine if stamps[row] < q_ts and ties[row][3] != q.instance_id]
+    n_p1 = len(rows)
+    if n_p1 < query.k_min:
         # The other projects' rows, merged back into store order.
-        theirs = chain.from_iterable(rows[:n] for rows, n in others)
-        p2 = [row for row in sorted(theirs) if ties[row][3] != q.instance_id]
-        pools.append((Priority.P2, p2))
+        theirs = chain.from_iterable(listed[:n] for listed, n in others)
+        rows += [row for row in sorted(theirs) if ties[row][3] != q.instance_id]
 
     query_text = query_text_override if query_text_override is not None else q.description
     field = "description" if query_text_override is None else "fail_patch"
-    pool_rows = [rows for _, rows in pools]
-    sims: list[list[float]] = [[] for _ in pools]
+    sims: list[float] = []
     try:
-        if any(pool_rows):
-            sims = store.cosines(index, field, store.embedder.embed(query_text), pool_rows)
+        if rows:
+            sims = store.cosines(index, field, store.embedder.embed(query_text), rows)
     except EmbeddingUnavailable:
-        sims = [
-            [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
-            for rows in pool_rows
-        ]
-    # Higher similarity first, then the row's tie-break: the newer
+        sims = [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
+    # P1 first, then higher similarity, then the row's tie-break: the newer
     # timestamp, then the instance id, then the row number, which keeps full
     # ties in store order.
     scored = sorted(
-        (priority, -sim, ties[row])
-        for (priority, rows), pool_sims in zip(pools, sims)
-        for row, sim in zip(rows, pool_sims)
+        (Priority.P1 if i < n_p1 else Priority.P2, -sim, ties[row])
+        for i, (row, sim) in enumerate(zip(rows, sims))
     )
     return [
         RankedEntry(entries[tie[-1]], -neg_sim, priority)

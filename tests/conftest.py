@@ -205,16 +205,18 @@ def demo_task_json(repo: Path, extra: dict | None = None) -> dict:
     return task
 
 
-def fail_next_read_tree(monkeypatch) -> None:
-    """Make the next ``read-tree`` of any workspace fail in git itself, as a
-    full disk would, by naming a tree git does not have; later ones run as
-    usual."""
-    run = Workspace._git
+def fail_next_read_tree(monkeypatch, skip: int) -> None:
+    """Let the next `skip` ``read-tree`` calls of any workspace run, then
+    make the one after them fail in git itself, as a full disk would, by
+    naming a tree git does not have; later ones run as usual."""
+    run, left = Workspace._git, [skip]
 
     def failing_once(self, *args):
         if args[0] == "read-tree":
-            monkeypatch.setattr(Workspace, "_git", run)
-            args = (*args[:-1], "0" * 40)
+            left[0] -= 1
+            if left[0] < 0:
+                monkeypatch.setattr(Workspace, "_git", run)
+                args = (*args[:-1], "0" * 40)
         return run(self, *args)
 
     monkeypatch.setattr(Workspace, "_git", failing_once)

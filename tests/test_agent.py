@@ -388,17 +388,22 @@ def test_unexpected_error_restores_the_checkout_and_propagates(demo_repo, tmp_pa
 
 def test_failing_rollback_does_not_mask_the_original_error(demo_repo, tmp_path, monkeypatch):
     task = tool_missing_once_fixed(demo_repo)
+    rollback, calls = task.workspace.rollback, []
 
     def broken_rollback(snapshot_id):
-        raise WorkspaceError("rollback failed")
+        calls.append(snapshot_id)
+        if len(calls) > 1:  # the first, the restore after the pristine validation, runs
+            raise WorkspaceError("rollback failed")
+        return rollback(snapshot_id)
 
     monkeypatch.setattr(task.workspace, "rollback", broken_rollback)
     with pytest.raises(BuildToolMissing):
         run_scripted(demo_repo, tmp_path, fx.transcript_success, task=task)
+    assert len(calls) == 2
 
 
 def test_a_rollback_that_fails_between_attempts_raises(demo_repo, tmp_path, monkeypatch):
-    fx.fail_next_read_tree(monkeypatch)
+    fx.fail_next_read_tree(monkeypatch, 1)  # the restore after the pristine validation runs
     with pytest.raises(WorkspaceError, match="git read-tree --reset -u"):
         run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
     # run's own restore ran once git could again
@@ -500,6 +505,53 @@ def test_empty_patch_counts_as_failure_with_regenerate(demo_repo, tmp_path):
     assert verdict["vuln_mitigated"] is False and verdict["build_ok"] is True
     # no refinement entry: there is no failed patch text to learn from
     assert store.l3 == []
+
+
+def test_a_fix_memory_refuses_stands_and_the_report_names_the_refusal(demo_repo, tmp_path):
+    # A mode change has no text hunk, so the L2 entry fails its diff check.
+    (demo_repo / "run.sh").write_text("#!/bin/sh\n")
+    (demo_repo / "run.sh").chmod(0o755)
+    fx.git(demo_repo, "add", "run.sh")
+    fx.git(demo_repo, "commit", "-qm", "run.sh")
+    spec = replace(DEMO_SPEC, poc_command=(
+        "if [ -x run.sh ]; then echo 'ERROR: AddressSanitizer: run.sh is executable'; exit 1; fi"
+    ))
+
+    def transcript(path):
+        chmod = {"phase": "patcher", "attempt": 1, "turn": {
+            "role": "assistant", "content": "dropping the exec bit",
+            "tool_calls": [{"name": "bash", "args": {"command": "chmod -x run.sh"}}],
+        }}
+        done = {"phase": "patcher", "attempt": 1, "turn": {"role": "assistant", "content": "PATCH READY"}}
+        return fx.write_transcript(path, fx.locator_turns(1) + [chmod, done])
+
+    report, _, store = run_scripted(demo_repo, tmp_path, transcript, task=make_task(demo_repo, spec))
+    assert (report.outcome, report.failed_attempts) == ("success", 0)
+    assert report.reason == "memory consolidation skipped: fix_patch is not a unified diff"
+    assert "new mode 100644" in report.final_diff
+    assert not os.access(demo_repo / "run.sh", os.X_OK)
+    assert store.l2 == []
+
+
+@pytest.mark.parametrize(
+    "tracked, spec",
+    [
+        ({}, replace(DEMO_SPEC, poc_command="echo run >> poc.log; python3 poc.py")),
+        ({"BUILD_INFO": "source\n"}, replace(DEMO_SPEC, build_command="echo built > BUILD_INFO")),
+    ],
+    ids=["untracked log", "tracked file"],
+)
+def test_what_the_pristine_validation_writes_reaches_no_candidate(demo_repo, tmp_path, tracked, spec):
+    for rel, text in tracked.items():
+        (demo_repo / rel).write_text(text)
+        fx.git(demo_repo, "add", rel)
+        fx.git(demo_repo, "commit", "-qm", rel)
+    task = make_task(demo_repo, spec)
+    report, _, store = run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success, task=task)
+    assert (report.outcome, report.failed_attempts) == ("success", 1)
+    patches = [a["patch"] for a in report.attempts] + [store.l2[0].fix_patch, store.l3[0].fail_patch]
+    assert [diffutil.changed_files(p) for p in patches] == [["app/buffer.py"]] * 4
+    assert diffutil.changed_files(store.l3[0].correction_delta) == ["app/buffer.py"]
 
 
 def test_two_failures_record_the_last_failed_candidate(demo_repo, tmp_path):

@@ -558,6 +558,20 @@ def test_a_directory_as_the_memory_file_is_a_configuration_error(tmp_path, capsy
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cwe", ["787", "cwe-787", "CWE-787", "NVD-noinfo"])
+def test_memory_inspect_takes_the_cwe_spellings_that_ingest_stores(tmp_path, capsys, cwe):
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [corpus_row("p.cve-2020-1", "stored as CWE-787")])
+    mem = tmp_path / "m.jsonl"
+    run_cli(capsys, "ingest", str(corpus), "--memory", str(mem))
+    code, out, err = run_cli(capsys, "--json", "memory", "inspect", "--memory", str(mem), "--cwe", cwe)
+    if cwe == "NVD-noinfo":
+        assert (code, out) == (2, "")
+        assert f"configuration error: bad CWE tag: {cwe!r}" in err
+        return
+    assert code == 0
+    assert [row["instance_id"] for row in json.loads(out)["entries"]] == ["p.cve-2020-1"]
+
+
 def test_memory_inspect_empty_file(tmp_path, capsys):
     mem = tmp_path / "m.jsonl"
     mem.write_text("")
@@ -579,6 +593,8 @@ def test_memory_prune_inf_sentinel_removes_nothing(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"removed": 0}
+    code, out, _ = run_cli(capsys, "memory", "prune", "--memory", str(mem), "--window", "inf")
+    assert (code, out) == (0, "removed=0\n")
 
 
 def test_memory_prune_matches_library_oracle(tmp_path, capsys):
@@ -733,7 +749,7 @@ def test_repair_exhausted_exit_one(demo_repo, tmp_path, capsys):
 def test_repair_whose_rollback_fails_exits_two_naming_the_git_step(
     demo_repo, tmp_path, capsys, monkeypatch
 ):
-    fx.fail_next_read_tree(monkeypatch)
+    fx.fail_next_read_tree(monkeypatch, 1)  # the restore after the pristine validation runs
     task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_relocate_then_success)
     code, _, err = run_cli(
         capsys,
@@ -1160,3 +1176,7 @@ def test_memory_inspect_table_output(tmp_path, capsys):
         capsys, "memory", "inspect", "--memory", str(mem), "--tier", "L2"
     )
     assert "p.cve-2020-1" not in out
+    _, out, _ = run_cli(capsys, "memory", "inspect", "--memory", str(mem), "--project", "proj")
+    assert "p.cve-2020-1" in out and "p.cve-2020-2" in out
+    _, out, _ = run_cli(capsys, "memory", "inspect", "--memory", str(mem), "--project", "other")
+    assert out == "L1=2 L2=0 L3=0\n"

@@ -199,6 +199,10 @@ def test_block_comment_marker_in_a_literal_opens_nothing():
     }
 
 
+def test_a_void_parameter_list_defines_only_the_function():
+    assert c_sites("int main(void) {\n    return 0;\n}\n") == {(1, DEFINITION, "main")}
+
+
 @pytest.mark.parametrize(
     "statement, symbol",
     [("return n;", "n"), ("return *n;", "n"), ("goto out;", "out"), ("else n = 0;", "n")],
@@ -667,7 +671,8 @@ def test_cached_index_equals_index_built_from_scratch(tree, steps, other):
 
 
 def _reference_sites(files: dict[str, str], symbol: str) -> list[SymbolSite]:
-    """Every text parsed with its extractor, lexical where it fails."""
+    """Every text parsed with its extractor, lexical where it fails, with
+    one site per line: a definition if any site on that line is one."""
     found = []
     for rel, text in files.items():
         extract = localizer._grammar_for(rel) or localizer._extract_lexical_sites
@@ -675,7 +680,9 @@ def _reference_sites(files: dict[str, str], symbol: str) -> list[SymbolSite]:
             sites = extract(text, rel)
         except SyntaxError:
             sites = localizer._extract_lexical_sites(text, rel)
-        found += [site for site in sites if site.symbol == symbol]
+        lines = {site.line for site in sites if site.symbol == symbol}
+        defined = {site.line for site in sites if site.symbol == symbol and site.kind == DEFINITION}
+        found += [SymbolSite(rel, line, DEFINITION if line in defined else USE, symbol) for line in lines]
     return sorted(found, key=attrgetter("file", "line", "kind"))
 
 

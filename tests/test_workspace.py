@@ -6,6 +6,7 @@ import hashlib
 import os
 import re
 import subprocess
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -55,8 +56,10 @@ def tree_hash(root: Path) -> str:
 def test_workspace_requires_git_checkout(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
-    with pytest.raises(WorkspaceError):
+    with pytest.raises(WorkspaceError, match="not a git checkout"):
         Workspace(plain)
+    with pytest.raises(WorkspaceError, match="does not exist"):
+        Workspace(tmp_path / "missing")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,8 @@ def test_view_directory_depth_two_only(ws):
 
 def test_view_missing_and_escaping_paths(ws):
     assert ws.view("nope.txt").error_kind == "NotFound"
+    assert ws.search("x", "nope").error_kind == "NotFound"
+    assert ws.str_replace("nope.txt", "a", "b").error_kind == "NotFound"
     assert ws.view("../outside").error_kind == "OutsideWorkspace"
     assert ws.view("src/../../etc/passwd").error_kind == "OutsideWorkspace"
 
@@ -560,22 +565,42 @@ def _git_dir_listing(repo: Path) -> list[str]:
     )
 
 
-def test_user_git_dir_is_unchanged_by_snapshot_submit_and_rollback(tmp_path):
-    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n", "src/b.c": "int b;\n"})
+def _round_trip_leaves_the_git_dir(repo: Path, seeded: bool) -> None:
+    """Snapshot, edit, submit and roll back `repo`: the trees hold what the
+    checkout held, and nothing under ``.git`` but the object store changes.
+    `seeded` says whether the private index starts as a copy of the user's."""
     listing = _git_dir_listing(repo)
     user_index = (repo / ".git" / "index").read_bytes()
     workspace = Workspace(repo)
     try:
+        assert (Path(workspace._index_dir) / "index").exists() is seeded
         snap = workspace.snapshot()
+        assert snap == git(repo, "rev-parse", "HEAD^{tree}").strip()
         workspace.str_replace("a.txt", "a", "A")
         (repo / "src/b.c").unlink()
         workspace.create("new.txt", "new\n")
-        assert workspace.submit(snap)[1]
+        tree, diff = workspace.submit(snap)
+        assert re.findall(r"^diff --git a/(\S+)", diff, re.M) == ["a.txt", "new.txt", "src/b.c"]
+        assert [workspace.file_at_snapshot(tree, rel) for rel in ("a.txt", "new.txt", "src/b.c")] == [
+            "A\n", "new\n", None,
+        ]
         assert workspace.rollback(snap).ok
+        assert workspace.snapshot() == snap
     finally:
         workspace.close()
     assert _git_dir_listing(repo) == listing
     assert (repo / ".git" / "index").read_bytes() == user_index
+
+
+def test_user_git_dir_is_unchanged_by_snapshot_submit_and_rollback(tmp_path):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n", "src/b.c": "int b;\n"})
+    _round_trip_leaves_the_git_dir(repo, seeded=True)
+
+
+def test_a_locked_user_index_starts_the_private_index_empty(tmp_path):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n", "src/b.c": "int b;\n"})
+    (repo / ".git" / "index.lock").touch()  # a git command of the user's is running
+    _round_trip_leaves_the_git_dir(repo, seeded=False)
 
 
 def test_snapshot_sees_a_same_size_edit_in_the_user_index_mtime_tick(tmp_path):
@@ -712,6 +737,25 @@ def test_close_removes_private_index(tmp_path):
     assert index_dir.is_dir()
     workspace.close()
     assert not index_dir.exists()
+
+
+def test_a_failed_open_removes_private_index(tmp_path, monkeypatch):
+    repo = init_repo(tmp_path / "repo", {"a.txt": "a\n"})
+    made, mkdtemp = [], tempfile.mkdtemp
+
+    def recording_mkdtemp(**kwargs):
+        made.append(mkdtemp(**kwargs))
+        return made[-1]
+
+    def failing_exclude(self):
+        raise WorkspaceError("git ls-files failed")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    monkeypatch.setattr(Workspace, "_exclude_ignored", failing_exclude)
+    with pytest.raises(WorkspaceError, match="ls-files"):
+        Workspace(repo)
+    assert len(made) == 1 and Path(made[0]).name.startswith("pl-index-")
+    assert not Path(made[0]).exists()
 
 
 def test_submit_empty_diff_on_untouched_workspace(ws):
