@@ -20,8 +20,9 @@ Memory is read the same way: the History-Fix (L1) and Security-Pattern
 and patch shows that list, so a session sees the memory as it stood at its
 start. Only the refinement tier (L3) is retrieved once per refinement, as
 its query is the failed candidate. The loop stops after a fixed number of
-failed attempts. A success leaves the accepted candidate in the checkout;
-any other ending, an error included, restores the tree the session found.
+failed attempts. A success restores the accepted candidate's tree, so the
+checkout holds that candidate and nothing its verification wrote; any other
+ending, an error included, restores the tree the session found.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     EmbeddingUnavailable,
     GatewayExhausted,
     InvariantViolation,
+    L3NotStored,
     LocalizationFailure,
     MalformedToolCall,
     NoMatch,
@@ -209,6 +211,10 @@ class SessionRunner:
         self._crash: CrashReport | None = None
         self._evidence = ""
         self._memories: list[retrieval.RankedEntry] = []
+        # Every phase queries memory with the task's keys.
+        self._query = retrieval.Query(
+            keys=task.keys, k_min=self.cfg.retrieval.k_min, top_n=self.cfg.retrieval.top_n
+        )
         self._visited: list[tuple[str, tuple[int, int]]] = []
 
     # -- plumbing -----------------------------------------------------------
@@ -313,10 +319,7 @@ class SessionRunner:
         return None
 
     def _retrieve(self, tier: str, override: str | None = None):
-        query = retrieval.Query(
-            keys=self.task.keys, k_min=self.cfg.retrieval.k_min, top_n=self.cfg.retrieval.top_n
-        )
-        ranked = retrieval.retrieve(self.store, tier, query, query_text_override=override)
+        ranked = retrieval.retrieve(self.store, tier, self._query, query_text_override=override)
         self.store.touch([r.entry for r in ranked])
         return ranked
 
@@ -419,8 +422,8 @@ class SessionRunner:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SessionReport:
-        """A success leaves the accepted candidate in the tree; any other
-        ending restores the pristine tree, and a restore that fails raises."""
+        """A success restores the accepted candidate's tree; any other ending
+        restores the pristine tree, and a restore that fails raises."""
         ws = self.task.workspace
         self.pristine_id = ws.snapshot()
         try:
@@ -441,8 +444,9 @@ class SessionRunner:
             except Exception:
                 logger.exception("could not restore snapshot %s", self.pristine_id)
             raise
-        if self.outcome != Outcome.SUCCESS:
-            ws.rollback(self.pristine_id)
+        # Outside the handler above: a failing restore of the accepted tree
+        # raises, and never rolls a verified fix back to pristine.
+        ws.rollback(self.attempts[-1].tree if self.outcome == Outcome.SUCCESS else self.pristine_id)
         return self._report(reason)
 
     def _loop(self) -> str:
@@ -477,6 +481,9 @@ class SessionRunner:
                             self._live_rationale if live else None,
                             self._live_insight if live else None,
                         )
+                    except L3NotStored as exc:  # the L2 entry is stored
+                        logger.warning("%s", exc)
+                        return str(exc)
                     except (EmbeddingUnavailable, InvariantViolation) as exc:
                         # The fix stands whether the embedder is down or
                         # memory refuses the entry (a diff with no text hunk).

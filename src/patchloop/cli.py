@@ -25,33 +25,13 @@ from .config import EngineConfig, build_embedder, load_config
 from .errors import EmbeddingUnavailable, InvariantViolation, NoMatch, PatchloopError, UnreadableCorpus
 from .gateway import build_gateway
 from .localizer import DEFAULT_K, index_repository, iter_grep, parse_crash_report
-from .memory import (
-    CWE_UNKNOWN,
-    L1Entry,
-    MemoryStore,
-    RetrievalKeys,
-    insert,
-    load_store,
-    save_store,
-)
+from .memory import L1Entry, MemoryStore, RetrievalKeys, insert, load_store, save_store
 from .oracle import OracleRunner, OracleSpec
 from .workspace import Workspace
 
 logger = logging.getLogger("patchloop")
 
 CORPUS_FIELDS = ("project", "cwe", "language", "instance_id", "description", "fix_patch")
-
-
-def _normalize_cwe(raw: str) -> str | None:
-    """The stored spelling of a CWE tag: "CWE-<n>" for "<n>" or "CWE-<n>" in
-    any case, CWE_UNKNOWN for an empty tag or CWE_UNKNOWN itself, and None
-    for anything else."""
-    raw = (raw or "").strip()
-    if not raw or raw.upper() == CWE_UNKNOWN:
-        return CWE_UNKNOWN
-    if raw.upper().startswith("CWE-"):
-        raw = raw[4:]
-    return f"CWE-{int(raw)}" if raw.isdigit() else None
 
 
 def _iter_corpus_rows(path: Path):
@@ -110,17 +90,8 @@ def ingest(
             if not isinstance(row, dict):
                 raise row if isinstance(row, InvariantViolation) else InvariantViolation("not an object")
             mapped = {f: str(row.get(column_map.get(f, f), "") or "") for f in CORPUS_FIELDS}
-            cwe = _normalize_cwe(mapped["cwe"])
-            if cwe is None:
-                raise InvariantViolation(f"bad CWE {mapped['cwe']!r}")
-            keys = RetrievalKeys(
-                project=mapped["project"],
-                cwe=cwe,
-                language=mapped["language"],
-                instance_id=mapped["instance_id"],
-                description=mapped["description"],
-            )
-            outcome = insert(store, L1Entry(keys=keys, fix_patch=mapped["fix_patch"]))
+            entry = L1Entry(keys=RetrievalKeys.of(mapped), fix_patch=mapped["fix_patch"])
+            outcome = insert(store, entry)
         except InvariantViolation as exc:
             logger.warning("corpus line %d rejected: %s", lineno, exc)
             rejected += 1
@@ -185,16 +156,7 @@ def repair_one(
         pass_predicates=task_data.get("pass_predicates", {}),
     )
     spec.validate()
-    cwe = _normalize_cwe(task_data.get("cwe", ""))
-    if cwe is None:  # the spellings ingest stores, and no other
-        raise InvariantViolation(f"bad CWE tag: {task_data['cwe']!r}")
-    keys = RetrievalKeys(
-        project=task_data.get("project", ""),
-        cwe=cwe,
-        language=task_data.get("language", ""),
-        instance_id=task_data["instance_id"],
-        description=task_data.get("description", ""),
-    )
+    keys = RetrievalKeys.of(task_data)  # the CWE spellings ingest stores, and no other
     keys.validate()
     owns_store = store is None
     if owns_store:
@@ -320,9 +282,7 @@ def _cmd_localize(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_memory_inspect(args, cfg: EngineConfig) -> int:
-    cwe = _normalize_cwe(args.cwe) if args.cwe else None
-    if args.cwe and cwe is None:  # the spellings ingest and repair take, and no other
-        raise InvariantViolation(f"bad CWE tag: {args.cwe!r}")
+    cwe = memory.normalize_cwe(args.cwe) if args.cwe else None  # as ingest and repair spell it
     store = load_store(Path(args.memory))
     counts = {tier: len(store.tier_entries(tier)) for tier in memory.TIERS}
     rows = []

@@ -17,6 +17,10 @@ class UnreadableCorpus(PatchloopError):
     """An ingestion corpus file could not be read or decoded."""
 
 
+class L3NotStored(PatchloopError):
+    """Memory refused a session's L3 entry after storing its L2 entry."""
+
+
 class EmbeddingUnavailable(PatchloopError):
     """The embedding backend failed; callers may degrade to lexical scoring."""
 

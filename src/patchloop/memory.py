@@ -43,7 +43,7 @@ from .embedding import (
     cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
     default_embedder,
 )
-from .errors import CorruptMemoryFile, InvariantViolation
+from .errors import CorruptMemoryFile, EmbeddingUnavailable, InvariantViolation, L3NotStored
 
 DEDUP_THRESHOLD = 0.95
 
@@ -69,6 +69,20 @@ def parse_timestamp(instance_id: str) -> CveTimestamp | None:
     return CveTimestamp(year=int(m.group(1)), sequence=int(m.group(2)))
 
 
+def normalize_cwe(raw: str) -> str:
+    """The stored spelling of a CWE tag: "CWE-<n>" for "<n>" or "CWE-<n>" in
+    any case, CWE_UNKNOWN for an empty tag or CWE_UNKNOWN itself; any other
+    tag raises InvariantViolation."""
+    tag = raw.strip()
+    if not tag or tag.upper() == CWE_UNKNOWN:
+        return CWE_UNKNOWN
+    if tag.upper().startswith("CWE-"):
+        tag = tag[4:]
+    if not tag.isdecimal():  # the digits int() reads, and no others
+        raise InvariantViolation(f"bad CWE tag: {raw!r}")
+    return f"CWE-{int(tag)}"
+
+
 @dataclass(frozen=True)
 class RetrievalKeys:
     project: str
@@ -76,6 +90,13 @@ class RetrievalKeys:
     language: str
     instance_id: str
     description: str
+
+    @classmethod
+    def of(cls, mapping: dict) -> RetrievalKeys:
+        """Keys read from a corpus row or a task: an absent key is empty, and
+        the CWE tag is spelled as :func:`normalize_cwe` stores it."""
+        keys = {name: mapping.get(name, "") for name in _KEY_FIELDS}
+        return cls(**{**keys, "cwe": normalize_cwe(keys["cwe"])})
 
     def validate(self) -> None:
         if not self.instance_id:
@@ -174,8 +195,7 @@ class TierIndex:
     project, and the raw embedding rows of each of the :data:`FIELDS`.
 
     ``buckets[(cwe, language)][project]`` lists that project's rows in store
-    order. Rows are only ever appended to these lists, so a reader that
-    recorded a list's length may slice it later without the writer lock.
+    order.
 
     Row ``i`` of ``stamps``, ``ties`` and every field belongs to
     ``entries[i]``; a stamp is taken once, when its entry is added, and its
@@ -236,8 +256,8 @@ class MemoryStore:
     """Holds the three tiers and the completed-task counter.
 
     Single-writer, multi-reader: mutating operations take the writer lock;
-    retrieval takes it only to read a tier's bucket, to store the vectors
-    it embedded and to score.
+    retrieval takes it to pick its candidate rows, to store the vectors it
+    embedded and to score. Every read of an index's lists holds it.
 
     Each tier's :class:`TierIndex` is the only holder of its entries. A row
     enters through :func:`insert`, :meth:`add` or :func:`load_store` and
@@ -265,7 +285,8 @@ class MemoryStore:
     l3 = property(lambda self: self.tier_entries("L3"))
 
     def __len__(self) -> int:
-        return sum(len(index.entries) for index in self._indexes.values())
+        with self._write_lock:
+            return sum(len(index.entries) for index in self._indexes.values())
 
     def add(self, entry: MemoryEntry) -> None:
         """Append `entry` to its tier as it is, without dedup."""
@@ -289,22 +310,30 @@ class MemoryStore:
         self._ingest_seq += 1
         return seq
 
-    def bucket(
-        self, tier: str, cwe: str, language: str, project: str
-    ) -> tuple[TierIndex, list[int], list[tuple[list[int], int]]]:
-        """One consistent view of the tier's ``(cwe, language)`` bucket: the
-        index, a copy of `project`'s rows, and each other project's row list
-        with its current length, all in store order.
-
-        The other projects' rows are ``rows[:length]``: later writes only
-        append to those lists or go to a new index, so the view is cut in
-        O(projects) however many rows it holds.
-        """
+    def candidates(
+        self, tier: str, keys: RetrievalKeys, k_min: int
+    ) -> tuple[TierIndex, list[tuple[tuple, MemoryEntry]], int]:
+        """A query's candidate rows in the tier, picked under the writer lock:
+        the rows of the query's project in its ``(cwe, language)`` bucket that
+        are strictly older than the query (P1), then, when they are fewer
+        than `k_min`, the other projects' rows in store order (P2), none
+        sharing the query's instance id. Returns the index, each candidate's
+        ranking tie-break (which ends in its row) and entry, P1's first, and
+        the count of P1's."""
+        q_ts = query_timestamp(keys)
         with self._write_lock:
             index = self._indexes[tier]
-            by_project = index.buckets.get((cwe, language), {})
-            others = [(rows, len(rows)) for name, rows in by_project.items() if name != project]
-            return index, list(by_project.get(project, ())), others
+            stamps, ties = index.stamps, index.ties
+            by_project = index.buckets.get((keys.cwe, keys.language), {})
+            # A row's instance id is also in its tie-break: ``ties[row][3]``.
+            rows = [row for row in by_project.get(keys.project, ())
+                    if stamps[row] < q_ts and ties[row][3] != keys.instance_id]
+            n_p1 = len(rows)
+            if n_p1 < k_min:
+                theirs = sorted(row for name, listed in by_project.items()
+                                if name != keys.project for row in listed)
+                rows += [row for row in theirs if ties[row][3] != keys.instance_id]
+            return index, [(ties[row], index.entries[row]) for row in rows], n_p1
 
     def embed_rows(self, index: TierIndex, field: str, rows) -> None:
         """Store in `index` the vectors of `field` its `rows` lack; nothing
@@ -443,7 +472,8 @@ def consolidate_success(
     corrected it (``diff_trees(failed.tree, accepted.tree)``), and a
     transition insight. A failed candidate whose tree equals the accepted
     one (a flaky oracle) corrected nothing, so only L2 is written. Both
-    entries go through :func:`insert`.
+    entries go through :func:`insert`; an L3 entry refused once the L2 one
+    is stored raises :class:`L3NotStored`, which names only the L3 entry.
     """
     rationale = (rationale_fn or default_rationale)(accepted)
     l2 = L2Entry(keys=keys, fix_patch=accepted.patch, rationale=rationale)
@@ -458,7 +488,10 @@ def consolidate_success(
         correction_delta=diff_trees(failed.tree, accepted.tree),
         transition_insight=insight,
     )
-    insert(store, l3)
+    try:
+        insert(store, l3)
+    except (EmbeddingUnavailable, InvariantViolation) as exc:
+        raise L3NotStored(f"L3 entry not stored: {exc}") from exc
     return l2, l3
 
 

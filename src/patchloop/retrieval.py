@@ -6,33 +6,27 @@ widens to other projects (same CWE and language) only when P1 is sparse.
 Candidates are scored by embedding cosine similarity on descriptions, with
 a lexical token-overlap fallback when the embedding backend is down.
 
-A retrieval costs what its pools hold. The tier index keeps each
-``(cwe, language)`` bucket's rows by project, so P1 is filtered from the
-query project's rows alone, and the other projects' rows are read only
-when P2 joins. The candidates are one list of rows, P1's first and then,
-when P2 joins, P2's in store order; the count of P1 rows tells the two
-apart. The list is scored with one mat-vec, only its rows are embedded,
-and each row's tie-break is built once, when the index adds it.
+A retrieval costs what its pools hold. The store picks the candidates
+under its writer lock (:meth:`MemoryStore.candidates`): the tier index
+keeps each ``(cwe, language)`` bucket's rows by project, so P1 is filtered
+from the query project's rows alone, and the other projects' rows are read
+only when P2 joins. The candidates are one list, P1's first and then, when
+P2 joins, P2's in store order; the count of P1's tells the two apart. The
+list is scored with one mat-vec, only its rows are embedded, and each
+row's tie-break is built once, when the index adds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
 
 from .embedding import (
     cosine,  # noqa: F401 - unused here, but bench/layers.py wraps this attribute
     jaccard_similarity,
 )
 from .errors import EmbeddingUnavailable, InvariantViolation
-from .memory import (
-    MemoryEntry,
-    MemoryStore,
-    RetrievalKeys,
-    field_text,
-    query_timestamp,
-)
+from .memory import MemoryEntry, MemoryStore, RetrievalKeys, field_text
 
 DEFAULT_K_MIN = 2
 DEFAULT_TOP_N = 4
@@ -83,36 +77,24 @@ def retrieve(
     patches instead of their descriptions.
     """
     query.validate()
-    q = query.keys
-    q_ts = query_timestamp(q)
-
-    index, mine, others = store.bucket(tier, q.cwe, q.language, q.project)
-    entries, stamps, ties = index.entries, index.stamps, index.ties
-    # A row's instance id is also in its tie-break, which the ranking below
-    # reads anyway: ``ties[row][3]``.
-    rows = [row for row in mine if stamps[row] < q_ts and ties[row][3] != q.instance_id]
-    n_p1 = len(rows)
-    if n_p1 < query.k_min:
-        # The other projects' rows, merged back into store order.
-        theirs = chain.from_iterable(listed[:n] for listed, n in others)
-        rows += [row for row in sorted(theirs) if ties[row][3] != q.instance_id]
-
-    query_text = query_text_override if query_text_override is not None else q.description
+    index, picked, n_p1 = store.candidates(tier, query.keys, query.k_min)
+    query_text = query_text_override if query_text_override is not None else query.keys.description
     field = "description" if query_text_override is None else "fail_patch"
     sims: list[float] = []
     try:
-        if rows:
+        if picked:
+            rows = [tie[-1] for tie, _ in picked]
             sims = store.cosines(index, field, store.embedder.embed(query_text), rows)
     except EmbeddingUnavailable:
-        sims = [jaccard_similarity(query_text, field_text(field, entries[row])) for row in rows]
+        sims = [jaccard_similarity(query_text, field_text(field, entry)) for _, entry in picked]
     # P1 first, then higher similarity, then the row's tie-break: the newer
     # timestamp, then the instance id, then the row number, which keeps full
-    # ties in store order.
+    # ties in store order and leaves the entries uncompared.
     scored = sorted(
-        (Priority.P1 if i < n_p1 else Priority.P2, -sim, ties[row])
-        for i, (row, sim) in enumerate(zip(rows, sims))
+        (Priority.P1 if i < n_p1 else Priority.P2, -sim, tie, entry)
+        for i, ((tie, entry), sim) in enumerate(zip(picked, sims))
     )
     return [
-        RankedEntry(entries[tie[-1]], -neg_sim, priority)
-        for priority, neg_sim, tie in scored[: query.top_n]
+        RankedEntry(entry, -neg_sim, priority)
+        for priority, neg_sim, _, entry in scored[: query.top_n]
     ]

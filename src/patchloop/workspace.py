@@ -2,9 +2,10 @@
 
 Every tool returns a :class:`ToolResult` instead of raising, so the agent
 loop can relay failures back to the model as recoverable observations. All
-tools are confined to the workspace root; ``bash`` is the documented
-exception and relies on the host container for confinement, with only a
-timeout and an output cap enforced here.
+tools are confined to the workspace root and kept out of every ``.git``
+directory under it; ``bash`` is the documented exception and relies on the
+host container for confinement, with only a timeout and an output cap
+enforced here.
 
 Snapshots are git tree objects written through a private index that each
 workspace owns; the checkout's own index is never touched. The private index
@@ -387,11 +388,15 @@ class Workspace:
     # -- path confinement ---------------------------------------------------
 
     def _resolve(self, path: str) -> Path | ToolResult:
-        """The absolute path, or the refusal a tool returns for a path
-        outside the root."""
+        """The absolute path, symlinks resolved, or the refusal a tool returns
+        for a path outside the root or inside a ``.git`` directory at any
+        depth: no snapshot holds git's own files, so no rollback would undo
+        an edit there (a planted hook, say)."""
         candidate = (self.root / path).resolve()
         if candidate != self.root and self.root not in candidate.parents:
             return ToolResult(False, f"{path} is outside the workspace", OUTSIDE_WORKSPACE)
+        if ".git" in candidate.relative_to(self.root).parts:
+            return ToolResult(False, f"{path} is inside a .git directory", OUTSIDE_WORKSPACE)
         return candidate
 
     # -- git plumbing ---------------------------------------------------------
@@ -510,8 +515,6 @@ class Workspace:
         rel_target = target.relative_to(self.root)
         if target.is_file():
             files = [(str(target), rel_target.as_posix(), None, True)]  # read below
-        elif ".git" in rel_target.parts:
-            files = []
         else:
             prefix = "" if target == self.root else rel_target.as_posix() + "/"
             files = read_tree(str(target), prefix)

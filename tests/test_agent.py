@@ -20,7 +20,14 @@ from patchloop.agent import (
     decide_transition,
     extract_localization,
 )
-from patchloop.errors import BuildToolMissing, GatewayExhausted, PristineCheckFailed, WorkspaceError
+from patchloop.embedding import CachingEmbedder, DeterministicEmbedder
+from patchloop.errors import (
+    BuildToolMissing,
+    EmbeddingUnavailable,
+    GatewayExhausted,
+    PristineCheckFailed,
+    WorkspaceError,
+)
 from patchloop.config import EngineConfig
 from patchloop.gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, GatewayConfig, ScriptedGateway
 from patchloop.memory import (
@@ -410,10 +417,25 @@ def test_a_rollback_that_fails_between_attempts_raises(demo_repo, tmp_path, monk
     assert fx.git(demo_repo, "status", "--porcelain") == ""
 
 
-def test_a_success_leaves_the_accepted_patch_in_the_checkout(demo_repo, tmp_path):
-    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_success)
+@pytest.mark.parametrize(
+    "tracked, spec",
+    [
+        ({}, DEMO_SPEC),
+        ({"BUILD_INFO": "source\n"}, replace(DEMO_SPEC, build_command="echo built > BUILD_INFO")),
+        ({}, replace(DEMO_SPEC, poc_command="echo run >> poc.log; python3 poc.py")),
+    ],
+    ids=["plain", "build rewrites a tracked file", "poc writes an untracked log"],
+)
+def test_a_success_leaves_the_accepted_patch_in_the_checkout(demo_repo, tmp_path, tracked, spec):
+    for rel, text in tracked.items():
+        (demo_repo / rel).write_text(text)
+        fx.git(demo_repo, "add", rel)
+        fx.git(demo_repo, "commit", "-qm", rel)
+    report, _, _ = run_scripted(demo_repo, tmp_path, fx.transcript_success, task=make_task(demo_repo, spec))
     assert report.outcome == "success"
+    # What the accepted candidate's verification wrote is gone with the rest.
     assert fx.git(demo_repo, "diff") == report.final_diff
+    assert fx.git(demo_repo, "status", "--porcelain") == " M app/buffer.py\n"
 
 
 NO_LOCATION = {"phase": "locator", "attempt": 2, "turn": {"role": "assistant", "content": "?"}}
@@ -531,6 +553,55 @@ def test_a_fix_memory_refuses_stands_and_the_report_names_the_refusal(demo_repo,
     assert "new mode 100644" in report.final_diff
     assert not os.access(demo_repo / "run.sh", os.X_OK)
     assert store.l2 == []
+
+
+class FailingOnEmbedder:
+    """The deterministic embedder, down for any text that holds `marker`."""
+
+    dim = 64
+
+    def __init__(self, marker: str) -> None:
+        self.inner, self.marker = DeterministicEmbedder(), marker
+
+    def embed(self, text: str):
+        if self.marker in text:
+            raise EmbeddingUnavailable("embedding request failed: backend down")
+        return self.inner.embed(text)
+
+
+CHMOD_POC = [
+    {"phase": "patcher", "attempt": 1, "turn": {
+        "role": "assistant", "content": "making the PoC executable",
+        "tool_calls": [{"name": "bash", "args": {"command": "chmod +x poc.py"}}],
+    }},
+    {"phase": "patcher", "attempt": 1, "turn": {"role": "assistant", "content": "PATCH READY"}},
+]
+
+
+@pytest.mark.parametrize(
+    "first_patch, marker, refusal",
+    [
+        # A mode change has no text hunk, so the L3 entry fails its diff check.
+        (CHMOD_POC, None, "L3 entry not stored: fail_patch is not a unified diff"),
+        # Only the L3 entry's patch text holds the lax guard.
+        (fx.patcher_turns(1, fx.BAD_NEW_NOT_FIXED), "capacity * 8",
+         "L3 entry not stored: embedding request failed: backend down"),
+    ],
+    ids=["memory refuses the failed candidate", "the embedder fails on the L3 entry"],
+)
+def test_a_refused_l3_entry_names_only_itself(demo_repo, tmp_path, caplog, first_patch, marker, refusal):
+    def transcript(path):
+        return fx.write_transcript(
+            path,
+            fx.locator_turns(1) + first_patch + fx.locator_turns(2) + fx.patcher_turns(2, fx.GOOD_NEW),
+        )
+
+    store = MemoryStore(embedder=CachingEmbedder(FailingOnEmbedder(marker))) if marker else MemoryStore()
+    report, _, store = run_scripted(demo_repo, tmp_path, transcript, store=store)
+    assert (report.outcome, report.failed_attempts) == ("success", 1)
+    assert report.reason == refusal
+    assert refusal in caplog.text and "not consolidated into memory" not in caplog.text
+    assert [e.fix_patch for e in store.l2] == [report.final_diff] and store.l3 == []
 
 
 @pytest.mark.parametrize(

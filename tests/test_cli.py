@@ -257,7 +257,7 @@ def test_ingest_csv_warnings_name_the_first_line_of_each_row(tmp_path, capsys, c
     )
     assert code == 0
     assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 1}
-    assert "corpus line 8 rejected: bad CWE 'NVD-noinfo'" in caplog.text
+    assert "corpus line 8 rejected: bad CWE tag: 'NVD-noinfo'" in caplog.text
 
 
 def test_ingest_rejects_a_csv_field_over_the_limit_and_keeps_the_others(tmp_path, capsys, caplog):
@@ -277,7 +277,7 @@ def test_ingest_rejects_a_csv_field_over_the_limit_and_keeps_the_others(tmp_path
     assert code == 0
     assert json.loads(out) == {"inserted": 2, "merged": 0, "rejected": 2}
     assert "corpus line 8 rejected: bad CSV (field larger than field limit" in caplog.text
-    assert "corpus line 2012 rejected: bad CWE 'NVD-noinfo'" in caplog.text
+    assert "corpus line 2012 rejected: bad CWE tag: 'NVD-noinfo'" in caplog.text
     assert [e.keys.instance_id for e in load_store(mem).l1] == ["p.cve-2020-1", "p.cve-2020-4"]
 
 

@@ -23,6 +23,7 @@ from patchloop.gateway import (
     _base_prompt,
     _render_memory,
     build_gateway,
+    post_json,
     render_prompt,
 )
 from patchloop.memory import L1Entry, L2Entry, L3Entry, RetrievalKeys
@@ -293,6 +294,21 @@ def test_http_gateway_retries_then_exhausts(monkeypatch):
     with pytest.raises(GatewayExhausted):
         gw.complete([ChatTurn("system", "s")], [])
     assert sleeps == [1, 2]  # exponential backoff between the 3 attempts
+
+
+def test_post_json_turns_an_invalid_url_into_a_value_error_without_retrying(monkeypatch):
+    calls, sleeps = [], []
+
+    def urlopen(req, timeout):
+        calls.append(req.full_url)
+        raise http.client.InvalidURL("URL can't contain control characters")
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    monkeypatch.setattr("patchloop.gateway.time.sleep", sleeps.append)
+    url = "http://127.0.0.1:9/v1/a b"
+    with pytest.raises(ValueError, match=re.escape(f"control characters: {url}")):
+        post_json(url, {}, "PATCHLOOP_TEST_NO_KEY", 0.2, GatewayExhausted)
+    assert (calls, sleeps) == ([url], [])
 
 
 # Each live client: one request through it to `url`, returning the reply's

@@ -204,6 +204,19 @@ def test_a_void_parameter_list_defines_only_the_function():
 
 
 @pytest.mark.parametrize(
+    "line, names",
+    [
+        # A comma inside parentheses or angle brackets splits no parameter.
+        ("int apply(int (*cb)(int, int), size_t n) {", {"apply", "cb", "n"}),
+        ("void put(std::map<int, int> m, char *buf) {", {"put", "m", "buf"}),
+    ],
+    ids=["function pointer", "template argument"],
+)
+def test_nested_commas_split_no_parameter(line, names):
+    assert {s for _, kind, s in c_sites(line + "\n}\n") if kind == DEFINITION} == names
+
+
+@pytest.mark.parametrize(
     "statement, symbol",
     [("return n;", "n"), ("return *n;", "n"), ("goto out;", "out"), ("else n = 0;", "n")],
 )
@@ -863,3 +876,38 @@ def test_a_file_over_the_index_limit_is_searched_but_not_indexed_or_cached(tmp_p
     opened.clear()
     assert list(index_repository(root).files) == ["a.c"]
     assert opened == []
+
+
+def test_the_walk_skips_what_it_cannot_list_stat_or_read(tmp_path, monkeypatch, caplog):
+    root = tmp_path / "repo"
+    for rel in ("a/x.c", "locked/y.c", "z.c", "gone.c", "secret.c"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(f"int {Path(rel).stem};\n")
+    # Root ignores permission bits, so each failure is injected.
+    real_scandir, real_walk, real_read = os.scandir, localizer.walk_files, localizer.read_text
+
+    def scandir(path):
+        if os.path.basename(path) == "locked":
+            raise PermissionError(13, "Permission denied", path)
+        return real_scandir(path)
+
+    def walk_then_delete(root, prefix=""):  # a file removed between listing and stat
+        for path, rel in real_walk(root, prefix):
+            if rel == "gone.c":
+                os.unlink(path)
+            yield path, rel
+
+    def read_text(path):
+        if path.endswith("secret.c"):
+            raise PermissionError(13, "Permission denied", path)
+        return real_read(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    assert [rel for _, rel in localizer.walk_files(str(root))] == ["a/x.c", "gone.c", "secret.c", "z.c"]
+    monkeypatch.setattr(localizer, "_TEXTS", {})
+    monkeypatch.setattr(localizer, "walk_files", walk_then_delete)
+    monkeypatch.setattr(localizer, "read_text", read_text)
+    assert {rel: text for _, rel, text, _ in localizer.read_tree(str(root))} == {
+        "a/x.c": "int x;\n", "z.c": "int z;\n",
+    }
+    assert "skipping unreadable file" in caplog.text and "gone.c" in caplog.text and "secret.c" in caplog.text

@@ -226,6 +226,46 @@ def test_insert_validates_invariants():
                               correction_delta=make_patch("f.c", "a", "b"), transition_insight="none"))
 
 
+@pytest.mark.parametrize(
+    "raw, stored",
+    [
+        ("787", "CWE-787"), ("cwe-787", "CWE-787"), ("CWE-787", "CWE-787"), (" Cwe-0787 ", "CWE-787"),
+        ("", "CWE-UNKNOWN"), ("  ", "CWE-UNKNOWN"), ("CWE-UNKNOWN", "CWE-UNKNOWN"),
+        ("cwe-unknown", "CWE-UNKNOWN"),
+        ("NVD-noinfo", None), ("CWE-", None), ("CWE-78a", None), ("-787", None), ("CWE 787", None),
+        ("\u00b2", None),  # a digit int() cannot read
+    ],
+)
+def test_normalize_cwe_takes_the_documented_spellings_and_no_other(raw, stored):
+    if stored is None:
+        with pytest.raises(InvariantViolation, match=re.escape(f"bad CWE tag: {raw!r}")):
+            memory.normalize_cwe(raw)
+    else:
+        assert memory.normalize_cwe(raw) == stored
+
+
+@pytest.mark.parametrize(
+    "mapping, want",
+    [
+        (
+            {"project": "p", "cwe": "cwe-787", "language": "c", "instance_id": "p.cve-2020-1",
+             "description": "d", "fix_patch": "ignored", "repo": "ignored"},
+            RetrievalKeys("p", "CWE-787", "c", "p.cve-2020-1", "d"),
+        ),
+        ({"instance_id": "i"}, RetrievalKeys("", "CWE-UNKNOWN", "", "i", "")),
+        ({}, RetrievalKeys("", "CWE-UNKNOWN", "", "", "")),
+        ({"instance_id": "i", "cwe": "NVD-noinfo"}, "bad CWE tag: 'NVD-noinfo'"),
+    ],
+    ids=["corpus row", "bare task", "empty", "bad tag"],
+)
+def test_retrieval_keys_of_a_row_or_task(mapping, want):
+    if isinstance(want, str):
+        with pytest.raises(InvariantViolation, match=re.escape(want)):
+            RetrievalKeys.of(mapping)
+    else:
+        assert RetrievalKeys.of(mapping) == want
+
+
 def test_insert_assigns_fallback_seq_for_unparseable_ids():
     store = MemoryStore()
     a = l1("no-cve-id-a", desc="alpha")

@@ -190,7 +190,7 @@ def test_search_and_index_walk_matches_sorted_rglob(tmp_path):
             assert got.ok
             assert got.output == _reference_search(repo, "needle", limit), limit
         assert "more matches not shown" in ws.search("needle", limit=4).output
-        for target in ("a", "vendor", "vendor/lib/.git"):
+        for target in ("a", "vendor"):
             got = ws.search("needle", target, limit=100).output
             assert got == _reference_search(repo, "needle", 100, target), target
         assert ws.search("needle", "a", limit=100).output.splitlines()[0] == "== a/x.c:1 =="
@@ -251,6 +251,44 @@ def test_view_lists_a_directory_link_by_name_and_never_follows_it(tmp_path):
         assert ws.view("link").error_kind == "OutsideWorkspace"
     finally:
         ws.close()
+
+
+def test_the_file_tools_refuse_every_git_directory(tmp_path):
+    repo = init_repo(
+        tmp_path / "repo",
+        {".gitignore": "*.log\n", ".gitattributes": "* text=auto\n",
+         ".github/ci.yml": "on: push\n", "a.c": "int a;\n"},
+    )
+    vendored = repo / "vendor" / "lib" / ".git"
+    vendored.mkdir(parents=True)
+    (vendored / "config").write_text("[core]\n")
+    (repo / "vendor" / "lib" / "z.c").write_text("int z;\n")
+    (repo / "gitdir").symlink_to(".git", target_is_directory=True)
+    git_files = {path: path.read_bytes() for path in (repo / ".git").rglob("*") if path.is_file()}
+
+    ws = Workspace(repo, bash_timeout=10)
+    try:
+        for path in (".git/hooks/post-checkout", ".git/config", "a/../.git/config", ".git",
+                     "gitdir/config", "vendor/lib/.git/config", "vendor/lib/.git"):
+            for result in (
+                ws.create(path, "#!/bin/sh\n"),
+                ws.str_replace(path, "[core]", "[core]\n\thooksPath = /tmp/hooks"),
+                ws.view(path),
+                ws.search("core", path),
+            ):
+                assert (result.ok, result.error_kind) == (False, "OutsideWorkspace"), path
+                assert result.output == f"{path} is inside a .git directory"
+        # Git's other dotfiles and the vendored checkout's own files stay reachable.
+        assert ws.str_replace(".gitignore", "*.log", "*.tmp").ok
+        assert ws.view(".gitattributes").ok
+        assert ws.search("push", ".github").output.startswith("== .github/ci.yml:1 ==")
+        assert ws.create(".github/new.yml", "on: pull_request\n").ok
+        assert ws.str_replace("vendor/lib/z.c", "int z;", "long z;").ok
+        assert ws.view("vendor").output.splitlines() == ["lib/", "  z.c"]
+    finally:
+        ws.close()
+    assert {path: path.read_bytes() for path in (repo / ".git").rglob("*") if path.is_file()} == git_files
+    assert (vendored / "config").read_text() == "[core]\n"
 
 
 # ---------------------------------------------------------------------------
