@@ -333,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="patchloop")
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log each attempt's verdict on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load a fix corpus into memory")
@@ -372,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, stream=sys.stderr)
     if args.command == "repair" and not args.task and not args.tasks:
         print("repair needs a task file or --tasks directory", file=sys.stderr)
         return 2

@@ -12,14 +12,12 @@ malformed endpoint through :func:`http_url` when they are built.
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import os
 import re
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -176,6 +174,11 @@ def post_json(url: str, payload: dict, api_key_env: str, timeout: float,
     of backoff in all, a delta-seconds Retry-After on 429/503 within that.
     Other 4xx fail at once. Failures raise ``error(message)``; a malformed
     `url` raises ValueError and is never retried."""
+    # Imported here, not at module level: they load ssl, which offline runs never need.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if key := os.environ.get(api_key_env, ""):
         headers["Authorization"] = f"Bearer {key}"
@@ -313,6 +316,7 @@ class RemoteEmbedder:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _base_prompt(phase: str) -> str:
     if phase not in PHASES:
         raise ValueError(f"unknown phase: {phase!r}")

@@ -399,30 +399,34 @@ def index_repository(root: Path) -> SymbolIndex:
 # ---------------------------------------------------------------------------
 
 
-def _frame_matches(site_file: str, frame_file: str) -> bool:
-    """Report paths may be absolute; match on exact or path-suffix equality."""
-    return frame_file == site_file or frame_file.endswith("/" + site_file)
+def _crash_frame(site: SymbolSite, report: CrashReport) -> tuple[int, CrashFrame] | None:
+    """The first frame in `site`'s file, with its index, or None. Report
+    paths may be absolute; a frame matches on exact or path-suffix equality."""
+    for idx, frame in enumerate(report.frames):
+        if frame.file == site.file or frame.file.endswith("/" + site.file):
+            return idx, frame
+    return None
 
 
 def _score(site: SymbolSite, report: CrashReport | None) -> tuple:
     kind_rank = 0 if site.kind == DEFINITION else 1
-    if report is not None:
-        for idx, frame in enumerate(report.frames):
-            if _frame_matches(site.file, frame.file):
-                return (0, idx, abs(site.line - frame.line), kind_rank, site.file, site.line)
-        return (1, 0, 0, kind_rank, site.file, site.line)
-    return (0, 0, 0, kind_rank, site.file, site.line)
+    if report is None:
+        return (0, 0, 0, kind_rank, site.file, site.line)
+    if hit := _crash_frame(site, report):
+        idx, frame = hit
+        return (0, idx, abs(site.line - frame.line), kind_rank, site.file, site.line)
+    return (1, 0, 0, kind_rank, site.file, site.line)
 
 
 def _reason(site: SymbolSite, report: CrashReport | None) -> str:
-    if report is not None:
-        for idx, frame in enumerate(report.frames):
-            if _frame_matches(site.file, frame.file):
-                dist = abs(site.line - frame.line)
-                where = "at the frame line" if dist == 0 else f"{dist} lines from frame line {frame.line}"
-                return f"{site.kind} of '{site.symbol}' in crash frame #{idx} file, {where}"
-        return f"{site.kind} of '{site.symbol}' outside the crash stack"
-    return f"{site.kind} of '{site.symbol}'"
+    if report is None:
+        return f"{site.kind} of '{site.symbol}'"
+    if hit := _crash_frame(site, report):
+        idx, frame = hit
+        dist = abs(site.line - frame.line)
+        where = "at the frame line" if dist == 0 else f"{dist} lines from frame line {frame.line}"
+        return f"{site.kind} of '{site.symbol}' in crash frame #{idx} file, {where}"
+    return f"{site.kind} of '{site.symbol}' outside the crash stack"
 
 
 def iter_grep(

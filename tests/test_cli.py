@@ -3,8 +3,11 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import fields
@@ -643,6 +646,46 @@ def test_repair_success_exit_zero(demo_repo, tmp_path, capsys):
     assert (out_dir / "task.trajectory.jsonl").exists()
     # memory file now carries the consolidated experience
     assert len(load_store(tmp_path / "m.jsonl").l2) == 1
+
+
+HTTP_MODULES = ("ssl", "http.client", "urllib.request")
+
+
+def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """`cli.main(argv)` in a fresh interpreter, whose last stdout line lists
+    the modules of HTTP_MODULES that the run loaded."""
+    script = (
+        "import json, sys\n"
+        "from patchloop import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_a_scripted_session_loads_no_http_stack(demo_repo, tmp_path):
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    proc = run_cli_fresh("--config", str(cfg), "repair", str(task),
+                         "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out_dir / "task.report.json").read_text())["outcome"] == "success"
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("flags, verdicts", [
+    (["-v"], ["attempt 1 verdict mitigated=True preserved=False -> regenerate",
+              "attempt 2 verdict mitigated=True preserved=True -> success"]),
+    ([], []),
+], ids=["-v", "default"])
+def test_verbose_logs_each_attempt_verdict_on_stderr(demo_repo, tmp_path, flags, verdicts):
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_regenerate_then_success)
+    proc = run_cli_fresh(*flags, "--config", str(cfg), "repair", str(task),
+                         "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir))
+    assert proc.returncode == 0, proc.stderr
+    assert re.findall(r"attempt \d verdict .*", proc.stderr) == verdicts
 
 
 @pytest.mark.parametrize(

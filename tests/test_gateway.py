@@ -5,6 +5,7 @@ import http.client
 import io
 import json
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,19 @@ def test_render_prompt_zero_memories_is_base_only():
     assert "Retrieved repair experience" not in user.content
     assert user.content == "the task"
     assert "fault-localization" in system.content
+
+
+def test_each_phase_prompt_file_is_read_once(monkeypatch):
+    files = resources.files
+    reads = []
+    monkeypatch.setattr("patchloop.gateway.resources.files", lambda pkg: reads.append(pkg) or files(pkg))
+    _base_prompt.cache_clear()
+    for _ in range(2):
+        for phase in PHASES:
+            assert render_prompt(phase, "task", [])[0].content.strip()
+        with pytest.raises(ValueError, match="unknown phase: 'planner'"):
+            _base_prompt("planner")
+    assert len(reads) == 3
 
 
 def test_render_prompt_appends_compressed_context():
