@@ -45,7 +45,7 @@ from .errors import (
     NoMatch,
     OracleTimeout,
 )
-from .gateway import ChatTurn, render_prompt
+from .gateway import ChatTurn, Tools, render_prompt
 from .localizer import (
     CrashReport,
     LocalizationObject,
@@ -67,34 +67,18 @@ from .workspace import (
 
 logger = logging.getLogger(__name__)
 
-LOCATOR_TOOLS = ("iter_grep", "view", "search")
-PATCHER_TOOLS = ("view", "search", "create", "str_replace", "bash")
-
-_TOOL_SCHEMAS = {
-    "iter_grep": {"symbol": "symbol name to locate"},
+# Each phase's tools: the name of each, and a description of each argument.
+_READ_TOOLS: Tools = {
     "view": {"path": "file or directory", "line_start": "optional", "line_end": "optional"},
     "search": {"pattern": "regex", "path": "optional search root"},
+}
+LOCATOR_TOOLS: Tools = {"iter_grep": {"symbol": "symbol name to locate"}, **_READ_TOOLS}
+PATCHER_TOOLS: Tools = {
+    **_READ_TOOLS,
     "create": {"path": "new file path", "text": "file contents"},
     "str_replace": {"path": "file", "old": "exact unique text", "new": "replacement"},
     "bash": {"command": "shell command", "restart": "optional bool"},
 }
-
-
-def tool_schemas(names: tuple[str, ...]) -> list[dict]:
-    return [
-        {
-            "type": "function",
-            "function": {
-                "name": name,
-                "parameters": {
-                    "type": "object",
-                    "properties": {k: {"type": "string", "description": v}
-                                   for k, v in _TOOL_SCHEMAS[name].items()},
-                },
-            },
-        }
-        for name in names
-    ]
 
 
 class Transition(str, Enum):
@@ -236,13 +220,12 @@ class SessionRunner:
             self._index = index_repository(self.task.workspace.root)
         return self._index
 
-    def _log_turn(self, turn: ChatTurn) -> None:
+    def _record(self, history: list[ChatTurn], turn: ChatTurn) -> None:
+        """Append `turn` to the phase's `history` and to the trajectory."""
+        history.append(turn)
         self.trajectory.append({"type": "turn", **turn.to_json()})
 
-    def _log_tool(self, call: ToolCall, result: ToolResult) -> None:
-        self.trajectory.append({"type": "tool", "call": call.to_json(), "result": result.to_json()})
-
-    def _dispatch(self, call: ToolCall, tools: tuple[str, ...]) -> ToolResult:
+    def _dispatch(self, call: ToolCall, tools: Tools) -> ToolResult:
         """Run `call` if its phase offers that tool; any other name is unknown.
         Bad arguments and operating-system errors come back as failed
         results, so the model sees them and the phase goes on."""
@@ -250,26 +233,28 @@ class SessionRunner:
             return ToolResult(False, f"unknown tool: {call.name}", "UnknownTool")
         ws = self.task.workspace
         args = call.args
+
+        def arg(name: str, default: str = "") -> str:
+            return str(args.get(name, default))
+
         try:
             if call.name == "view":
                 window = None
                 if "line_start" in args and "line_end" in args:
                     window = (int(args["line_start"]), int(args["line_end"]))
-                    self._visited.append((str(args.get("path", "")), window))
-                return ws.view(str(args.get("path", "")), window)
+                    self._visited.append((arg("path"), window))
+                return ws.view(arg("path"), window)
             if call.name == "search":
-                return ws.search(str(args.get("pattern", "")), str(args.get("path", ".")))
+                return ws.search(arg("pattern"), arg("path", "."))
             if call.name == "create":
-                return ws.create(str(args.get("path", "")), str(args.get("text", "")))
+                return ws.create(arg("path"), arg("text"))
             if call.name == "str_replace":
-                return ws.str_replace(
-                    str(args.get("path", "")), str(args.get("old", "")), str(args.get("new", ""))
-                )
+                return ws.str_replace(arg("path"), arg("old"), arg("new"))
             if call.name == "bash":
-                restart = str(args.get("restart", "")).lower() in ("1", "true", "yes")
-                return ws.bash(str(args.get("command", "")), restart=restart)
+                restart = arg("restart").lower() in ("1", "true", "yes")
+                return ws.bash(arg("command"), restart=restart)
             try:  # iter_grep, the one tool left
-                objs = iter_grep(self.index, str(args.get("symbol", "")), self._crash)
+                objs = iter_grep(self.index, arg("symbol"), self._crash)
             except NoMatch as exc:
                 return ToolResult(False, str(exc), "NoMatch")
             for obj in objs:
@@ -284,7 +269,7 @@ class SessionRunner:
             return ToolResult(False, message, "OSError")
 
     def _drive_phase(
-        self, phase: str, task_text: str, memories: list, compressed, tools: tuple[str, ...]
+        self, phase: str, task_text: str, memories: list, compressed, tools: Tools
     ) -> ChatTurn | None:
         """Run the model/tool loop for one phase, every model call of the
         session included; returns the final plain turn, or None when the
@@ -293,29 +278,24 @@ class SessionRunner:
             phase, task_text, memories, compressed, budget=self.cfg.gateway.prompt_budget
         )
         self.gateway.set_context(phase, self.failed_attempts + 1)
-        history = [system, user]
-        self._log_turn(system)
-        self._log_turn(user)
-        schemas = tool_schemas(tools)
+        history: list[ChatTurn] = []
+        self._record(history, system)
+        self._record(history, user)
         for _ in range(self.cfg.gateway.max_turns):
             self.prompt_tokens += sum(len(t.content) for t in history) // 4
             try:
-                reply = self.gateway.complete(history, schemas)
+                reply = self.gateway.complete(history, tools)
             except MalformedToolCall as exc:
-                note = ChatTurn(role="user", content=f"malformed tool call, ignored: {exc}")
-                history.append(note)
-                self._log_turn(note)
+                self._record(history, ChatTurn(role="user", content=f"malformed tool call, ignored: {exc}"))
                 continue
             self.completion_tokens += len(reply.content) // 4
-            history.append(reply)
-            self._log_turn(reply)
+            self._record(history, reply)
             if not reply.tool_calls:
                 return reply
-            for i, call in enumerate(reply.tool_calls):
+            for call in reply.tool_calls:
                 result = self._dispatch(call, tools)
-                self._log_tool(call, result)
-                tool_turn = ChatTurn(role="tool", content=result.output, tool_call_id=f"call_{i}")
-                history.append(tool_turn)
+                self.trajectory.append({"type": "tool", "call": call.to_json(), "result": result.to_json()})
+                history.append(ChatTurn(role="tool", content=result.output))
         return None
 
     def _retrieve(self, tier: str, override: str | None = None):
@@ -337,7 +317,7 @@ class SessionRunner:
     def _ask_verifier(self, question: str, fallback: str) -> str:
         """The verifier's answer, or `fallback` when it gives none."""
         try:
-            reply = self._drive_phase("verifier", question, [], None, ())
+            reply = self._drive_phase("verifier", question, [], None, {})
         except GatewayExhausted:
             return fallback
         return (reply.content.strip() if reply else "") or fallback
@@ -428,8 +408,6 @@ class SessionRunner:
         self.pristine_id = ws.snapshot()
         try:
             self.task.oracle.validate_pristine()
-            # What the build, the PoC and the suite wrote must not reach a candidate.
-            ws.rollback(self.pristine_id)
             _, output = self.task.oracle.pristine_poc
             self._crash = parse_crash_report(output)
             self._evidence = self._runtime_evidence(output)
@@ -451,12 +429,14 @@ class SessionRunner:
 
     def _loop(self) -> str:
         """Run attempts until Success or Exhausted; returns the stop reason.
-        The tree is rolled back between attempts; the expected ways a
+        Every attempt starts from the pristine tree; the expected ways a
         session ends return, and anything else propagates to ``run``."""
         ws = self.task.workspace
         relocate = True
         try:
             while True:
+                # Nothing the validation or an earlier attempt wrote reaches this candidate.
+                ws.rollback(self.pristine_id)
                 if relocate:
                     loc = self.locate()
                 tree, candidate = self.patch(loc)
@@ -502,7 +482,6 @@ class SessionRunner:
                     budget=self.cfg.limits.log_budget,
                 )
                 self._visited = []
-                ws.rollback(self.pristine_id)
                 relocate = transition == Transition.RELOCATE
         except (OracleTimeout, GatewayExhausted, LocalizationFailure) as exc:
             self.outcome = Outcome.EXHAUSTED

@@ -70,13 +70,22 @@ def _unquote(value: str) -> str:
 
 def _apply(section: configparser.SectionProxy, target) -> None:
     """Set each key of `section` that names a field of `target`, cast to the
-    field's declared type; warn about any other key, such as a misspelt one."""
+    field's declared type; warn about any other key, such as a misspelt one.
+    A value that does not cast, a negative number and a `max_turns` below 1
+    raise ValueError naming the section and the key."""
     hints = typing.get_type_hints(type(target))  # every field and its type
     for key, raw in section.items():
-        if key in hints:
-            setattr(target, key, hints[key](_unquote(raw)))
-        else:
+        if key not in hints:
             logger.warning("config section [%s]: ignoring unknown key %r", section.name, key)
+            continue
+        try:
+            value = hints[key](_unquote(raw))
+        except ValueError as exc:
+            raise ValueError(f"[{section.name}] {key}: {exc}") from None
+        least = 1 if key == "max_turns" else 0  # a phase needs one model call
+        if hints[key] is not str and not value >= least:  # NaN too
+            raise ValueError(f"[{section.name}] {key} must be at least {least}, got {raw.strip()}")
+        setattr(target, key, value)
 
 
 def load_config(path: Path | None) -> EngineConfig:

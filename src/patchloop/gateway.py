@@ -38,20 +38,19 @@ RETRY_AFTER = frozenset({429, 503})  # statuses whose Retry-After sets the next 
 
 DEFAULT_REMOTE_TIMEOUT = 30.0  # seconds a RemoteEmbedder waits for a reply
 
+Tools = dict[str, dict[str, str]]  # tool name -> argument name -> its description
+
 
 @dataclass
 class ChatTurn:
     role: str  # system | user | assistant | tool
     content: str = ""
     tool_calls: list[ToolCall] | None = None
-    tool_call_id: str | None = None
 
     def to_json(self) -> dict:
         rec: dict = {"role": self.role, "content": self.content}
         if self.tool_calls:
             rec["tool_calls"] = [c.to_json() for c in self.tool_calls]
-        if self.tool_call_id:
-            rec["tool_call_id"] = self.tool_call_id
         return rec
 
 
@@ -138,7 +137,7 @@ class ScriptedGateway:
     def set_context(self, phase: str, attempt: int) -> None:
         self._context = (phase, attempt)
 
-    def complete(self, history: list[ChatTurn], available_tools: list[dict]) -> ChatTurn:
+    def complete(self, history: list[ChatTurn], available_tools: Tools) -> ChatTurn:
         queue = self._queues.get(self._context)
         if not queue:
             raise GatewayExhausted(
@@ -222,11 +221,19 @@ class HttpGateway:
     def set_context(self, phase: str, attempt: int) -> None:
         pass  # live backend does not key on phase
 
-    def _payload(self, history: list[ChatTurn], tools: list[dict]) -> dict:
+    def _payload(self, history: list[ChatTurn], tools: Tools) -> dict:
+        """The chat-completions request for `history`, offering `tools`. The
+        tool turns after an assistant turn answer its calls in order, so the
+        i-th of them answers the call numbered ``call_{i}``."""
         messages = []
+        answered = 0
         for turn in history:
             msg = turn.to_json()
-            if turn.tool_calls:
+            if turn.role == "tool":
+                msg["tool_call_id"] = f"call_{answered}"
+                answered += 1
+            elif turn.tool_calls:
+                answered = 0
                 msg["tool_calls"] = [
                     {
                         "id": f"call_{i}",
@@ -245,10 +252,14 @@ class HttpGateway:
             "messages": messages,
         }
         if tools:
-            payload["tools"] = tools
+            payload["tools"] = [{"type": "function", "function": {
+                "name": name,
+                "parameters": {"type": "object", "properties": {
+                    arg: {"type": "string", "description": text} for arg, text in args.items()}},
+            }} for name, args in tools.items()]
         return payload
 
-    def complete(self, history: list[ChatTurn], available_tools: list[dict]) -> ChatTurn:
+    def complete(self, history: list[ChatTurn], available_tools: Tools) -> ChatTurn:
         cfg = self.config
         reply = post_json(self.url, self._payload(history, available_tools), cfg.api_key_env, cfg.timeout,
                           lambda msg: GatewayExhausted(f"gateway {msg}"))

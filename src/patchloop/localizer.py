@@ -77,7 +77,6 @@ class CrashFrame:
 @dataclass
 class CrashReport:
     frames: list[CrashFrame]
-    fault_kind: str
 
 
 @dataclass
@@ -104,7 +103,6 @@ class LocalizationObject:
 _FRAME_RE = re.compile(
     r"^\s*#(\d+)\s+0x[0-9a-fA-F]+\s+in\s+(.+?)\s+(\S+?):(\d+)(?::\d+)?\s*$"
 )
-_FAULT_RE = re.compile(r"ERROR:\s*\w*Sanitizer:?\s*([A-Za-z0-9_-]+)")
 
 
 def parse_crash_report(text: str) -> CrashReport | None:
@@ -120,13 +118,7 @@ def parse_crash_report(text: str) -> CrashReport | None:
             frames.append(
                 CrashFrame(file=m.group(3), line=int(m.group(4)), function=m.group(2))
             )
-    if not frames:
-        return None
-    fault = _FAULT_RE.search(text)
-    return CrashReport(
-        frames=frames,
-        fault_kind=fault.group(1) if fault else "unknown",
-    )
+    return CrashReport(frames) if frames else None
 
 
 # ---------------------------------------------------------------------------

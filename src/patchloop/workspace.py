@@ -87,11 +87,14 @@ class ToolResult:
 
 
 def cap_output(text: str, cap: int = DEFAULT_OUTPUT_CAP) -> str:
-    """Bound tool output, preserving head and tail around a truncation note."""
+    """Bound tool output to `cap` characters, preserving head and tail around
+    a truncation note; a cap too small for the note keeps only the head."""
     if len(text) <= cap:
         return text
     note = f"\n... [output truncated: {len(text) - cap} chars omitted] ...\n"
-    keep = max(0, cap - len(note))
+    if len(note) > cap:
+        return text[:max(cap, 0)]
+    keep = cap - len(note)
     head = text[: keep // 2]
     tail = text[len(text) - (keep - keep // 2) :]
     return head + note + tail

@@ -399,7 +399,7 @@ def test_failing_rollback_does_not_mask_the_original_error(demo_repo, tmp_path, 
 
     def broken_rollback(snapshot_id):
         calls.append(snapshot_id)
-        if len(calls) > 1:  # the first, the restore after the pristine validation, runs
+        if len(calls) > 1:  # the first, the restore that starts attempt 1, runs
             raise WorkspaceError("rollback failed")
         return rollback(snapshot_id)
 
@@ -410,7 +410,7 @@ def test_failing_rollback_does_not_mask_the_original_error(demo_repo, tmp_path, 
 
 
 def test_a_rollback_that_fails_between_attempts_raises(demo_repo, tmp_path, monkeypatch):
-    fx.fail_next_read_tree(monkeypatch, 1)  # the restore after the pristine validation runs
+    fx.fail_next_read_tree(monkeypatch, 1)  # the restore that starts attempt 1 runs
     with pytest.raises(WorkspaceError, match="git read-tree --reset -u"):
         run_scripted(demo_repo, tmp_path, fx.transcript_relocate_then_success)
     # run's own restore ran once git could again
@@ -623,6 +623,29 @@ def test_what_the_pristine_validation_writes_reaches_no_candidate(demo_repo, tmp
     patches = [a["patch"] for a in report.attempts] + [store.l2[0].fix_patch, store.l3[0].fail_patch]
     assert [diffutil.changed_files(p) for p in patches] == [["app/buffer.py"]] * 4
     assert diffutil.changed_files(store.l3[0].correction_delta) == ["app/buffer.py"]
+
+
+@pytest.mark.parametrize("transcript, outcome", [
+    (fx.transcript_success, "success"),
+    (fx.transcript_relocate_then_success, "success"),
+    (fx.transcript_regenerate_then_success, "success"),
+    (fx.transcript_four_failures, "exhausted"),
+], ids=["success", "relocate", "regenerate", "four failures"])
+def test_a_session_restores_once_per_attempt_and_once_at_its_end(
+    demo_repo, tmp_path, monkeypatch, transcript, outcome
+):
+    task = make_task(demo_repo)
+    rollback, restored = task.workspace.rollback, []
+
+    def counting_rollback(snapshot_id):
+        restored.append(snapshot_id)
+        return rollback(snapshot_id)
+
+    monkeypatch.setattr(task.workspace, "rollback", counting_rollback)
+    report, runner, _ = run_scripted(demo_repo, tmp_path, transcript, task=task)
+    assert report.outcome == outcome
+    final = runner.attempts[-1].tree if outcome == "success" else runner.pristine_id
+    assert restored == [runner.pristine_id] * len(runner.attempts) + [final]
 
 
 def test_two_failures_record_the_last_failed_candidate(demo_repo, tmp_path):

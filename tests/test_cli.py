@@ -131,6 +131,22 @@ def test_retrieval_bounds_out_of_order_are_a_bad_config(tmp_path, capsys, values
     assert code == 2 and "bad config" in err
 
 
+@pytest.mark.parametrize("values, message", [
+    ("[limits]\nattempt_cap = 3.0", "[limits] attempt_cap: invalid literal for int()"),
+    ("[limits]\nattempt_cap = -1", "[limits] attempt_cap must be at least 0, got -1"),
+    ("[gateway]\nprompt_budget = -5", "[gateway] prompt_budget must be at least 0, got -5"),
+    ("[gateway]\nmax_turns = 0", "[gateway] max_turns must be at least 1, got 0"),
+    ("[oracle]\ntotal_budget = nan", "[oracle] total_budget must be at least 0, got nan"),
+], ids=["float for an int", "negative int", "negative budget", "zero max_turns", "nan"])
+def test_a_bad_config_value_names_its_section_and_key(tmp_path, capsys, values, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(values + "\n")
+    code, _, err = run_cli(
+        capsys, "--config", str(cfg), "memory", "inspect", "--memory", str(tmp_path / "m.jsonl")
+    )
+    assert code == 2 and f"bad config: {message}" in err
+
+
 def test_load_config_warns_about_keys_it_does_not_read(tmp_path, caplog):
     path = tmp_path / "run.cfg"
     path.write_text("[limits]\natempt_cap = 1\n\n[oracle]\ntotal_budget = 60\n")
@@ -792,7 +808,7 @@ def test_repair_exhausted_exit_one(demo_repo, tmp_path, capsys):
 def test_repair_whose_rollback_fails_exits_two_naming_the_git_step(
     demo_repo, tmp_path, capsys, monkeypatch
 ):
-    fx.fail_next_read_tree(monkeypatch, 1)  # the restore after the pristine validation runs
+    fx.fail_next_read_tree(monkeypatch, 1)  # the restore that starts attempt 1 runs
     task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_relocate_then_success)
     code, _, err = run_cli(
         capsys,

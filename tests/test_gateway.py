@@ -135,17 +135,29 @@ def test_http_payload_shape():
 
     history = [
         ChatTurn("system", "sys"),
-        ChatTurn("assistant", "", tool_calls=[ToolCall("view", {"path": "a"})]),
-        ChatTurn("tool", "output", tool_call_id="view"),
+        ChatTurn("assistant", "", tool_calls=[ToolCall("view", {"path": "a"}), ToolCall("search", {})]),
+        ChatTurn("tool", "output"),
+        ChatTurn("tool", "matches"),
+        ChatTurn("assistant", "", tool_calls=[ToolCall("view", {"path": "b"})]),
+        ChatTurn("tool", "more output"),
     ]
-    payload = gw._payload(history, [{"type": "function"}])
+    payload = gw._payload(history, {"view": {"path": "file"}, "search": {}})
     assert payload["model"] == "m"
     assert payload["temperature"] == 0.0
     assert payload["messages"][1]["tool_calls"][0]["function"]["name"] == "view"
     assert json.loads(payload["messages"][1]["tool_calls"][0]["function"]["arguments"]) == {
         "path": "a"
     }
-    assert payload["messages"][2]["tool_call_id"] == "view"
+    # Each tool turn answers the call at its position after the assistant turn.
+    assert [c["id"] for c in payload["messages"][1]["tool_calls"]] == ["call_0", "call_1"]
+    assert [m.get("tool_call_id") for m in payload["messages"][2:]] == ["call_0", "call_1", None, "call_0"]
+    assert payload["tools"] == [
+        {"type": "function", "function": {"name": "view", "parameters": {
+            "type": "object", "properties": {"path": {"type": "string", "description": "file"}}}}},
+        {"type": "function", "function": {"name": "search", "parameters": {
+            "type": "object", "properties": {}}}},
+    ]
+    assert "tools" not in gw._payload(history, {})
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,6 @@ def test_parse_two_frame_report():
     ]
 
 
-def test_fault_kind_extracted():
-    report = parse_crash_report(CRASH_REPORT)
-    assert report.fault_kind == "heap-buffer-overflow"
-
-
 def test_frames_keep_report_order_and_columns_are_tolerated():
     text = (
         "==1==ERROR: AddressSanitizer: use-after-free on address 0x1\n"
@@ -59,7 +54,6 @@ def test_frames_keep_report_order_and_columns_are_tolerated():
     report = parse_crash_report(text)
     assert [f.file for f in report.frames] == ["src/deep/inner.c", "lib/vec.cc", "src/outer.c"]
     assert report.frames[0].line == 10
-    assert report.fault_kind == "use-after-free"
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +337,6 @@ def test_ranking_matches_brute_force_comparator():
             CrashFrame("b.c", 7, "middle"),
             CrashFrame("c.c", 88, "outer"),
         ],
-        fault_kind="heap-buffer-overflow",
     )
     index = StubIndex({f: 300 for f in ("a.c", "b.c", "c.c", "d.c")}, sites)
     for k in (3, 5, 12):
@@ -396,14 +389,14 @@ def test_crash_file_sites_outrank_outside_sites():
         SymbolSite("hot.c", 400, USE, "sym"),
     ]
     index = StubIndex({"cold.c": 500, "hot.c": 500}, sites)
-    report = CrashReport([CrashFrame("hot.c", 10, "f")], "heap-buffer-overflow")
+    report = CrashReport([CrashFrame("hot.c", 10, "f")])
     result = iter_grep(index, "sym", report)
     assert result[0].file == "hot.c"
 
 
 def test_absolute_frame_paths_match_relative_sites():
     index = StubIndex({"src/mod.c": 100}, [SymbolSite("src/mod.c", 10, USE, "sym")])
-    report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")], "segv")
+    report = CrashReport([CrashFrame("/build/repo/src/mod.c", 12, "f")])
     result = iter_grep(index, "sym", report)
     assert "crash frame #0" in result[0].reason
 
