@@ -57,7 +57,6 @@ from .localizer import (
 from .memory import MemoryStore, RetrievalKeys
 from .oracle import OracleRunner, VerificationVerdict
 from .workspace import (
-    CompressedContext,
     ToolCall,
     ToolResult,
     Workspace,
@@ -66,6 +65,9 @@ from .workspace import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Shares of [gateway] prompt_budget: the evidence takes at most a half, a failed attempt's summary a sixth.
+EVIDENCE_SHARE, SUMMARY_SHARE = 2, 6
 
 # Each phase's tools: the name of each, and a description of each argument.
 _READ_TOOLS: Tools = {
@@ -186,7 +188,7 @@ class SessionRunner:
         self.cfg = cfg or EngineConfig()
         self.attempts: list[Attempt] = []
         self.outcome: Outcome | None = None
-        self.compressed: CompressedContext | None = None
+        self.summary = ""  # of the last failed attempt, as prompts show it
         self.trajectory: list[dict] = []
         self.prompt_tokens = 0
         self.completion_tokens = 0
@@ -269,13 +271,13 @@ class SessionRunner:
             return ToolResult(False, message, "OSError")
 
     def _drive_phase(
-        self, phase: str, task_text: str, memories: list, compressed, tools: Tools
+        self, phase: str, task_text: str, memories: list, summary: str, tools: Tools
     ) -> ChatTurn | None:
         """Run the model/tool loop for one phase, every model call of the
         session included; returns the final plain turn, or None when the
         phase runs out of turns."""
         system, user = render_prompt(
-            phase, task_text, memories, compressed, budget=self.cfg.gateway.prompt_budget
+            phase, task_text, memories, summary, budget=self.cfg.gateway.prompt_budget
         )
         self.gateway.set_context(phase, self.failed_attempts + 1)
         history: list[ChatTurn] = []
@@ -305,31 +307,30 @@ class SessionRunner:
 
     def _task_text(self, extra: str = "") -> str:
         keys = self.task.keys
-        parts = [
-            "# Task",
-            f"project={keys.project} cwe={keys.cwe} language={keys.language} id={keys.instance_id}",
-            f"description: {keys.description}",
-        ]
+        parts = ["# Task", keys.line(), f"description: {keys.description}"]
         if extra:
             parts.append(extra)
         return "\n".join(parts)
 
     def _ask_verifier(self, question: str, fallback: str) -> str:
-        """The verifier's answer, or `fallback` when it gives none."""
+        """The verifier's answer, or `fallback` when it gives none; a
+        deterministic gateway is not asked."""
+        if getattr(self.gateway, "deterministic", True):
+            return fallback
         try:
-            reply = self._drive_phase("verifier", question, [], None, {})
+            reply = self._drive_phase("verifier", question, [], "", {})
         except GatewayExhausted:
             return fallback
         return (reply.content.strip() if reply else "") or fallback
 
-    def _live_rationale(self, accepted: Attempt) -> str:
+    def _ask_rationale(self, accepted: Attempt) -> str:
         question = (
             f"# Accepted patch\n{accepted.patch}\n"
             f"# Verification log\n{accepted.verdict.logs[-2000:]}"
         )
         return self._ask_verifier(question, memory.default_rationale(accepted))
 
-    def _live_insight(self, fail_patch: str, accepted: str) -> str:
+    def _ask_insight(self, fail_patch: str, accepted: str) -> str:
         question = (
             f"# Rejected candidate\n{fail_patch}\n# Accepted patch\n{accepted}\n"
             "State the rule that turned the rejected candidate into the accepted one."
@@ -344,7 +345,7 @@ class SessionRunner:
         crash report longer than half the prompt budget becomes its parsed
         frames followed by a head/tail excerpt of the output, so the frames
         survive the cut."""
-        cap = self.cfg.gateway.prompt_budget // 2
+        cap = self.cfg.gateway.prompt_budget // EVIDENCE_SHARE
         if self._crash is None:
             body = output[-2000:] or "(no output)"
         elif len(output) <= cap:
@@ -358,7 +359,7 @@ class SessionRunner:
 
     def locate(self) -> LocalizationObject:
         final = self._drive_phase(
-            "locator", self._task_text(self._evidence), list(self._memories), self.compressed,
+            "locator", self._task_text(self._evidence), list(self._memories), self.summary,
             LOCATOR_TOOLS,
         )
         loc = extract_localization(final.content) if final else None
@@ -381,7 +382,7 @@ class SessionRunner:
             memories += self._retrieve("L3", override=failed.patch)
             target += f"\n# Previous failed candidate\n{failed.patch}"
         self._drive_phase(
-            "patcher", self._task_text(target), memories, self.compressed, PATCHER_TOOLS
+            "patcher", self._task_text(target), memories, self.summary, PATCHER_TOOLS
         )
         return self.task.workspace.submit(self.pristine_id)
 
@@ -451,15 +452,10 @@ class SessionRunner:
                 )
                 if transition == Transition.SUCCESS:
                     self.outcome = Outcome.SUCCESS
-                    # Deterministic backends use templated consolidation
-                    # text; a live model is asked to explain the fix instead.
-                    live = not getattr(self.gateway, "deterministic", True)
                     try:
                         memory.consolidate_success(
                             self.store, self.task.keys, self.attempts[-1], self._last_failed(),
-                            ws.diff,
-                            self._live_rationale if live else None,
-                            self._live_insight if live else None,
+                            ws.diff, self._ask_rationale, self._ask_insight,
                         )
                     except L3NotStored as exc:  # the L2 entry is stored
                         logger.warning("%s", exc)
@@ -475,12 +471,12 @@ class SessionRunner:
                     self.outcome = Outcome.EXHAUSTED
                     return f"attempt cap of {self.cfg.limits.attempt_cap} failed patches reached"
 
-                self.compressed = log_compress(
+                self.summary = log_compress(
                     verdict.logs,
                     visited=list(self._visited),
                     applied_hunks=diffutil.hunk_texts(candidate),
-                    budget=self.cfg.limits.log_budget,
-                )
+                    budget=self.cfg.gateway.prompt_budget // SUMMARY_SHARE,
+                ).render()
                 self._visited = []
                 relocate = transition == Transition.RELOCATE
         except (OracleTimeout, GatewayExhausted, LocalizationFailure) as exc:

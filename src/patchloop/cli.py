@@ -4,7 +4,8 @@ and memory administration.
 Exit codes for `repair`: 0 on success, 1 when the attempt budget is
 exhausted, 2 on configuration errors (bad task file, unreadable memory
 file, unusable workspace, reproduction command passing, missing or timing
-out on the pristine repo, ...).
+out on the pristine repo, ...). Every command stops on SIGINT, SIGTERM and
+SIGHUP alike, with exit code 128 plus the signal's number (130, 143, 129).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import csv
 import json
 import logging
 import math
+import signal
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -372,7 +375,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Signals that stop a run as SIGINT does: each raises KeyboardInterrupt in
+# the main thread, so a session restores its checkout, kills the oracle's
+# process group and removes its private index on the way out.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGHUP)
+
+
+def _stop(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a stop signal ends it with exit code 128 plus the
+    signal's number. In the main thread, :data:`STOP_SIGNALS` are handled
+    as SIGINT while the command runs."""
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = {sig: signal.signal(sig, _stop) for sig in STOP_SIGNALS} if in_main else {}
+    try:
+        return _main(argv)
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args and exc.args[0] in STOP_SIGNALS else signal.SIGINT
+        print(f"stopped by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
+def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, stream=sys.stderr)
     if args.command == "repair" and not args.task and not args.tasks:

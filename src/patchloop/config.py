@@ -20,7 +20,7 @@ from .embedding import CachingEmbedder, default_embedder
 from .gateway import DEFAULT_REMOTE_TIMEOUT, GatewayConfig, RemoteEmbedder
 from .oracle import DEFAULT_COMMAND_TIMEOUT, DEFAULT_TOTAL_BUDGET
 from .retrieval import DEFAULT_K_MIN, DEFAULT_TOP_N
-from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_LOG_BUDGET, DEFAULT_OUTPUT_CAP
+from .workspace import DEFAULT_BASH_TIMEOUT, DEFAULT_OUTPUT_CAP
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +47,6 @@ class OracleConfig:
 @dataclass
 class LimitsConfig:
     attempt_cap: int = DEFAULT_ATTEMPT_CAP
-    log_budget: int = DEFAULT_LOG_BUDGET
     bash_timeout: float = DEFAULT_BASH_TIMEOUT
     tool_output_cap: int = DEFAULT_OUTPUT_CAP
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmbeddingUnavailable, GatewayExhausted, MalformedToolCall
-from .workspace import CompressedContext, ToolCall
+from .workspace import ToolCall
 
 DEFAULT_PROMPT_BUDGET = 24_000
 
@@ -334,50 +334,31 @@ def _base_prompt(phase: str) -> str:
     return resources.files(__package__).joinpath(f"prompts/{phase}.txt").read_text("utf-8")
 
 
-_TIER_LABELS = {
-    "L1": "historical fix",
-    "L2": "security pattern",
-    "L3": "refinement trajectory",
-}
-
-
 def _render_memory(rank: int, ranked) -> str:
     entry = ranked.entry
-    keys = entry.keys
-    head = (
-        f"## Experience {rank} [{entry.tier} {_TIER_LABELS[entry.tier]}] "
+    return (
+        f"## Experience {rank} [{entry.tier} {entry.LABEL}] "
         f"(P{int(ranked.priority_tier)}, similarity {ranked.similarity:.3f})\n"
-        f"project={keys.project} cwe={keys.cwe} language={keys.language} id={keys.instance_id}\n"
-        f"{keys.description}\n"
+        f"{entry.keys.line()}\n{entry.keys.description}\n{entry.render()}"
     )
-    if entry.tier == "L1":
-        body = f"fix:\n{entry.fix_patch}"
-    elif entry.tier == "L2":
-        body = f"fix:\n{entry.fix_patch}\nwhy it worked: {entry.rationale}"
-    else:
-        body = (
-            f"failed patch:\n{entry.fail_patch}\n"
-            f"correction:\n{entry.correction_delta}\n"
-            f"transition rule: {entry.transition_insight}"
-        )
-    return head + body
 
 
 def render_prompt(
     phase: str,
     task_text: str,
     memories: list,
-    compressed: CompressedContext | None = None,
+    summary: str = "",
     budget: int = DEFAULT_PROMPT_BUDGET,
 ) -> tuple[ChatTurn, ChatTurn]:
-    """Assemble the system and user turns for a phase.
+    """Assemble the system and user turns for a phase from the task, the
+    memories and the last failed attempt's `summary` (none when empty).
 
     Deterministic: identical inputs yield identical turns. Memories render
     in rank order; the turns keep the longest prefix of them that fits the
     budget, or none when not even the first fits. Each part renders once.
     """
     system = ChatTurn(role="system", content=_base_prompt(phase))
-    tail = [] if compressed is None else ["# Previous attempt summary", compressed.render()]
+    tail = ["# Previous attempt summary", summary] if summary else []
     room = budget - len(system.content) - len("\n\n".join([task_text, *tail]))
     heading = "# Retrieved repair experience"
     used = len(heading) + 2  # the heading and its separator come with the first memory

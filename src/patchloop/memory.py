@@ -47,7 +47,6 @@ from .errors import CorruptMemoryFile, EmbeddingUnavailable, InvariantViolation,
 
 DEDUP_THRESHOLD = 0.95
 
-_CWE_RE = re.compile(r"^CWE-\d+$")
 CWE_UNKNOWN = "CWE-UNKNOWN"
 
 _CVE_SEGMENT_RE = re.compile(r"cve-(\d{4})-(\d+)", re.IGNORECASE)
@@ -98,10 +97,14 @@ class RetrievalKeys:
         keys = {name: mapping.get(name, "") for name in _KEY_FIELDS}
         return cls(**{**keys, "cwe": normalize_cwe(keys["cwe"])})
 
+    def line(self) -> str:
+        """Every key but the description, on one line, as prompts show them."""
+        return f"project={self.project} cwe={self.cwe} language={self.language} id={self.instance_id}"
+
     def validate(self) -> None:
         if not self.instance_id:
             raise InvariantViolation("instance_id must be non-empty")
-        if self.cwe != CWE_UNKNOWN and not _CWE_RE.match(self.cwe):
+        if normalize_cwe(self.cwe) != self.cwe:  # a tag only in its stored spelling
             raise InvariantViolation(f"bad CWE tag: {self.cwe!r}")
 
 
@@ -111,13 +114,24 @@ class _Entry:
     sequence number that orders an id without a CVE timestamp, the task
     counter at its last retrieval or insertion (which reads change, so
     equality leaves it out), and the unified-diff fields named in ``DIFFS``.
-    Each tier adds its own fields."""
+    Each tier adds its own fields, and for :meth:`render` its ``LABEL`` and
+    each field's caption in ``CAPTIONS``, in declaration order."""
 
     keys: RetrievalKeys
     fallback_seq: int | None = field(default=None, kw_only=True)
     last_retrieved: int | None = field(default=None, kw_only=True, compare=False)
 
     DIFFS: ClassVar[tuple[str, ...]] = ()
+    LABEL: ClassVar[str] = ""
+    CAPTIONS: ClassVar[dict[str, str]] = {}
+
+    def render(self) -> str:
+        """The tier's own fields as a prompt shows them: a diff on the lines
+        after its caption, any other field on its caption's line."""
+        return "\n".join(
+            (f"{caption}:\n" if name in self.DIFFS else f"{caption}: ") + getattr(self, name)
+            for name, caption in self.CAPTIONS.items()
+        )
 
     @property
     def patch_text(self) -> str:
@@ -137,6 +151,8 @@ class L1Entry(_Entry):
     fix_patch: str
 
     tier = "L1"
+    LABEL = "historical fix"
+    CAPTIONS = {"fix_patch": "fix"}
     DIFFS = ("fix_patch",)
 
 
@@ -146,6 +162,8 @@ class L2Entry(_Entry):
     rationale: str
 
     tier = "L2"
+    LABEL = "security pattern"
+    CAPTIONS = {"fix_patch": "fix", "rationale": "why it worked"}
     DIFFS = ("fix_patch",)
 
     def validate(self) -> None:
@@ -161,6 +179,9 @@ class L3Entry(_Entry):
     transition_insight: str
 
     tier = "L3"
+    LABEL = "refinement trajectory"
+    CAPTIONS = {"fail_patch": "failed patch", "correction_delta": "correction",
+                "transition_insight": "transition rule"}
     DIFFS = ("fail_patch", "correction_delta")
 
     def validate(self) -> None:
@@ -539,8 +560,11 @@ def _record_to_entry(rec) -> MemoryEntry:
     for name, value in bookkeeping.items():
         if value is not None and type(value) is not int:
             raise CorruptMemoryFile(f"{name} is not an integer: {value!r:.80}")
-    keys = RetrievalKeys(*(texts.pop(name) for name in _KEY_FIELDS))
-    return cls(keys, **bookkeeping, **texts)
+    try:  # a tag read as a task's is, so it lands in the bucket its queries read
+        keys = RetrievalKeys.of(texts)
+    except InvariantViolation as exc:
+        raise CorruptMemoryFile(str(exc)) from exc
+    return cls(keys, **bookkeeping, **{name: texts[name] for name in _TIER_FIELDS[tier]})
 
 
 def save_store(store: MemoryStore, path: Path) -> None:

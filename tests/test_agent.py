@@ -247,6 +247,26 @@ def test_compressed_context_feeds_next_attempt(demo_repo, tmp_path):
     assert all("[verification failure log]" in t for t in second_attempt_turns)
 
 
+def test_attempt_summary_takes_at_most_a_sixth_of_the_prompt_budget(demo_repo, tmp_path):
+    # A failing PoC whose first diagnostic line is 3000 characters long.
+    spec = replace(DEMO_SPEC, poc_command="python3 -c \"print('FAIL ' + 'x' * 3000)\"; python3 poc.py")
+    transcript = fx.transcript_relocate_then_success(tmp_path / "transcript.jsonl")
+    task = make_task(demo_repo, spec)
+    cfg = EngineConfig(gateway=GatewayConfig(prompt_budget=6000))
+    runner = SessionRunner(task, MemoryStore(), ScriptedGateway.from_file(transcript), cfg)
+    try:
+        assert runner.run().outcome == "success"
+    finally:
+        task.workspace.close()
+    marker = "\n\n# Previous attempt summary\n\n"
+    summaries = [t["content"].split(marker, 1)[1] for t in runner.trajectory
+                 if t["type"] == "turn" and t["role"] == "user" and marker in t["content"]]
+    assert len(summaries) == 2  # the locator's and the patcher's of attempt 2
+    for summary in summaries:
+        assert "[verification failure log]\n" in summary and "xxxx\n[truncated]" in summary
+        assert len(summary) <= 6000 // 6
+
+
 def locator_evidence(runner) -> list[str]:
     """The "# Runtime evidence" section of each locator prompt, in order."""
     marker = "# Runtime evidence\n"

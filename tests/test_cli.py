@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import re
+import shlex
+import signal
 import socket
 import subprocess
 import sys
@@ -66,7 +68,6 @@ command_timeout = 45
 
 [limits]
 attempt_cap = 2
-log_budget = 1234
 
 [ingest]
 cwe = cwe_id
@@ -82,7 +83,6 @@ cwe = cwe_id
     assert cfg.retrieval.k_min == 3 and cfg.retrieval.top_n == 6
     assert cfg.oracle.command_timeout == 45.0
     assert cfg.limits.attempt_cap == 2
-    assert cfg.limits.log_budget == 1234
     assert cfg.ingest_column_map == {"cwe": "cwe_id"}
 
 
@@ -149,11 +149,13 @@ def test_a_bad_config_value_names_its_section_and_key(tmp_path, capsys, values, 
 
 def test_load_config_warns_about_keys_it_does_not_read(tmp_path, caplog):
     path = tmp_path / "run.cfg"
-    path.write_text("[limits]\natempt_cap = 1\n\n[oracle]\ntotal_budget = 60\n")
+    # log_budget is no setting: a sixth of prompt_budget bounds the attempt summary.
+    path.write_text("[limits]\natempt_cap = 1\nlog_budget = 1234\n\n[oracle]\ntotal_budget = 60\n")
     with caplog.at_level("WARNING", logger="patchloop.config"):
         cfg = load_config(path)
     assert [r.getMessage() for r in caplog.records] == [
-        "config section [limits]: ignoring unknown key 'atempt_cap'"
+        "config section [limits]: ignoring unknown key 'atempt_cap'",
+        "config section [limits]: ignoring unknown key 'log_budget'",
     ]
     assert cfg.limits.attempt_cap == 3
     assert cfg.oracle.total_budget == 60.0
@@ -689,6 +691,57 @@ def test_a_scripted_session_loads_no_http_stack(demo_repo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out_dir / "task.report.json").read_text())["outcome"] == "success"
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# A PoC that, once the candidate's guard is in the tree, writes its process
+# group id and sleeps; before that it runs the demo PoC in its own process.
+STALLING_POC = """import os, sys, time
+from pathlib import Path
+
+if "exceeds capacity" in Path("app/buffer.py").read_text():
+    Path(sys.argv[1] + ".tmp").write_text(str(os.getpgid(0)))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60)
+os.execv(sys.executable, [sys.executable, "poc.py"])
+"""
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT], ids=lambda s: s.name)
+def test_a_stop_signal_during_verification_leaves_nothing_behind(demo_repo, tmp_path, sig):
+    poc, pgid_file, tmpdir = tmp_path / "stalling_poc.py", tmp_path / "pgid", tmp_path / "tmp"
+    poc.write_text(STALLING_POC)
+    tmpdir.mkdir()
+    task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
+    # exec: the oracle's group is then the PoC alone, a child that the run
+    # reaps; a grandchild would be left for the machine's init to reap.
+    command = f"exec {shlex.quote(sys.executable)} {shlex.quote(str(poc))} {shlex.quote(str(pgid_file))}"
+    task.write_text(json.dumps(fx.demo_task_json(demo_repo, {"poc_command": command})))
+    env = {**os.environ, "TMPDIR": str(tmpdir),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patchloop.cli", "--config", str(cfg), "repair", str(task),
+         "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not pgid_file.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the candidate's PoC never started"
+            time.sleep(0.05)
+        pgid = int(pgid_file.read_text())
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 128 + sig, err
+    assert err.splitlines()[-1] == f"stopped by {sig.name}" and "Traceback" not in err
+    assert fx.git(demo_repo, "status", "--porcelain") == ""
+    assert list(tmpdir.glob("pl-index-*")) == []
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 @pytest.mark.parametrize("flags, verdicts", [

@@ -27,9 +27,9 @@ from patchloop.gateway import (
     post_json,
     render_prompt,
 )
+from patchloop import memory
 from patchloop.memory import L1Entry, L2Entry, L3Entry, RetrievalKeys
 from patchloop.retrieval import Priority, RankedEntry
-from patchloop.workspace import CompressedContext
 
 # ---------------------------------------------------------------------------
 # scripted backend
@@ -182,11 +182,13 @@ def ranked(tier: str, n: int, text_size: int = 0) -> RankedEntry:
     return RankedEntry(entry, similarity=1.0 - n / 100.0, priority_tier=Priority.P1)
 
 
+SUMMARY = "[visited files/line ranges]\nf.c:1-5\n[verification failure log]\nERROR: boom"
+
+
 def test_render_prompt_is_pure():
     memories = [ranked("L1", 1), ranked("L2", 2)]
-    ctx = CompressedContext(visited=[("f.c", (1, 5))], failure_log="ERROR: boom")
-    a = render_prompt("patcher", "task text", memories, ctx)
-    b = render_prompt("patcher", "task text", memories, ctx)
+    a = render_prompt("patcher", "task text", memories, SUMMARY)
+    b = render_prompt("patcher", "task text", memories, SUMMARY)
     assert a[0].content == b[0].content
     assert a[1].content == b[1].content
 
@@ -222,10 +224,8 @@ def test_each_phase_prompt_file_is_read_once(monkeypatch):
 
 
 def test_render_prompt_appends_compressed_context():
-    ctx = CompressedContext(failure_log="ERROR: kaboom")
-    _, user = render_prompt("patcher", "task", [], ctx)
-    assert "Previous attempt summary" in user.content
-    assert "ERROR: kaboom" in user.content
+    _, user = render_prompt("patcher", "task", [], SUMMARY)
+    assert user.content == f"task\n\n# Previous attempt summary\n\n{SUMMARY}"
 
 
 def test_render_prompt_drops_lowest_ranked_first_under_budget():
@@ -250,7 +250,7 @@ def test_render_prompt_budget_drop_is_strictly_from_tail():
 
 
 def reference_render_prompt(
-    phase, task_text, memories, compressed=None, budget=DEFAULT_PROMPT_BUDGET
+    phase, task_text, memories, summary="", budget=DEFAULT_PROMPT_BUDGET
 ):
     """The drop loop ``render_prompt`` replaced: render everything, drop the
     lowest-ranked memory, render everything again, until the turns fit."""
@@ -261,9 +261,9 @@ def reference_render_prompt(
         if kept:
             parts.append("# Retrieved repair experience")
             parts.extend(_render_memory(i + 1, r) for i, r in enumerate(kept))
-        if compressed is not None:
+        if summary:
             parts.append("# Previous attempt summary")
-            parts.append(compressed.render())
+            parts.append(summary)
         user = ChatTurn(role="user", content="\n\n".join(parts))
         if len(system.content) + len(user.content) <= budget or not kept:
             return system, user
@@ -278,30 +278,62 @@ def reference_render_prompt(
         st.tuples(st.sampled_from(["L1", "L2", "L3"]), st.integers(0, 99), st.integers(0, 400)),
         max_size=8,
     ),
-    failure_log=st.none() | st.text(max_size=300),
+    summary=st.text(max_size=300),
     data=st.data(),
 )
-def test_render_prompt_matches_the_drop_loop(phase, task_text, specs, failure_log, data):
+def test_render_prompt_matches_the_drop_loop(phase, task_text, specs, summary, data):
     memories = [ranked(tier, n, size) for tier, n, size in specs]
-    compressed = None if failure_log is None else CompressedContext(
-        visited=[("f.c", (1, 5))], failure_log=failure_log
-    )
     # the length with each count of memories kept, one either side, or any
     # budget up to the full length
     edges = []
     for k in range(len(memories) + 1):
-        turns = reference_render_prompt(phase, task_text, memories[:k], compressed, 10**9)
+        turns = reference_render_prompt(phase, task_text, memories[:k], summary, 10**9)
         edges.append(sum(len(t.content) for t in turns))
     near = sorted({max(0, e + d) for e in edges for d in (-1, 0, 1)})
     budget = data.draw(st.integers(0, edges[-1]) | st.sampled_from(near), label="budget")
-    got = render_prompt(phase, task_text, memories, compressed, budget=budget)
-    want = reference_render_prompt(phase, task_text, memories, compressed, budget=budget)
+    got = render_prompt(phase, task_text, memories, summary, budget=budget)
+    want = reference_render_prompt(phase, task_text, memories, summary, budget=budget)
     assert (got[0].content, got[1].content) == (want[0].content, want[1].content)
 
 
 def test_render_prompt_rejects_unknown_phase():
     with pytest.raises(ValueError):
         render_prompt("astrologer", "task", [])
+
+
+GOLDEN_MEMORIES = {
+    "L1": (
+        "## Experience 1 [L1 historical fix] (P1, similarity 0.990)\n"
+        "project=proj cwe=CWE-787 language=c id=proj.cve-2020-1\n"
+        "desc 1\n"
+        "fix:\n--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-a1\n+b1\n"
+    ),
+    "L2": (
+        "## Experience 1 [L2 security pattern] (P1, similarity 0.980)\n"
+        "project=proj cwe=CWE-787 language=c id=proj.cve-2020-2\n"
+        "desc 2\n"
+        "fix:\n--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-a2\n+b2\n\n"
+        "why it worked: why 2"
+    ),
+    "L3": (
+        "## Experience 1 [L3 refinement trajectory] (P1, similarity 0.970)\n"
+        "project=proj cwe=CWE-787 language=c id=proj.cve-2020-3\n"
+        "desc 3\n"
+        "failed patch:\n--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-a3\n+b3\n\n"
+        "correction:\n--- a/f.c\n+++ b/f.c\n@@ -1,1 +1,1 @@\n-a3\n+c3\n\n"
+        "transition rule: rule 3"
+    ),
+}
+
+
+@pytest.mark.parametrize("tier, n", [("L1", 1), ("L2", 2), ("L3", 3)])
+def test_each_tier_renders_as_its_golden_text(tier, n):
+    assert _render_memory(1, ranked(tier, n)) == GOLDEN_MEMORIES[tier]
+
+
+@pytest.mark.parametrize("tier", memory.TIERS)
+def test_each_tier_captions_exactly_its_own_fields_in_order(tier):
+    assert list(memory.ENTRY_TYPES[tier].CAPTIONS) == memory._TIER_FIELDS[tier]
 
 
 def test_tier_labels_visible_in_prompt():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchloop import memory
+from patchloop import memory, retrieval
 from patchloop.embedding import DeterministicEmbedder
 from patchloop.errors import InvariantViolation
 from patchloop.memory import (
@@ -631,10 +631,39 @@ def test_load_rejects_corrupt_file(tmp_path):
         ({**good, "project": 7}, "entry field project is not a string"),
         ({**good, "description": None}, "entry field description is not a string"),
         ({**good, "fix_patch": ["--- a/x"]}, "entry field fix_patch is not a string"),
+        ({**good, "cwe": "NVD-noinfo"}, "bad CWE tag: 'NVD-noinfo'"),
     ):
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(memory.CorruptMemoryFile, match=re.escape(f"{path}:2: {problem}")):
             load_store(path)
+
+
+def test_load_reads_each_cwe_tag_as_a_task_reads_it(tmp_path):
+    # A tag loads in its stored spelling, so a CWE-787 query finds both rows.
+    path = tmp_path / "memory.jsonl"
+    rows = [{"tier": "L1", "project": "p", "cwe": cwe, "language": "c", "instance_id": f"p.cve-2020-{i}",
+             "description": "overflow in the frame parser", "fix_patch": make_patch("f.c", "a", str(i))}
+            for i, cwe in enumerate(["787", "cwe-0787"], 1)]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    store = load_store(path)
+    assert [e.keys.cwe for e in store.l1] == ["CWE-787", "CWE-787"]
+    query = RetrievalKeys("p", "CWE-787", "c", "p.cve-2024-1", "overflow in the frame parser")
+    found = retrieval.retrieve(store, "L1", retrieval.Query(keys=query))
+    assert sorted(r.entry.keys.instance_id for r in found) == ["p.cve-2020-1", "p.cve-2020-2"]
+
+
+@pytest.mark.parametrize(
+    "cwe, ok",
+    [("CWE-787", True), ("CWE-UNKNOWN", True), ("CWE-0787", False), ("CWE-\u0667\u0668\u0667", False),
+     ("787", False), ("cwe-787", False), ("", False), ("NVD-noinfo", False)],
+)
+def test_validate_takes_a_cwe_tag_only_in_its_stored_spelling(cwe, ok):
+    keys = RetrievalKeys("p", cwe, "c", "p.cve-2020-1", "d")
+    if ok:
+        keys.validate()
+    else:
+        with pytest.raises(InvariantViolation, match=re.escape(f"bad CWE tag: {cwe!r}")):
+            keys.validate()
 
 
 @pytest.mark.parametrize(
