@@ -9,16 +9,30 @@ serves only texts embedded a second time: the session's description, which
 its L2 retrieval and its consolidation's inserts embed after its L1
 retrieval did, and patch texts that an insert or a refinement query meets
 again.
+
+Token hashing takes SHA-256 from CPython's built-in module (``_sha2`` on
+3.12+, ``_sha256`` on 3.10 and 3.11), not from :mod:`hashlib`: importing
+:mod:`hashlib` loads OpenSSL through ``_hashlib``, several MB of resident
+memory that an offline run needs for nothing else. Both compute the same
+digest, so every vector is the same bit for bit. An interpreter built
+without the built-in module falls back to :mod:`hashlib`.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import string
 
 import numpy as np
+
+try:  # 3.12 and later
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # 3.10 and 3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # built without it (--with-builtin-hashlib-hashes)
+        from hashlib import sha256 as _sha256
 
 # Every byte but an ASCII lowercase letter or digit becomes a space.
 _SEPARATE = bytes(b if chr(b) in string.ascii_lowercase + string.digits else 32 for b in range(256))
@@ -154,8 +168,10 @@ class DeterministicEmbedder:
 @functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
 def _token_slot(token: str) -> int:
     """The slot :class:`DeterministicEmbedder` counts `token` in: its bucket,
-    plus ``dim`` when its sign is negative."""
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    plus ``dim`` when its sign is negative. The digest is CPython's built-in
+    SHA-256, the same bytes as hashlib's, taken so that hashing loads no
+    OpenSSL."""
+    digest = _sha256(token.encode("utf-8")).digest()
     dim = DeterministicEmbedder.dim
     bucket = int.from_bytes(digest[:4], "big") % dim
     return bucket if digest[4] % 2 == 0 else bucket + dim

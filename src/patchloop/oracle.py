@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import BuildToolMissing, OracleTimeout, PristineCheckFailed
-from .workspace import cap_output
+from .workspace import STEP_HEADER, cap_output
 
 DEFAULT_COMMAND_TIMEOUT = 600.0
 DEFAULT_TOTAL_BUDGET = 1800.0
@@ -208,7 +208,7 @@ class OracleRunner:
 
         def step(which: str) -> tuple[bool, str]:
             ok, _, out = self._judge(which)
-            logs.append(f"$ {getattr(self.spec, which)}\n{out}")
+            logs.append(f"{STEP_HEADER}{getattr(self.spec, which)}\n{out}")
             return ok, out
 
         if self.spec.build_command and not step("build_command")[0]:

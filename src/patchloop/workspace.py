@@ -288,14 +288,19 @@ def _truncate(text: str, budget: int) -> str:
 _DIAG_RE = re.compile(r"(ERROR|FAILED|FAIL\b|error:|Assertion|SUMMARY|Traceback)")
 _FRAME_LINE_RE = re.compile(r"^\s*#\d+\s")
 
+# What starts a step's header line in a verification log: the step's
+# command follows it, and the command's output starts on the next line.
+STEP_HEADER = "$ "
+
 
 def extract_failure_log(raw_logs: str) -> str:
     """Keep the first diagnostic line, up to ``MAX_FAILURE_FRAMES`` stack
     frames, and failing-test lines; everything else is noise for the next
-    iteration."""
+    iteration. The diagnostic line is one the commands printed: a step
+    header names a command, which may itself spell ``FAIL`` or ``error:``."""
     lines = raw_logs.splitlines()
     picked: list[str] = []
-    diag = next((l for l in lines if _DIAG_RE.search(l)), None)
+    diag = next((l for l in lines if not l.startswith(STEP_HEADER) and _DIAG_RE.search(l)), None)
     if diag is not None:
         picked.append(diag.strip())
     frames = [l.rstrip() for l in lines if _FRAME_LINE_RE.match(l)][:MAX_FAILURE_FRAMES]

@@ -666,17 +666,23 @@ def test_repair_success_exit_zero(demo_repo, tmp_path, capsys):
     assert len(load_store(tmp_path / "m.jsonl").l2) == 1
 
 
-HTTP_MODULES = ("ssl", "http.client", "urllib.request")
+# The HTTP stack, which post_json loads with the first live request, and
+# OpenSSL's hash module, which `import hashlib` loads.
+HTTP_AND_OPENSSL_MODULES = ("ssl", "http.client", "urllib.request", "_hashlib")
 
 
 def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
     """`cli.main(argv)` in a fresh interpreter, whose last stdout line lists
-    the modules of HTTP_MODULES that the run loaded."""
+    the modules of HTTP_AND_OPENSSL_MODULES that the run loaded beyond those
+    a bare `import numpy` loaded first (numpy 1.x loads `_hashlib` itself,
+    through `numpy.random` and `secrets`)."""
     script = (
         "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
         "from patchloop import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        f"print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {HTTP_AND_OPENSSL_MODULES!r} if m in sys.modules and m not in before]))\n"
         "sys.exit(code)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -684,7 +690,7 @@ def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
                           env=env, timeout=120)
 
 
-def test_a_scripted_session_loads_no_http_stack(demo_repo, tmp_path):
+def test_a_scripted_session_loads_neither_the_http_stack_nor_openssl(demo_repo, tmp_path):
     task, cfg, out_dir = write_repair_setup(tmp_path, demo_repo, fx.transcript_success)
     proc = run_cli_fresh("--config", str(cfg), "repair", str(task),
                          "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir))

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchloop import embedding
 from patchloop.embedding import (
     TOKEN_MEMO_SIZE,
     CachingEmbedder,
@@ -87,6 +93,25 @@ def test_embedder_matches_reference_implementation():
     emb = DeterministicEmbedder()
     for text in FIXTURE_STRINGS:
         assert same_bits(emb.embed(text), reference_embed(text))
+
+
+def test_without_the_builtin_sha256_the_embedder_hashes_with_hashlib():
+    # A None entry in sys.modules makes importing that name raise
+    # ImportError, as on an interpreter built without the built-in module.
+    script = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from patchloop.embedding import DeterministicEmbedder\n"
+        "emb = DeterministicEmbedder()\n"
+        f"vectors = [emb.embed(text).tobytes().hex() for text in {FIXTURE_STRINGS!r}]\n"
+        "print(json.dumps(['_hashlib' in sys.modules, vectors]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(embedding.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    hashlib_loaded, vectors = json.loads(proc.stdout)
+    assert hashlib_loaded
+    assert vectors == [np.array(reference_embed(text)).tobytes().hex() for text in FIXTURE_STRINGS]
 
 
 def test_a_bucket_whose_signs_cancel_holds_positive_zero():

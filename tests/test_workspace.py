@@ -952,6 +952,16 @@ def test_log_compress_keeps_failing_test_names():
     assert "FAIL four (bang)" in ctx.failure_log
 
 
+def test_log_compress_takes_the_diagnostic_line_from_output_not_a_step_header():
+    # A verification log as OracleRunner.check_vul writes it: each step's
+    # "$ <command>" header, then its output. This PoC's command text holds
+    # "ERROR"; the diagnostic line is the one the PoC printed.
+    poc = "python3 -c \"import sys; print('ERROR: overflow in parse'); sys.exit(1)\""
+    ctx = log_compress(f"$ make\nok\n$ {poc}\nreading input\nERROR: overflow in parse\n")
+    assert ctx.failure_log.splitlines()[0] == "ERROR: overflow in parse"
+    assert poc not in ctx.failure_log
+
+
 def test_render_never_exceeds_budget_for_any_input():
     big = "E" * 1_000_000
     ctx = CompressedContext(
