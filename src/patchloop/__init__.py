@@ -1,6 +1,6 @@
 """patchloop: memory-guided automated vulnerability repair engine."""
 
-from .agent import RepairTask, SessionRunner, Transition, decide_transition
+from .agent import RepairTask, SessionRunner, Transition, decide_transition, log_compress
 from .localizer import index_repository, iter_grep, parse_crash_report
 from .memory import (
     L1Entry,
@@ -17,7 +17,7 @@ from .memory import (
 )
 from .oracle import OracleRunner, OracleSpec, VerificationVerdict
 from .retrieval import Query, RankedEntry, retrieve
-from .workspace import Workspace, log_compress
+from .workspace import Workspace
 
 __version__ = "0.1.0"
 

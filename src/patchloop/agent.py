@@ -10,8 +10,9 @@ verifier runs the oracle and routes the result:
                                    regression suite does not run)
   * fixed but regression broken -> Regenerate (patch again at the same spot)
 
-Every failed attempt is compressed into a three-field summary that feeds
-the next iteration's prompts, and the workspace is rolled back to pristine
+Every failed attempt is compressed here, within a sixth of the prompt
+budget, into a three-field summary that feeds the next iteration's
+prompts, and the workspace is rolled back to pristine between attempts
 so each candidate diff stands alone. Because every locate therefore sees
 the pristine tree, its crash evidence is the PoC run the oracle made while
 validating the pristine checkout, parsed and bounded once per session.
@@ -45,7 +46,7 @@ from .errors import (
     NoMatch,
     OracleTimeout,
 )
-from .gateway import ChatTurn, Tools, render_prompt
+from .gateway import DEFAULT_PROMPT_BUDGET, ChatTurn, Tools, render_prompt
 from .localizer import (
     CrashReport,
     LocalizationObject,
@@ -55,19 +56,58 @@ from .localizer import (
     parse_crash_report,
 )
 from .memory import MemoryStore, RetrievalKeys
-from .oracle import OracleRunner, VerificationVerdict
-from .workspace import (
-    ToolCall,
-    ToolResult,
-    Workspace,
-    cap_output,
-    log_compress,
-)
+from .oracle import OracleRunner, VerificationVerdict, extract_failure_log
+from .workspace import ToolCall, ToolResult, Workspace, cap_output
 
 logger = logging.getLogger(__name__)
 
 # Shares of [gateway] prompt_budget: the evidence takes at most a half, a failed attempt's summary a sixth.
 EVIDENCE_SHARE, SUMMARY_SHARE = 2, 6
+
+
+@dataclass
+class CompressedContext:
+    """Fixed three-field summary of a failed attempt fed to the next one."""
+
+    visited: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
+    applied_hunks: list[str] = field(default_factory=list)
+    failure_log: str = ""
+    budget: int = DEFAULT_PROMPT_BUDGET // SUMMARY_SHARE
+
+    def render(self) -> str:
+        visited_text = "\n".join(f"{f}:{s}-{e}" for f, (s, e) in self.visited)
+        hunks_text = "\n".join(self.applied_hunks)
+        body_budget = self.budget - 120  # headroom for the three section headers
+        sections = [
+            ("[visited files/line ranges]", _truncate(visited_text, body_budget // 5)),
+            ("[applied diff hunks]", _truncate(hunks_text, (body_budget * 3) // 10)),
+            ("[verification failure log]", _truncate(self.failure_log, body_budget // 2)),
+        ]
+        text = "\n".join(f"{header}\n{body}" for header, body in sections)
+        return text[: self.budget]
+
+
+def _truncate(text: str, budget: int) -> str:
+    if len(text) <= budget:
+        return text
+    marker = "\n[truncated]"
+    return text[: max(0, budget - len(marker))] + marker
+
+
+def log_compress(
+    raw_logs: str,
+    visited: list[tuple[str, tuple[int, int]]] | None = None,
+    applied_hunks: list[str] | None = None,
+    budget: int = DEFAULT_PROMPT_BUDGET // SUMMARY_SHARE,
+) -> CompressedContext:
+    """Build the three-field compressed context from an attempt's raw logs."""
+    return CompressedContext(
+        visited=list(visited or []),
+        applied_hunks=list(applied_hunks or []),
+        failure_log=extract_failure_log(raw_logs),
+        budget=budget,
+    )
+
 
 # Each phase's tools: the name of each, and a description of each argument.
 _READ_TOOLS: Tools = {

@@ -231,9 +231,13 @@ def _cmd_repair(args, cfg: EngineConfig) -> int:
         for tf in task_files:
             groups.setdefault(_checkout_of(tf), []).append(tf)
 
+        stopped = threading.Event()  # set when the batch stops: no further task starts
+
         def run_serially(group: list[Path]) -> dict[Path, tuple | Exception]:
             outcomes: dict[Path, tuple | Exception] = {}
             for tf in group:
+                if stopped.is_set():
+                    break
                 try:
                     outcomes[tf] = repair_one(tf, Path(args.memory), cfg, out_dir, store)
                 except Exception as exc:  # one bad task must not take its siblings down
@@ -241,22 +245,27 @@ def _cmd_repair(args, cfg: EngineConfig) -> int:
             return outcomes
 
         results: dict[str, int] = {}
+        pool = ThreadPoolExecutor(max_workers=max(1, args.jobs))
         try:
-            with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-                futures = {}
-                for group in groups.values():
-                    futures.update(dict.fromkeys(group, pool.submit(run_serially, group)))
-                for tf in task_files:
-                    outcome = futures[tf].result()[tf]
-                    if isinstance(outcome, Exception):
-                        print(f"{tf}: {type(outcome).__name__}: {outcome}", file=sys.stderr)
-                        results[tf.name] = 2
-                        continue
-                    code, report_path = outcome
-                    results[tf.name] = code
-                    if not args.json:
-                        print(f"{tf.name}: exit {code} ({report_path})")
+            futures = {}
+            for group in groups.values():
+                futures.update(dict.fromkeys(group, pool.submit(run_serially, group)))
+            for tf in task_files:
+                outcome = futures[tf].result()[tf]
+                if isinstance(outcome, Exception):
+                    print(f"{tf}: {type(outcome).__name__}: {outcome}", file=sys.stderr)
+                    results[tf.name] = 2
+                    continue
+                code, report_path = outcome
+                results[tf.name] = code
+                if not args.json:
+                    print(f"{tf.name}: exit {code} ({report_path})")
+        except BaseException:  # a stop signal: running sessions finish, queued groups never start
+            stopped.set()
+            pool.shutdown(cancel_futures=True)
+            raise
         finally:
+            pool.shutdown()
             save_store(store, Path(args.memory))
         if args.json:
             print(json.dumps({"results": results}))

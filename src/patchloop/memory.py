@@ -201,11 +201,11 @@ FIELDS = ("description", "patch", "fail_patch")
 
 def field_text(field: str, entry: MemoryEntry) -> str:
     """The text an index field embeds: ``"patch"`` (dedup), ``"fail_patch"``
-    (refinement retrieval: an L3 entry's failed patch, any other entry's
-    description) or ``"description"`` (dedup and retrieval)."""
+    (refinement retrieval, which scores it for L3 entries only) or
+    ``"description"`` (dedup and retrieval)."""
     if field == "patch":
         return entry.patch_text
-    if field == "fail_patch" and isinstance(entry, L3Entry):
+    if field == "fail_patch":
         return entry.fail_patch
     return entry.keys.description
 

@@ -11,6 +11,10 @@ failing build, or a PoC that still fails, since a persisting vulnerability
 sends the candidate back to localization whatever the suite says. The
 baseline pass set is computed once on the pristine checkout; tests already
 failing there are out of scope and never surface in verdicts.
+
+The oracle owns its log's format: ``check_vul`` writes every line of a
+step's command behind ``STEP_HEADER``, then the output, and
+``extract_failure_log`` reads the failure lines back from the output alone.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import BuildToolMissing, OracleTimeout, PristineCheckFailed
-from .workspace import STEP_HEADER, cap_output
+from .workspace import cap_output
 
 DEFAULT_COMMAND_TIMEOUT = 600.0
 DEFAULT_TOTAL_BUDGET = 1800.0
+MAX_FAILURE_FRAMES = 8  # stack frames a compressed failure log keeps
 
 SANITIZER_MARKERS = (
     "ERROR: AddressSanitizer",
@@ -57,6 +62,33 @@ _FAIL_LINE_RE = re.compile(r"^(?:FAIL|not ok)[:\s]+(\S+)", re.MULTILINE)
 def parse_test_results(output: str) -> tuple[set[str], set[str]]:
     """Extract (passing, failing) test names from PASS/FAIL-style lines."""
     return set(_PASS_LINE_RE.findall(output)), set(_FAIL_LINE_RE.findall(output))
+
+
+# What starts each line of a step's command in a verification log.
+STEP_HEADER = "$ "
+
+_DIAG_RE = re.compile(r"(ERROR|FAILED|FAIL\b|error:|Assertion|SUMMARY|Traceback)")
+_FRAME_LINE_RE = re.compile(r"^\s*#\d+\s")
+
+
+def extract_failure_log(raw_logs: str) -> str:
+    """Keep the first diagnostic line, up to ``MAX_FAILURE_FRAMES`` stack
+    frames, and failing-test lines; everything else is noise for the next
+    iteration. The diagnostic line is one the commands printed: a command
+    line, which may itself spell ``FAIL`` or ``error:``, starts with
+    ``STEP_HEADER``."""
+    lines = raw_logs.splitlines()
+    picked: list[str] = []
+    diag = next((l for l in lines if not l.startswith(STEP_HEADER) and _DIAG_RE.search(l)), None)
+    if diag is not None:
+        picked.append(diag.strip())
+    frames = [l.rstrip() for l in lines if _FRAME_LINE_RE.match(l)][:MAX_FAILURE_FRAMES]
+    picked.extend(frames)
+    fails = [l.strip() for l in lines if l.strip().startswith("FAIL")][:5]
+    for l in fails:
+        if l not in picked:
+            picked.append(l)
+    return "\n".join(picked)
 
 
 # The commands a task may give a pass predicate, each with its default.
@@ -208,7 +240,8 @@ class OracleRunner:
 
         def step(which: str) -> tuple[bool, str]:
             ok, _, out = self._judge(which)
-            logs.append(f"{STEP_HEADER}{getattr(self.spec, which)}\n{out}")
+            lines = getattr(self.spec, which).splitlines() or [""]  # as extract_failure_log splits
+            logs.append("".join(f"{STEP_HEADER}{line}\n" for line in lines) + out)
             return ok, out
 
         if self.spec.build_command and not step("build_command")[0]:

@@ -26,7 +26,7 @@ from .embedding import (
     jaccard_similarity,
 )
 from .errors import EmbeddingUnavailable, InvariantViolation
-from .memory import MemoryEntry, MemoryStore, RetrievalKeys, field_text
+from .memory import L3Entry, MemoryEntry, MemoryStore, RetrievalKeys, field_text
 
 DEFAULT_K_MIN = 2
 DEFAULT_TOP_N = 4
@@ -79,7 +79,7 @@ def retrieve(
     query.validate()
     index, picked, n_p1 = store.candidates(tier, query.keys, query.k_min)
     query_text = query_text_override if query_text_override is not None else query.keys.description
-    field = "description" if query_text_override is None else "fail_patch"
+    field = "fail_patch" if query_text_override is not None and tier == L3Entry.tier else "description"
     sims: list[float] = []
     try:
         if picked:

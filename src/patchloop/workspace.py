@@ -31,7 +31,7 @@ import tempfile
 import time
 import uuid
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import WorkspaceError
@@ -44,10 +44,8 @@ except ImportError:  # Python 3.10
 
 DEFAULT_OUTPUT_CAP = 20_000
 DEFAULT_BASH_TIMEOUT = 300.0
-DEFAULT_LOG_BUDGET = 4_000
 DEFAULT_SEARCH_LIMIT = 5
 SEARCH_CONTEXT = 2  # lines shown on each side of a search match
-MAX_FAILURE_FRAMES = 8  # stack frames a compressed failure log keeps
 
 _GIT = shutil.which("git") or "git"
 _BARE_LF_RE = re.compile(r"(?<!\r)\n")
@@ -254,77 +252,6 @@ def _ended(buf: bytearray, message: str) -> str:
         return message
     text = buf.decode("utf-8", errors="replace")
     return text + ("" if text.endswith("\n") else "\n") + message
-
-
-@dataclass
-class CompressedContext:
-    """Fixed three-field summary of a failed attempt fed to the next one."""
-
-    visited: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
-    applied_hunks: list[str] = field(default_factory=list)
-    failure_log: str = ""
-    budget: int = DEFAULT_LOG_BUDGET
-
-    def render(self) -> str:
-        visited_text = "\n".join(f"{f}:{s}-{e}" for f, (s, e) in self.visited)
-        hunks_text = "\n".join(self.applied_hunks)
-        body_budget = self.budget - 120  # headroom for the three section headers
-        sections = [
-            ("[visited files/line ranges]", _truncate(visited_text, body_budget // 5)),
-            ("[applied diff hunks]", _truncate(hunks_text, (body_budget * 3) // 10)),
-            ("[verification failure log]", _truncate(self.failure_log, body_budget // 2)),
-        ]
-        text = "\n".join(f"{header}\n{body}" for header, body in sections)
-        return text[: self.budget]
-
-
-def _truncate(text: str, budget: int) -> str:
-    if len(text) <= budget:
-        return text
-    marker = "\n[truncated]"
-    return text[: max(0, budget - len(marker))] + marker
-
-
-_DIAG_RE = re.compile(r"(ERROR|FAILED|FAIL\b|error:|Assertion|SUMMARY|Traceback)")
-_FRAME_LINE_RE = re.compile(r"^\s*#\d+\s")
-
-# What starts a step's header line in a verification log: the step's
-# command follows it, and the command's output starts on the next line.
-STEP_HEADER = "$ "
-
-
-def extract_failure_log(raw_logs: str) -> str:
-    """Keep the first diagnostic line, up to ``MAX_FAILURE_FRAMES`` stack
-    frames, and failing-test lines; everything else is noise for the next
-    iteration. The diagnostic line is one the commands printed: a step
-    header names a command, which may itself spell ``FAIL`` or ``error:``."""
-    lines = raw_logs.splitlines()
-    picked: list[str] = []
-    diag = next((l for l in lines if not l.startswith(STEP_HEADER) and _DIAG_RE.search(l)), None)
-    if diag is not None:
-        picked.append(diag.strip())
-    frames = [l.rstrip() for l in lines if _FRAME_LINE_RE.match(l)][:MAX_FAILURE_FRAMES]
-    picked.extend(frames)
-    fails = [l.strip() for l in lines if l.strip().startswith("FAIL")][:5]
-    for l in fails:
-        if l not in picked:
-            picked.append(l)
-    return "\n".join(picked)
-
-
-def log_compress(
-    raw_logs: str,
-    visited: list[tuple[str, tuple[int, int]]] | None = None,
-    applied_hunks: list[str] | None = None,
-    budget: int = DEFAULT_LOG_BUDGET,
-) -> CompressedContext:
-    """Build the three-field compressed context from an attempt's raw logs."""
-    return CompressedContext(
-        visited=list(visited or []),
-        applied_hunks=list(applied_hunks or []),
-        failure_log=extract_failure_log(raw_logs),
-        budget=budget,
-    )
 
 
 class Workspace:

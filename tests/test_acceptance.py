@@ -23,7 +23,7 @@ import pytest
 
 import conftest as fx
 from patchloop import cli
-from patchloop.agent import RepairTask, SessionRunner, Transition, decide_transition
+from patchloop.agent import RepairTask, SessionRunner, Transition, decide_transition, log_compress
 from patchloop.gateway import ScriptedGateway
 from patchloop.localizer import index_repository, iter_grep, parse_crash_report
 from patchloop.memory import (
@@ -37,7 +37,7 @@ from patchloop.memory import (
 )
 from patchloop.oracle import OracleSpec, VerificationVerdict
 from patchloop.retrieval import Query, retrieve
-from patchloop.workspace import Workspace, log_compress
+from patchloop.workspace import Workspace
 
 
 @contextmanager

@@ -750,6 +750,54 @@ def test_a_stop_signal_during_verification_leaves_nothing_behind(demo_repo, tmp_
         os.killpg(pgid, 0)
 
 
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_a_stopped_batch_starts_no_further_task(tmp_path, sig):
+    tasks_dir, marker, ran = tmp_path / "tasks", tmp_path / "patched", tmp_path / "ran"
+    tasks_dir.mkdir()
+    ran.mkdir()
+    repos = [fx.init_repo(tmp_path / name, dict(fx.DEMO_FILES)) for name in ("repo_a", "repo_b")]
+    # Every PoC notes its task; once the candidate's guard is in the tree,
+    # the first task's PoC also says so and sleeps.
+    slow = f"if grep -q 'exceeds capacity' app/buffer.py; then touch {shlex.quote(str(marker))}; sleep 1; fi; "
+    for name, repo, prefix in [("a1", repos[0], slow), ("a2", repos[0], ""), ("b1", repos[1], "")]:
+        task = fx.demo_task_json(repo, {
+            "transcript": str(fx.transcript_success(tmp_path / f"{name}.jsonl")),
+            "poc_command": f"touch {shlex.quote(str(ran / name))}; {prefix}python3 poc.py",
+        })
+        (tasks_dir / f"{name}.json").write_text(json.dumps(task))
+    cfg, mem, out_dir = tmp_path / "run.cfg", tmp_path / "m.jsonl", tmp_path / "out"
+    cfg.write_text("[gateway]\nbackend = scripted\ntranscript = unused-default\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patchloop.cli", "--config", str(cfg), "repair", "--tasks", str(tasks_dir),
+         "--memory", str(mem), "--out", str(out_dir), "--jobs", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the first task's candidate was never verified"
+            time.sleep(0.05)
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 128 + sig, err
+    assert err.splitlines()[-1] == f"stopped by {sig.name}" and "Traceback" not in err
+    assert sorted(p.name for p in ran.iterdir()) == ["a1"]
+    assert [p.name for p in out_dir.glob("*.report.json")] == ["a1.report.json"]
+    store = load_store(mem)  # the running session finished and its consolidation was saved
+    assert len(store.l2) == 1 and store.completed_tasks == 1
+    # The first task's checkout holds its accepted patch and nothing else; the other is untouched.
+    final_diff = json.loads((out_dir / "a1.report.json").read_text())["final_diff"]
+    assert fx.git(repos[0], "diff") == final_diff != ""
+    assert fx.git(repos[0], "status", "--porcelain").splitlines() == [" M app/buffer.py"]
+    assert fx.git(repos[1], "status", "--porcelain") == ""
+
+
 @pytest.mark.parametrize("flags, verdicts", [
     (["-v"], ["attempt 1 verdict mitigated=True preserved=False -> regenerate",
               "attempt 2 verdict mitigated=True preserved=True -> success"]),

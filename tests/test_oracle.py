@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import BAD_NEW_NOT_FIXED, BAD_NEW_REGRESSION, GOOD_NEW, REPLACE_OLD
+from patchloop.agent import log_compress
 from patchloop.errors import BuildToolMissing, OracleTimeout, PristineCheckFailed
 from patchloop.oracle import (
     OracleRunner,
@@ -233,6 +234,18 @@ def test_a_build_failing_on_the_pristine_repo_is_refused(demo_repo):
 def test_non_utf8_output_is_decoded_with_replacement(demo_repo):
     spec = OracleSpec(poc_command="printf '\\377\\376 bad\\n'; exit 1", regression_command="true")
     assert OracleRunner(demo_repo, spec).run_poc() == (1, "\ufffd\ufffd bad\n")
+
+
+def test_the_failure_log_takes_its_diagnostic_line_from_output_not_a_command_line(tmp_path):
+    # The command's second line spells a diagnostic; the line it prints is another one.
+    command = "echo 'reading input'\ntest -n 'ERROR: from the command text' && echo 'ERROR: overflow'; exit 1"
+    verdict = OracleRunner(tmp_path, OracleSpec(poc_command=command, regression_command="true")).check_vul()
+    assert log_compress(verdict.logs).failure_log.splitlines()[0] == "ERROR: overflow"
+    assert verdict.logs == (
+        "$ echo 'reading input'\n"
+        "$ test -n 'ERROR: from the command text' && echo 'ERROR: overflow'; exit 1\n"
+        "reading input\nERROR: overflow\n"
+    )
 
 
 @pytest.mark.parametrize("stop", ["timeout", "interrupt"])

@@ -302,6 +302,18 @@ def test_l3_refinement_scores_against_failed_patches():
     assert result[0].similarity > result[1].similarity
 
 
+def test_an_l1_override_retrieval_scores_descriptions_and_fills_no_fail_patch_column():
+    store = MemoryStore()
+    descs = ["overflow copying payload", "guard length only at allocation", "unrelated text"]
+    for i, desc in enumerate(descs):
+        insert(store, entry(f"proj.cve-2020-{i + 1}", desc=desc))
+    override = make_patch("guard length only at allocation")
+    query = Query(QUERY_KEYS, top_n=len(descs))
+    got = ids_pools_sims(retrieve(store, "L1", query, query_text_override=override))
+    assert got == brute_force_reference(store, "L1", query, override)
+    assert store._indexes["L1"].fields["fail_patch"].missing(range(len(descs))) == [0, 1, 2]
+
+
 def test_embedding_outage_degrades_to_token_overlap():
     store = MemoryStore(embedder=FailingEmbedder())
     # Added as they are: insert would need the embedder for its dedup check.

@@ -15,15 +15,8 @@ import pytest
 
 from conftest import git, init_repo
 from patchloop.errors import WorkspaceError
-from patchloop.workspace import (
-    CompressedContext,
-    PersistentShell,
-    ToolCall,
-    ToolResult,
-    Workspace,
-    cap_output,
-    log_compress,
-)
+from patchloop.agent import CompressedContext, log_compress
+from patchloop.workspace import PersistentShell, ToolCall, ToolResult, Workspace, cap_output
 
 
 @pytest.fixture
