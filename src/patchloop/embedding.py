@@ -185,7 +185,7 @@ class CachingEmbedder:
     make 45 embed calls, 33 of them hits: 18 repeat the session's
     description (8 from L2 retrievals, 10 from consolidation's inserts) and
     15 repeat a patch text, since the scripted candidates are the same in
-    every session. On ``memory_mix`` (150 operations) none of 323 calls hits.
+    every session. On ``memory_mix`` (150 operations) none of 324 calls hits.
 
     A miss looks ``inner.embed`` up anew, so a method replaced on the inner
     embedder or its class takes effect at once.

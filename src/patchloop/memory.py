@@ -14,11 +14,12 @@ through a single writer lock; they include an entry's ``last_retrieved``,
 the one field that changes once it is stored.
 
 Each tier is held by one :class:`TierIndex`: its entries, their rows by
-(CWE, language) and one embedding matrix per text field. Dedup scores the
-whole tier's descriptions with one mat-vec and the patches only at the rows
-whose description is a near-duplicate; a read scores its candidate rows
-with one mat-vec. Every index update happens under the writer lock; the
-embedder never runs under it.
+(CWE, language) and one embedding matrix per text field. Dedup embeds and
+scores the whole tier's descriptions with one mat-vec, and embeds and scores
+stored patches only at the rows whose description is a near-duplicate; a
+read embeds and scores only its candidate rows, with one mat-vec. Every
+index update happens under the writer lock; the embedder never runs under
+it.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ class TierIndex:
     tie-break ``(-stamp..., instance_id, i)`` with it. ``fields`` holds
     one :class:`VectorRows` per field from the start; a field's rows are
     embedded when first needed, each on its own: a read embeds only the
-    rows it scores, and an embedding outage part-way leaves the rows
-    stored so far.
+    rows it scores, dedup every description but only the patches of
+    near-duplicate ones, so a loaded tier's patch rows may stay sparse, and
+    an embedding outage part-way leaves the rows stored so far.
     """
 
     def __init__(self, entries: Iterable[MemoryEntry] = ()) -> None:
@@ -396,31 +398,40 @@ def insert(store: MemoryStore, entry: MemoryEntry) -> InsertOutcome:
     older entry is kept (stable identity) and its recency is refreshed.
     One mat-vec scores the new description against the whole tier; the
     patch is scored only against the rows whose description is above the
-    threshold, so an insert with no near-duplicate description reads no
-    stored patch vector.
+    threshold, and only those rows' stored patches are embedded, so an
+    insert with no near-duplicate description embeds no stored patch. The
+    new entry's own description and patch are embedded first, and stored
+    with its row.
     """
     entry.validate()
     desc_vec = store.embedder.embed(entry.keys.description)
     patch_vec = store.embedder.embed(entry.patch_text)
     while True:
+        near = None
         with store._write_lock:
             index = store._indexes[entry.tier]
             n = len(index.entries)
-            if index.fields["description"].holds_first(n) and index.fields["patch"].holds_first(n):
-                return _merge_or_append(store, index, entry, desc_vec, patch_vec)
-        # Embed what the tier lacks outside the lock, then look again: other
-        # writers may have appended meanwhile.
-        store.embed_rows(index, "description", range(n))
-        store.embed_rows(index, "patch", range(n))
+            descs = index.fields["description"]
+            if descs.holds_first(n):
+                near = np.flatnonzero(descs.cosine(desc_vec, slice(0, n)) > DEDUP_THRESHOLD)
+                if not index.fields["patch"].missing(near):
+                    return _merge_or_append(store, index, entry, near, desc_vec, patch_vec)
+        # Embed what the decision reads outside the lock, then look again:
+        # other writers may have appended meanwhile.
+        if near is None:
+            store.embed_rows(index, "description", range(n))
+        else:
+            store.embed_rows(index, "patch", near)
 
 
 def _merge_or_append(
-    store: MemoryStore, index: TierIndex, entry: MemoryEntry, desc_vec: np.ndarray, patch_vec: np.ndarray
+    store: MemoryStore, index: TierIndex, entry: MemoryEntry, near: np.ndarray,
+    desc_vec: np.ndarray, patch_vec: np.ndarray,
 ) -> InsertOutcome:
-    """The dedup decision of :func:`insert`, on the tier's index whose rows
-    are all embedded; needs the writer lock."""
+    """The dedup decision of :func:`insert`, given the rows of the tier's
+    index whose description is above the threshold, each of which holds its
+    patch vector; needs the writer lock."""
     descs, patches = index.fields["description"], index.fields["patch"]
-    near = np.flatnonzero(descs.cosine(desc_vec, slice(0, len(index.entries))) > DEDUP_THRESHOLD)
     if near.size:
         near = near[patches.cosine(patch_vec, near) > DEDUP_THRESHOLD]
     if near.size:

@@ -1212,6 +1212,30 @@ def test_repair_tasks_on_one_checkout_never_run_at_once(tmp_path, capsys, monkey
     assert [line.split(":")[0] for line in out.splitlines()] == ["a1.json", "a2.json", "b1.json"]
 
 
+def test_tasks_on_one_checkout_each_start_from_the_tree_the_one_before_left(tmp_path, capsys):
+    tasks_dir = tmp_path / "tasks"
+    tasks_dir.mkdir()
+    repo = fx.init_repo(tmp_path / "repo", dict(fx.DEMO_FILES))
+    for name in ("a1", "a2"):
+        task = fx.demo_task_json(repo, {"transcript": str(fx.transcript_success(tmp_path / f"{name}.jsonl"))})
+        (tasks_dir / f"{name}.json").write_text(json.dumps(task))
+    cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("[gateway]\nbackend = scripted\ntranscript = unused-default\n")
+
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(cfg), "--json",
+        "repair", "--tasks", str(tasks_dir), "--memory", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+    )
+    # a1's accepted fix stays in the checkout, so a2's PoC already passes
+    # before its session starts: nothing is left to fix there.
+    assert code == 2
+    assert json.loads(out)["results"] == {"a1.json": 0, "a2.json": 2}
+    assert "a2.json: PristineCheckFailed" in err
+    final_diff = json.loads((out_dir / "a1.report.json").read_text())["final_diff"]
+    assert fx.git(repo, "diff") == final_diff != ""
+
+
 def test_repair_tasks_malformed_task_spares_its_sibling(tmp_path, capsys):
     tasks_dir = tmp_path / "tasks"
     tasks_dir.mkdir()

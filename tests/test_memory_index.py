@@ -222,6 +222,13 @@ def test_index_matches_scalar_brute_force(ops):
                 # on entry objects the two stores do not share.
                 assert not {id(e) for e in mine} & {id(e) for e in theirs}
                 assert [e.last_retrieved for e in mine] == [e.last_retrieved for e in theirs]
+    # Dedup embeds stored patches only at near rows, so a column may be
+    # sparse: each vector it holds is its own row's.
+    for tier in TIERS:
+        index = store._indexes[tier]
+        patches = index.fields["patch"]
+        for row in held_rows(patches, len(index.entries)):
+            assert np.array_equal(patches.vectors[row], embed(field_text("patch", index.entries[row])))
 
 
 def test_dedup_is_strict_at_the_threshold_and_merges_into_the_first_match():
@@ -339,6 +346,12 @@ def assert_same_column(got, want) -> None:
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def held_rows(column, n: int) -> list[int]:
+    """The rows below `n` that hold a vector, in order."""
+    missing = set(column.missing(range(n)))
+    return [row for row in range(n) if row not in missing]
+
+
 def test_appends_extend_the_index_and_other_changes_rebuild_it():
     store = MemoryStore()
     words = "heap overflow parser frame length copy tag size".split()
@@ -420,15 +433,19 @@ def test_reads_embed_only_the_rows_they_score():
     retrieve(store, "L2", Query(QUERY.keys, k_min=5, top_n=10))  # P1 is sparse: P2 joins
     assert counting.texts == [e.keys.description for e in theirs]
 
-    # Dedup embeds the whole tier: every description and patch, each once.
+    # Dedup embeds every description, each once, and a stored patch only
+    # where the description is near: here at no row.
     counting.texts.clear()
     new = l2("p.cve-2020-9", "heap overflow number 9")
     assert insert(store, new) == InsertOutcome.INSERTED
-    assert counting.texts == (
-        [new.keys.description, new.fix_patch]
-        + [e.keys.description for e in other_cwe]
-        + [e.fix_patch for e in mine + theirs + other_cwe]
-    )
+    assert counting.texts == [new.keys.description, new.fix_patch] + [e.keys.description for e in other_cwe]
+    # A description equal to a stored one's: that row's patch, and no other.
+    counting.texts.clear()
+    twin = L2Entry(keys=replace(mine[1].keys, instance_id="p.cve-2020-10"), fix_patch=diff("other"),
+                   rationale="r")
+    assert insert(store, twin) == InsertOutcome.INSERTED
+    assert counting.texts == [twin.fix_patch, mine[1].fix_patch]
+    assert held_rows(store._indexes["L2"].fields["patch"], len(store.l2)) == [1, 9, 10]
 
 
 class ReadRecordingList(list):
@@ -522,7 +539,34 @@ def test_insert_dedups_against_entries_appended_while_it_embeds():
     with store._write_lock:
         index = store._indexes["L2"]
     assert index.entries == [first, late]
-    assert_same_column(stored_column(index, "patch"), fresh_column(store.l2, "patch"))
+    # Only the late row's description is near, so only its patch was read.
+    patches = index.fields["patch"]
+    assert held_rows(patches, 2) == [1]
+    assert_same_column((patches.vectors[[1]], patches.norms[[1]]), fresh_column([late], "patch"))
+
+
+def test_a_loaded_tier_embeds_a_stored_patch_only_where_a_description_is_near(tmp_path):
+    saved = MemoryStore()
+    stored = [l2(f"p.cve-2020-{i}", f"{word} in the frame parser") for i, word in enumerate(WORDS)]
+    for entry in stored:
+        saved.add(entry)
+    save_store(saved, tmp_path / "m.jsonl")
+    counting = CountingEmbedder()
+    store = load_store(tmp_path / "m.jsonl", embedder=CachingEmbedder(counting))
+
+    new = l2("p.cve-2021-1", "use after free of a session")
+    assert insert(store, new) == InsertOutcome.INSERTED
+    assert counting.texts == [new.keys.description, new.fix_patch] + [e.keys.description for e in stored]
+    n = len(stored)
+    assert held_rows(store._indexes["L2"].fields["patch"], n + 1) == [n]
+
+    # One near-duplicate description: exactly its row's patch is added.
+    counting.texts.clear()
+    twin = L2Entry(keys=replace(stored[3].keys, instance_id="p.cve-2021-2"), fix_patch=diff("other"),
+                   rationale="r")
+    assert insert(store, twin) == InsertOutcome.INSERTED
+    assert counting.texts == [twin.fix_patch, stored[3].fix_patch]
+    assert held_rows(store._indexes["L2"].fields["patch"], n + 2) == [3, n, n + 1]
 
 
 def test_store_keeps_the_embedder_it_is_given(tmp_path):
